@@ -6,7 +6,7 @@ electrode model (EIT) forward solver, and a random-walk Metropolis-Hastings
 baseline with multi-chain diagnostics.
 """
 
-from .chol import CholeskyFactor, cholesky, rank1_update, solve, woodbury_inverse
+from .chol import CholeskyFactor, cholesky, rank1_update, solve
 from .errors import (
     AdaptFailed,
     CavityInvalid,
@@ -24,7 +24,6 @@ from .errors import (
 from .factors import (
     FactorFamily,
     GaussianFactor1D,
-    GaussianFactorND,
     LaplacePositivityFactor,
     TiltedMoments,
     moments_gaussian_factor,
@@ -44,14 +43,7 @@ from .ep import (
     run_ep,
     update_site,
 )
-from .gaussians import (
-    MomentGaussian,
-    NaturalGaussian,
-    moment_from_natural,
-    natural_from_moment,
-    natural_product,
-    natural_quotient,
-)
+from .gaussians import MomentGaussian, NaturalGaussian, moment_from_natural
 
 __all__ = [
     "AdaptFailed",
@@ -74,7 +66,6 @@ __all__ = [
     "EpinverseError",
     "FactorFamily",
     "GaussianFactor1D",
-    "GaussianFactorND",
     "GlobalNotPD",
     "LaplacePositivityFactor",
     "MeshGenFailed",
@@ -90,12 +81,8 @@ __all__ = [
     "moments_gaussian_factor",
     "moments_laplace_positivity",
     "moments_quadrature",
-    "natural_from_moment",
-    "natural_product",
-    "natural_quotient",
     "rank1_update",
     "solve",
-    "woodbury_inverse",
 ]
 
 __version__ = "0.1.0"

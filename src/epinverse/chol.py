@@ -1,5 +1,5 @@
-"""Dense SPD kernel layer: Cholesky factorization, rank-one up/downdates,
-triangular solves and a Woodbury helper.
+"""Dense SPD kernel layer: Cholesky factorization, rank-one up/downdates
+and triangular solves.
 
 All operations are pure: they never mutate their inputs, so factors can be
 shared freely across threads for reading.
@@ -29,14 +29,6 @@ class CholeskyFactor:
     @property
     def n(self) -> int:
         return self.L.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        """Reconstruct the represented SPD matrix."""
-        return self.L @ self.L.T
-
-    def logdet(self) -> float:
-        """log det of the represented matrix."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.L))))
 
 
 def cholesky(A: np.ndarray) -> CholeskyFactor:
@@ -128,15 +120,3 @@ def inverse(F: CholeskyFactor) -> np.ndarray:
     """Dense inverse of the represented matrix (symmetrized)."""
     inv = solve(F, np.eye(F.n))
     return 0.5 * (inv + inv.T)
-
-
-def woodbury_inverse(A: np.ndarray, W: np.ndarray, C: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """(A + W C V)^{-1} via the low-rank identity
-    A^{-1} - A^{-1} W (C^{-1} + V A^{-1} W)^{-1} V A^{-1}.
-
-    Intended for small dense systems (tests and l x l cavity algebra).
-    """
-    A = np.asarray(A, dtype=float)
-    Ainv = np.linalg.inv(A)
-    core = np.linalg.inv(np.linalg.inv(C) + V @ Ainv @ W)
-    return Ainv - Ainv @ W @ core @ V @ Ainv

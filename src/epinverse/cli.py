@@ -15,13 +15,15 @@ import json
 import math
 import sys
 import time
+import traceback
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigKeyError
-from .ep import EPOptions, Site
+from .ep import DOWNDATE_POLICIES, SWEEP_MODES, EPOptions, Site
 from .errors import EpinverseError
 from .factors import LaplacePositivityFactor
 from .mcmc import (
@@ -33,7 +35,7 @@ from .mcmc import (
     overdispersed_inits,
     run_chains,
 )
-from .nonlinear import LinearModel, NonlinearOptions, run_nonlinear
+from .nonlinear import ForwardModel, LinearModel, NonlinearOptions, run_nonlinear
 from .eit import cem
 from .eit.mesh import gen_disk_mesh, read_mesh, write_mesh
 
@@ -148,12 +150,50 @@ def _build_linear_problem(cfg: dict[str, str], seed: int):
     return model, data, alpha, lam, bg, floor, x_true
 
 
+@dataclass(frozen=True)
+class _Problem:
+    """One posterior as both ep and mcmc see it, plus the MH chain centre and
+    initial proposal scale for it."""
+
+    name: str
+    model: ForwardModel
+    data: np.ndarray
+    alpha: float
+    lam: float
+    bg: float
+    floor: float
+    node_ids: np.ndarray
+    center: np.ndarray
+    proposal_std: float
+
+
+def _build_problem(cfg: dict[str, str], seed: int) -> _Problem:
+    """The linear or EIT problem named by the ``problem`` key."""
+    problem = cfgmod.get_str(cfg, "problem")
+    if problem == "linear":
+        model, data, alpha, lam, bg, floor, _ = _build_linear_problem(cfg, seed)
+        center = np.full(model.n, max(bg, floor))
+        return _Problem(problem, model, data, alpha, lam, bg, floor, np.arange(model.n), center, 0.1)
+    if problem == "eit":
+        mesh = read_mesh(cfgmod.get_existing_path(cfg, "mesh", "mesh_not_found"))
+        cem_cfg = _cem_config_from(cfg)
+        data = _read_data_csv(cfgmod.get_existing_path(cfg, "data", "data_not_found"), cem_cfg)
+        alpha = _check_positive(cfgmod.get_float(cfg, "alpha", cem.ALPHA_DEFAULT), "alpha")
+        lam = _check_positive(cfgmod.get_float(cfg, "lambda", cem.LAMBDA_DEFAULT), "lambda")
+        floor = cfgmod.get_float(cfg, "floor", cem.SIGMA_FLOOR)
+        bg = cfgmod.get_float(cfg, "sigma_bg", cem.SIGMA_BG)
+        model = cem.EITForwardModel(mesh, cem_cfg, bg, floor)
+        center = np.full(model.n, bg)
+        return _Problem(problem, model, data, alpha, lam, bg, floor, mesh.interior_node_ids, center, 0.05 * bg)
+    raise ConfigKeyError(f"unknown problem {problem!r}", "bad_problem")
+
+
 def _ep_options(cfg: dict[str, str]) -> EPOptions:
     return EPOptions(
         max_sweeps=cfgmod.get_int(cfg, "ep_max_sweeps", 5),
-        site_tol=cfgmod.get_float(cfg, "ep_site_tol", 1e-4),
-        sweep_mode=cfgmod.get_str(cfg, "ep_sweep_mode", "serial"),
-        on_downdate_failure=cfgmod.get_str(cfg, "ep_on_downdate_failure", "skip_site"),
+        site_tol=_check_positive(cfgmod.get_float(cfg, "ep_site_tol", 1e-4), "ep_site_tol"),
+        sweep_mode=cfgmod.get_choice(cfg, "ep_sweep_mode", SWEEP_MODES),
+        on_downdate_failure=cfgmod.get_choice(cfg, "ep_on_downdate_failure", DOWNDATE_POLICIES),
     )
 
 
@@ -164,49 +204,27 @@ def _check_positive(value: float, key: str) -> float:
 
 
 def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
-    problem = cfgmod.get_str(cfg, "problem")
     inner = _ep_options(cfg)
-    if problem == "linear":
-        model, data, alpha, lam, bg, floor, _ = _build_linear_problem(cfg, seed)
-        node_ids = np.arange(model.n)
-        bg_vec = np.full(model.n, bg)
-    elif problem == "eit":
-        mesh_path = cfgmod.get_existing_path(cfg, "mesh", "mesh_not_found")
-        mesh = read_mesh(mesh_path)
-        cem_cfg = _cem_config_from(cfg)
-        data_path = cfgmod.get_existing_path(cfg, "data", "data_not_found")
-        data = _read_data_csv(data_path, cem_cfg)
-        alpha = _check_positive(cfgmod.get_float(cfg, "alpha", cem.ALPHA_DEFAULT), "alpha")
-        lam = _check_positive(cfgmod.get_float(cfg, "lambda", cem.LAMBDA_DEFAULT), "lambda")
-        floor = cfgmod.get_float(cfg, "floor", cem.SIGMA_FLOOR)
-        bg = cfgmod.get_float(cfg, "sigma_bg", cem.SIGMA_BG)
-        model = cem.EITForwardModel(mesh, cem_cfg, bg, floor)
-        node_ids = mesh.interior_node_ids
-        bg_vec = np.full(model.n, bg)
-    else:
-        raise ConfigKeyError(f"unknown problem {problem!r}", "bad_problem")
-
-    n = model.n
-    sites = [
-        Site(np.eye(n)[i : i + 1], LaplacePositivityFactor(lam, bg, floor)) for i in range(n)
-    ]
+    p = _build_problem(cfg, seed)
+    n = p.model.n
+    sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(p.lam, p.bg, p.floor)) for i in range(n)]
     opts = NonlinearOptions(
-        alpha=alpha,
+        alpha=p.alpha,
         max_outer=cfgmod.get_int(cfg, "ep_max_outer", 10),
         outer_tol=cfgmod.get_float(cfg, "ep_outer_tol", 1e-3),
         inner=inner,
-        floor=floor if math.isfinite(floor) else None,
+        floor=p.floor if math.isfinite(p.floor) else None,
     )
-    res = run_nonlinear(model, data, sites, opts, bg_vec)
+    res = run_nonlinear(p.model, p.data, sites, opts, np.full(n, p.bg))
 
     std = np.sqrt(np.diag(res.cov))
-    _write_vector_csv(out / "mean.csv", node_ids, res.mean, "mean")
-    _write_vector_csv(out / "std.csv", node_ids, std, "std")
+    _write_vector_csv(out / "mean.csv", p.node_ids, res.mean, "mean")
+    _write_vector_csv(out / "std.csv", p.node_ids, std, "std")
     if n <= 1000:
         _write_matrix_csv(out / "cov.csv", res.cov)
     _write_trace_csv(out / "trace.csv", res.trace)
     return {
-        "problem": problem,
+        "problem": p.name,
         "n": int(n),
         "outer_iterations": res.outer_iters,
         "total_inner_sweeps": int(sum(r.inner_sweeps for r in res.outer_records)),
@@ -220,32 +238,9 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
 
 
 def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
-    problem = cfgmod.get_str(cfg, "problem")
-    if problem == "linear":
-        model, data, alpha, lam, bg, floor, _ = _build_linear_problem(cfg, seed)
-        node_ids = np.arange(model.n)
-        center = np.full(model.n, max(bg, floor))
-        forward_fn = model.evaluate
-        scale0 = 0.1
-    elif problem == "eit":
-        mesh_path = cfgmod.get_existing_path(cfg, "mesh", "mesh_not_found")
-        mesh = read_mesh(mesh_path)
-        cem_cfg = _cem_config_from(cfg)
-        data = _read_data_csv(cfgmod.get_existing_path(cfg, "data", "data_not_found"), cem_cfg)
-        alpha = _check_positive(cfgmod.get_float(cfg, "alpha", cem.ALPHA_DEFAULT), "alpha")
-        lam = _check_positive(cfgmod.get_float(cfg, "lambda", cem.LAMBDA_DEFAULT), "lambda")
-        floor = cfgmod.get_float(cfg, "floor", cem.SIGMA_FLOOR)
-        bg = cfgmod.get_float(cfg, "sigma_bg", cem.SIGMA_BG)
-        model = cem.EITForwardModel(mesh, cem_cfg, bg, floor)
-        node_ids = mesh.interior_node_ids
-        center = np.full(model.n, bg)
-        forward_fn = model.evaluate
-        scale0 = 0.05 * bg
-    else:
-        raise ConfigKeyError(f"unknown problem {problem!r}", "bad_problem")
-
-    prior = LaplacePositivityPrior(lam=lam, bg=bg, floor=floor)
-    post = Posterior(forward_fn, data, alpha, prior)
+    p = _build_problem(cfg, seed)
+    prior = LaplacePositivityPrior(lam=p.lam, bg=p.bg, floor=p.floor)
+    post = Posterior(p.model.evaluate, p.data, p.alpha, prior)
 
     n_chains = cfgmod.get_int(cfg, "mcmc_chains", 8)
     steps = cfgmod.get_int(cfg, "mcmc_steps", 1_000_000)
@@ -253,14 +248,14 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     thin = cfgmod.get_int(cfg, "mcmc_thin", 10)
     init_spread = cfgmod.get_float(cfg, "mcmc_init_spread", 0.0)
 
-    std0 = cfgmod.get_float(cfg, "mcmc_proposal_std", scale0)
+    std0 = cfgmod.get_float(cfg, "mcmc_proposal_std", p.proposal_std)
     adapted = adapt_proposal(
-        post, center, std0, pilot_steps=cfgmod.get_int(cfg, "mcmc_pilot_steps", 4000), seed=seed
+        post, p.center, std0, pilot_steps=cfgmod.get_int(cfg, "mcmc_pilot_steps", 4000), seed=seed
     )
     inits = (
-        overdispersed_inits(center, init_spread, n_chains, seed=seed, floor=floor)
+        overdispersed_inits(p.center, init_spread, n_chains, seed=seed, floor=p.floor)
         if init_spread > 0.0
-        else [center.copy() for _ in range(n_chains)]
+        else [p.center.copy() for _ in range(n_chains)]
     )
     same_seed = cfgmod.get_bool(cfg, "mcmc_same_seed", False)
     chain_cfgs = [
@@ -281,7 +276,7 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
         lines = [f"# acceptance_rate={ch.acceptance_rate!r} samples_kept={ch.samples_kept} seed={ch.seed}"]
         lines.append("node,mean,std")
         lines += [
-            f"{int(i)},{_fmt(m)},{_fmt(s)}" for i, m, s in zip(node_ids, ch.mean, ch.std)
+            f"{int(i)},{_fmt(m)},{_fmt(s)}" for i, m, s in zip(p.node_ids, ch.mean, ch.std)
         ]
         (out / f"chain_{k}.csv").write_text("\n".join(lines) + "\n")
 
@@ -290,10 +285,10 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     table = ["case,mean-err,std-err,R-hat"]
     table.append(f"{case},{_fmt(rep.mean_err)},{_fmt(rep.std_err)},{_fmt(rep.rhat_max)}")
     (out / "table3.csv").write_text("\n".join(table) + "\n")
-    _write_vector_csv(out / "grand_mean.csv", node_ids, rep.grand_mean, "mean")
-    _write_vector_csv(out / "grand_std.csv", node_ids, rep.grand_std, "std")
+    _write_vector_csv(out / "grand_mean.csv", p.node_ids, rep.grand_mean, "mean")
+    _write_vector_csv(out / "grand_std.csv", p.node_ids, rep.grand_std, "std")
     return {
-        "problem": problem,
+        "problem": p.name,
         "chains": n_chains,
         "steps": steps,
         "proposal_std": adapted,
@@ -439,10 +434,18 @@ def main(argv: list[str] | None = None) -> int:
         summary["error"] = type(exc).__name__
         summary["error_detail"] = str(exc)
         code = 1
+    except Exception:
+        summary["error"] = "internal"
+        summary["error_detail"] = traceback.format_exc()
+        code = 3
     summary["wall_time_s"] = time.time() - t0
-    if out is not None:
+    out = out if out is not None else Path(".")
+    try:
         out.mkdir(parents=True, exist_ok=True)
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {out / 'summary.json'}: {exc}", file=sys.stderr)
+        code = code or 3
     if summary["error"]:
         print(f"error: {summary['error']}: {summary.get('error_detail', '')}", file=sys.stderr)
     return code

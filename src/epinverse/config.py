@@ -89,6 +89,14 @@ def get_bool(cfg: dict[str, str], key: str, default=_MISSING) -> bool:
     raise ConfigKeyError(f"key {key!r}: {raw!r} is not a boolean", f"bad_{key}")
 
 
+def get_choice(cfg: dict[str, str], key: str, choices: tuple[str, ...]) -> str:
+    """One of ``choices``, the first being the default."""
+    raw = get_str(cfg, key, choices[0])
+    if raw not in choices:
+        raise ConfigKeyError(f"key {key!r}: {raw!r} is not one of {', '.join(choices)}", f"bad_{key}")
+    return raw
+
+
 def get_existing_path(cfg: dict[str, str], key: str, code: str) -> Path:
     raw = get_str(cfg, key)
     p = Path(raw)

@@ -1,11 +1,13 @@
 """Serial (and parallel-sweep) expectation propagation for posteriors of
-projection type  t0(x) * prod_i t_i(U_i x).
+projection type  t0(x) * prod_i t_i(u_i^T x).
 
-The global Gaussian approximation is held in natural parameters (h, K) with a
-maintained Cholesky factor of K; every site refresh is realized as rank-one
-up/downdates of that factor plus an additive update of h.  Cavities are formed
-in natural parameters so that exactly-flat cavities (decoupled factors) stay
-well defined.
+Every site acts on one projection row u_i and carries scalar natural
+parameters (h_i, K_i).  The global Gaussian approximation is held as its
+shift h and a Cholesky factor L of its precision; a site refresh is one
+rank-one up/downdate of L plus an additive update of h, and the dense
+precision is only formed when the global is assembled from scratch.
+Cavities are formed in natural parameters so that exactly-flat cavities
+(decoupled factors) stay well defined.
 """
 
 from __future__ import annotations
@@ -24,17 +26,27 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .factors import FactorFamily, TiltedMoments
-from .gaussians import MomentGaussian, NaturalGaussian
+from .gaussians import MomentGaussian, NaturalGaussian, moment_from_natural
 
 # |cavity precision| below this fraction of the marginal precision is treated
 # as exactly flat; below the negative of it, the cavity is invalid.
 CAVITY_RTOL = 1e-12
 
+SWEEP_MODES = ("serial", "parallel")
+DOWNDATE_POLICIES = ("skip_site", "abort")
+
 
 @dataclass
 class Site:
-    """One factor approximation: projection U (l x n) and low-rank natural
-    parameters (h_i, K_i), initialized to K_i = I, h_i = 0."""
+    """One factor approximation on the projection u^T x: the row U (1 x n)
+    and natural parameters K_i (1 x 1) and h_i (1,), initialized to
+    K_i = 1, h_i = 0.  The site keeps its own copies of all three.
+
+    Raises
+    ------
+    ValueError
+        If U is not a single row.
+    """
 
     U: np.ndarray
     family: FactorFamily
@@ -42,46 +54,22 @@ class Site:
     h_i: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.U = np.atleast_2d(np.asarray(self.U, dtype=float))
-        l = self.U.shape[0]
-        if self.K_i is None:
-            self.K_i = np.eye(l)
-        else:
-            self.K_i = np.atleast_2d(np.asarray(self.K_i, dtype=float)).copy()
-        if self.h_i is None:
-            self.h_i = np.zeros(l)
-        else:
-            self.h_i = np.atleast_1d(np.asarray(self.h_i, dtype=float)).copy()
-
-    @property
-    def l(self) -> int:
-        return self.U.shape[0]
+        self.U = np.array(self.U, dtype=float, ndmin=2)
+        if self.U.ndim != 2 or self.U.shape[0] != 1:
+            raise ValueError(f"a site acts on one projection row, got U of shape {self.U.shape}")
+        self.K_i = np.eye(1) if self.K_i is None else np.array(self.K_i, dtype=float, ndmin=2)
+        self.h_i = np.zeros(1) if self.h_i is None else np.array(self.h_i, dtype=float, ndmin=1)
 
 
 @dataclass(frozen=True)
 class CavityResult:
-    """Cavity in natural parameters: eta = Chat^{-1} mu_hat, prec = Chat^{-1}.
-
-    A vanishing precision (flat cavity) is legal; mu_hat/C_hat accessors are
-    only available when the cavity is proper.
-    """
+    """Cavity in natural parameters: eta = mu_hat / v_hat (shape (1,)) and
+    prec = 1 / v_hat (shape (1, 1)).  A vanishing precision (flat cavity) is
+    legal and is stored as exactly zero."""
 
     eta: np.ndarray
     prec: np.ndarray
     is_flat: bool
-
-    @property
-    def mu_hat(self) -> np.ndarray:
-        if self.is_flat:
-            raise CavityInvalid("flat cavity has no mean")
-        return np.linalg.solve(self.prec, self.eta)
-
-    @property
-    def C_hat(self) -> np.ndarray:
-        if self.is_flat:
-            raise CavityInvalid("flat cavity has no covariance")
-        C = np.linalg.inv(self.prec)
-        return 0.5 * (C + C.T)
 
 
 @dataclass
@@ -94,10 +82,10 @@ class EPOptions:
     def __post_init__(self) -> None:
         if self.site_tol <= 0.0:
             raise ValueError("site_tol must be > 0")
-        if self.sweep_mode not in ("serial", "parallel"):
-            raise ValueError("sweep_mode must be 'serial' or 'parallel'")
-        if self.on_downdate_failure not in ("skip_site", "abort"):
-            raise ValueError("on_downdate_failure must be 'skip_site' or 'abort'")
+        if self.sweep_mode not in SWEEP_MODES:
+            raise ValueError(f"sweep_mode must be one of {SWEEP_MODES}")
+        if self.on_downdate_failure not in DOWNDATE_POLICIES:
+            raise ValueError(f"on_downdate_failure must be one of {DOWNDATE_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -147,65 +135,60 @@ def assemble_global(base: NaturalGaussian, sites: list[Site]) -> NaturalGaussian
 def cavity(global_: NaturalGaussian, s: Site) -> CavityResult:
     """Cavity natural parameters for one site.
 
-    Khat = U K^{-1} U^T via triangular solves against the maintained factor;
-    the cavity precision is Khat^{-1} - K_i and the cavity shift is
-    Khat^{-1} U K^{-1} h - h_i.
+    With w = L^{-1} u and y = L^{-1} h against the maintained factor, the
+    marginal of u^T x has variance v = w.w and mean w.y; the cavity precision
+    is 1/v - K_i and the cavity shift is (w.y)/v - h_i.
 
     Raises
     ------
     CavityInvalid
-        If the cavity precision is negative definite beyond roundoff.
+        If the marginal variance is not positive, or the cavity precision is
+        negative beyond roundoff.
     """
     F = global_.ensure_factor()
-    W = chol.solve_lower(F, s.U.T)  # n x l
+    w = chol.solve_lower(F, s.U[0])
     y = chol.solve_lower(F, global_.h)
-    Khat = W.T @ W
-    marg_mean = W.T @ y  # = U K^{-1} h
-    try:
-        Kf = chol.cholesky(0.5 * (Khat + Khat.T))
-    except NotPositiveDefinite as exc:
-        raise CavityInvalid(f"marginal covariance not PD: {exc}") from exc
-    marg_prec = chol.inverse(Kf)
-    prec = marg_prec - s.K_i
-    prec = 0.5 * (prec + prec.T)
-    eta = marg_prec @ marg_mean - s.h_i
-
-    scale = float(np.linalg.norm(marg_prec, 2))
-    eigmin = float(np.linalg.eigvalsh(prec)[0])
-    if eigmin < -CAVITY_RTOL * scale:
-        raise CavityInvalid(f"cavity precision has eigenvalue {eigmin:.3e}")
-    is_flat = bool(np.all(np.abs(prec) <= CAVITY_RTOL * scale))
-    if is_flat:
-        prec = np.zeros_like(prec)
-    elif eigmin <= 0.0:
-        # semidefinite but not uniformly flat: unusable for moment queries
-        raise CavityInvalid("cavity precision is singular but not flat")
-    return CavityResult(eta, prec, is_flat)
+    v = float(w @ w)
+    if not v > 0.0:
+        raise CavityInvalid(f"marginal variance {v:.3e} is not positive")
+    # (1/sd)^2 rounds exactly as chol.inverse does on a 1x1 matrix, so the
+    # scalar algebra reproduces the matrix form bit for bit
+    inv_sd = 1.0 / math.sqrt(v)
+    marg_prec = inv_sd * inv_sd
+    prec = marg_prec - float(s.K_i[0, 0])
+    eta = marg_prec * float(w @ y) - float(s.h_i[0])
+    tol = CAVITY_RTOL * marg_prec
+    if prec < -tol:
+        raise CavityInvalid(f"cavity precision is {prec:.3e}")
+    is_flat = abs(prec) <= tol
+    return CavityResult(np.array([eta]), np.array([[0.0 if is_flat else prec]]), is_flat)
 
 
 def site_moments(s: Site, cav: CavityResult) -> TiltedMoments:
     """Tilted moments of the site's factor against its cavity."""
     if cav.is_flat:
-        if s.l != 1:
-            raise CavityInvalid("flat cavity supported only for 1-d sites")
         return s.family.moments_flat(float(cav.eta[0]))
-    if s.l == 1:
-        v_hat = 1.0 / float(cav.prec[0, 0])
-        m_hat = float(cav.eta[0]) * v_hat
-        return s.family.moments(m_hat, v_hat)
-    return s.family.moments(cav.mu_hat, cav.C_hat)
+    v_hat = 1.0 / float(cav.prec[0, 0])
+    m_hat = float(cav.eta[0]) * v_hat
+    return s.family.moments(m_hat, v_hat)
 
 
 def update_site(s: Site, cav: CavityResult, tm: TiltedMoments) -> tuple[np.ndarray, np.ndarray]:
-    """Moment-matched site parameters: K_i = Var^{-1} - Chat^{-1} and
-    h_i = Var^{-1} mean - Chat^{-1} mu_hat.  The sign of K_i may be negative;
-    that is resolved at the global refresh."""
-    var = np.atleast_2d(np.asarray(tm.var, dtype=float))
-    mean = np.atleast_1d(np.asarray(tm.mean, dtype=float))
-    prec_new = chol.inverse(chol.cholesky(var))
-    K_new = prec_new - cav.prec
-    h_new = prec_new @ mean - cav.eta
-    return 0.5 * (K_new + K_new.T), h_new
+    """Moment-matched site parameters: K_i = 1/var - 1/v_hat and
+    h_i = mean/var - mu_hat/v_hat.  The sign of K_i may be negative; that is
+    resolved at the global refresh.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the tilted variance is not positive and finite.
+    """
+    var = float(tm.var)
+    if not 0.0 < var < math.inf:
+        raise NotPositiveDefinite(f"tilted variance {var:.3e} is not positive and finite")
+    inv_sd = 1.0 / math.sqrt(var)  # rounds as in cavity
+    prec_new = inv_sd * inv_sd
+    return prec_new - cav.prec, prec_new * float(tm.mean) - cav.eta
 
 
 def refresh_global(
@@ -216,39 +199,25 @@ def refresh_global(
 ) -> NaturalGaussian:
     """Move the global approximation from the old to the new site parameters.
 
-    The precision delta U^T (K_new - K_old) U enters the maintained Cholesky
-    factor through rank-one up/downdates (one per eigenvalue of the l x l
-    delta; a single vector for l = 1), h additively.  Pure: returns a new
-    global, never touching the input.
+    The precision delta dK u u^T enters the maintained Cholesky factor as one
+    rank-one up/downdate, the shift delta dh u enters h additively; the dense
+    precision is not carried.  Pure: returns a new global, never touching the
+    input.
 
     Raises
     ------
     DowndateFailed
         If a downdate would lose positive definiteness (caller recovers).
     """
-    K_old, h_old = old
-    K_new, h_new = new
-    dK = np.atleast_2d(K_new - K_old)
-    dh = np.atleast_1d(h_new - h_old)
-    if not dK.any() and not dh.any():
+    dK = float(new[0][0, 0] - old[0][0, 0])
+    dh = float(new[1][0] - old[1][0])
+    if dK == 0.0 and dh == 0.0:
         return global_
     F = global_.ensure_factor()
-    if s.l == 1:
-        d = float(dK[0, 0])
-        vecs = [] if d == 0.0 else [(math.copysign(1.0, d), s.U[0] * math.sqrt(abs(d)))]
-    else:
-        evals, evecs = np.linalg.eigh(dK)
-        vecs = [
-            (math.copysign(1.0, e), (s.U.T @ evecs[:, j]) * math.sqrt(abs(e)))
-            for j, e in enumerate(evals)
-            if e != 0.0
-        ]
-        vecs.sort(key=lambda t: -t[0])  # updates before downdates
-    for sign, x in vecs:
-        F = chol.rank1_update(F, x, +1 if sign > 0 else -1)
-    K = global_.K + s.U.T @ dK @ s.U
-    h = global_.h + s.U.T @ dh
-    return NaturalGaussian(h, 0.5 * (K + K.T), F)
+    u = s.U[0]
+    if dK != 0.0:
+        F = chol.rank1_update(F, u * math.sqrt(abs(dK)), 1 if dK > 0.0 else -1)
+    return NaturalGaussian(global_.h + dh * u, None, F)
 
 
 def project_moments(
@@ -303,13 +272,8 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     n = global_.n
     keep_full_cov = n <= 1000
 
-    def snapshot(g: NaturalGaussian):
-        F = g.ensure_factor()
-        mu = chol.solve(F, g.h)
-        C = chol.inverse(F)
-        return mu, C
-
-    mu_prev, C_prev = snapshot(global_)
+    start = moment_from_natural(global_)
+    mu_prev, C_prev = start.mu, start.C
     mean_history = [mu_prev]
     cov_history = [C_prev if keep_full_cov else np.diag(C_prev).copy()]
     raw_metrics = []
@@ -320,6 +284,7 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     for sweep in range(1, opts.max_sweeps + 1):
         sweeps_used = sweep
         max_change = 0.0
+        skipped_before = len(skipped)
 
         if opts.sweep_mode == "serial":
             for i, s in enumerate(sites):
@@ -356,7 +321,8 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
                 s.K_i, s.h_i = new_K, new_h
             global_ = assemble_global(base, sites)
 
-        mu_j, C_j = snapshot(global_)
+        snap = moment_from_natural(global_)
+        mu_j, C_j = snap.mu, snap.C
         e_p_mu = _rel_diff(mu_j, mu_prev)
         e_p_C = _rel_diff(C_j, C_prev)
         raw_metrics.append((sweep, e_p_mu, e_p_C, max_change))
@@ -364,7 +330,8 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
         cov_history.append(C_j if keep_full_cov else np.diag(C_j).copy())
         mu_prev, C_prev = mu_j, C_j
 
-        if max_change < opts.site_tol:
+        # a sweep that skipped a site did not refit it: no convergence
+        if max_change < opts.site_tol and len(skipped) == skipped_before:
             converged = True
             break
 

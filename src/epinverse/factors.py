@@ -31,11 +31,11 @@ LOGZ_FLOOR = -745.0
 
 @dataclass(frozen=True)
 class TiltedMoments:
-    """Normalizer, mean and variance of a (low-dimensional) tilted Gaussian."""
+    """Normalizer, mean and variance of a one-dimensional tilted Gaussian."""
 
     logZ: float
-    mean: float | np.ndarray
-    var: float | np.ndarray
+    mean: float
+    var: float
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +172,9 @@ def _trunc_exp_moments(c: float, big_d: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 class FactorFamily(ABC):
-    """A nongaussian factor t(s) on a low-dimensional projection, able to
+    """A nongaussian factor t(s) on a scalar projection s = u^T x, able to
     report the moments of its tilted Gaussian Z^{-1} t(s) N(s; m, v)."""
 
-    ndim: int = 1
     support: tuple[float, float] = (-math.inf, math.inf)
 
     @abstractmethod
@@ -279,36 +278,6 @@ class GaussianFactor1D(FactorFamily):
 
     def log_density(self, s):
         return log_density_1d(np.asarray(s, dtype=float), self.t_mean, self.t_var)
-
-
-class GaussianFactorND(FactorFamily):
-    """A Gaussian factor N(s; mean, cov) on an l-dimensional projection."""
-
-    def __init__(self, mean: np.ndarray, cov: np.ndarray):
-        self.t_mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        self.t_cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        self.ndim = self.t_mean.shape[0]
-
-    def moments(self, m: np.ndarray, v: np.ndarray) -> TiltedMoments:
-        m = np.atleast_1d(np.asarray(m, dtype=float))
-        v = np.atleast_2d(np.asarray(v, dtype=float))
-        prec = np.linalg.inv(v) + np.linalg.inv(self.t_cov)
-        var = np.linalg.inv(prec)
-        var = 0.5 * (var + var.T)
-        mean = var @ (np.linalg.solve(v, m) + np.linalg.solve(self.t_cov, self.t_mean))
-        s_cov = v + self.t_cov
-        diff = m - self.t_mean
-        _, logdet = np.linalg.slogdet(s_cov)
-        logz = -0.5 * (self.ndim * math.log(2.0 * math.pi) + logdet + diff @ np.linalg.solve(s_cov, diff))
-        return TiltedMoments(float(logz), mean, var)
-
-    def log_density(self, s):
-        s = np.asarray(s, dtype=float)
-        diff = s - self.t_mean
-        prec = np.linalg.inv(self.t_cov)
-        _, logdet = np.linalg.slogdet(self.t_cov)
-        quad = np.einsum("...i,ij,...j->...", diff, prec, diff)
-        return -0.5 * (self.ndim * math.log(2.0 * math.pi) + logdet + quad)
 
 
 # ---------------------------------------------------------------------------

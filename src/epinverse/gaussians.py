@@ -1,5 +1,4 @@
-"""Gaussian representations in moment and natural parameters, and the
-product/quotient algebra the EP engine is built on.
+"""Gaussian representations in moment and natural parameters.
 
 The natural form (h, K) = (C^{-1} mu, C^{-1}) is the internal source of truth;
 moment-form values handed to callers are always fresh copies.
@@ -35,19 +34,20 @@ class MomentGaussian:
 class NaturalGaussian:
     """Gaussian in natural parameters h = C^{-1} mu, K = C^{-1}.
 
-    A Cholesky factor of K is cached and kept in sync by the EP engine's
-    incremental rank-one updates.  The factor may be absent while K is only
-    positive semidefinite (e.g. a linearized likelihood base before sites are
-    multiplied in).
+    A Cholesky factor of K is cached.  The factor may be absent while K is
+    only positive semidefinite (e.g. a linearized likelihood base before
+    sites are multiplied in).  K may be None when a factor is held: the EP
+    engine's rank-one refreshes move only h and the factor.
     """
 
     h: np.ndarray
-    K: np.ndarray
+    K: np.ndarray | None
     factor: CholeskyFactor | None = field(default=None)
 
     def __post_init__(self) -> None:
         self.h = np.asarray(self.h, dtype=float)
-        self.K = np.asarray(self.K, dtype=float)
+        if self.K is not None:
+            self.K = np.asarray(self.K, dtype=float)
 
     @property
     def n(self) -> int:
@@ -59,16 +59,6 @@ class NaturalGaussian:
             self.factor = chol.cholesky(self.K)
         return self.factor
 
-    def copy(self) -> "NaturalGaussian":
-        return NaturalGaussian(self.h.copy(), self.K.copy(), self.factor)
-
-
-def natural_from_moment(mg: MomentGaussian) -> NaturalGaussian:
-    """Convert moment form to natural form."""
-    F = chol.cholesky(mg.C)
-    K = chol.inverse(F)
-    return NaturalGaussian(K @ mg.mu, K, chol.cholesky(K))
-
 
 def moment_from_natural(g: NaturalGaussian) -> MomentGaussian:
     """mu = K^{-1} h and C = K^{-1}, via the cached factor."""
@@ -76,22 +66,6 @@ def moment_from_natural(g: NaturalGaussian) -> MomentGaussian:
     mu = chol.solve(F, g.h)
     C = chol.inverse(F)
     return MomentGaussian(mu, C)
-
-
-def natural_product(g: NaturalGaussian, h_add: np.ndarray, K_add: np.ndarray) -> NaturalGaussian:
-    """Multiply in a Gaussian contribution: parameters add."""
-    return NaturalGaussian(g.h + h_add, g.K + K_add)
-
-
-def natural_quotient(
-    g: NaturalGaussian, h_sub: np.ndarray, K_sub: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Divide out a Gaussian contribution, returning raw (h, K) parameters.
-
-    The result may be indefinite (a cavity); validity is checked downstream,
-    not here.
-    """
-    return g.h - h_sub, g.K - K_sub
 
 
 def log_density_1d(x: np.ndarray, mu: float, var: float) -> np.ndarray:

@@ -3,7 +3,7 @@ step control.
 
 Each outer iteration linearizes the forward map around the current mean,
 runs the projection EP engine on the linearized Gaussian base plus the prior
-sites, and moves the mean along the EP direction with a clamped BB step.
+sites, and moves the mean along the EP direction with a Barzilai-Borwein step.
 Sites are warm-started across outer iterations.
 """
 
@@ -105,33 +105,25 @@ def linearize(model: ForwardModel, mu_k: np.ndarray, data: np.ndarray, alpha: fl
     return NaturalGaussian(alpha * (J.T @ r), 0.5 * (K0 + K0.T))
 
 
-def bb_step(mu_k: np.ndarray, mu_km1: np.ndarray, d_k: np.ndarray, d_km1: np.ndarray) -> float:
-    """Barzilai-Borwein step from successive iterates and EP directions,
-    clamped to [0, 1].  Coincident iterates fall back to tau = 1."""
-    s = mu_k - mu_km1
-    ss = float(s @ s)
-    if ss == 0.0:
-        return 1.0
-    tau = float(s @ (d_k - d_km1)) / ss
-    return max(0.0, min(tau, 1.0))
-
-
 def _effective_tau(mu_k, mu_km1, d_k, d_km1) -> float:
-    """Driver step policy.  The clamped BB value is used when positive; a
-    clamp to exactly zero means the local d-map slope is negative (the
-    relinearized iteration is contracting or oscillating), where freezing the
-    iterate would stall convergence.  There the classical BB magnitude
-    -1/raw is used instead: it is 1 for linear problems and dead-beat damps a
-    linear oscillation."""
+    """Driver step policy, a Barzilai-Borwein step from successive iterates
+    and EP directions.  The raw BB value, clamped to 1, is used when
+    positive.  A negative raw value means the local d-map slope is negative
+    (the relinearized iteration is contracting or oscillating), where a zero
+    step would stall convergence; there the classical BB magnitude -1/raw,
+    clamped to 1, is used instead: it is 1 for linear problems and dead-beat
+    damps a linear oscillation.  Coincident iterates and a zero raw value
+    fall back to tau = 1."""
     s = mu_k - mu_km1
     ss = float(s @ s)
     if ss == 0.0:
         return 1.0
     raw = float(s @ (d_k - d_km1)) / ss
-    clamped = max(0.0, min(raw, 1.0))
-    if clamped > 0.0:
-        return clamped
-    return min(1.0, -1.0 / raw) if raw < 0.0 else 1.0
+    if raw > 0.0:
+        return min(raw, 1.0)
+    if raw < 0.0:
+        return min(1.0, -1.0 / raw)
+    return 1.0
 
 
 def fd_directional(model: ForwardModel, x: np.ndarray, d: np.ndarray, eps: float) -> np.ndarray:

@@ -296,3 +296,34 @@ def test_ep_rejects_nonpositive_hyperparameters(tmp_path):
     )
     assert main(["ep", "--config", cfg]) == 2
     assert load_summary(out)["error"] == "bad_alpha"
+
+
+def test_ep_bad_sweep_mode_is_a_config_error(tmp_path):
+    out = tmp_path / "bogus"
+    cfg = write_cfg(
+        tmp_path / "bogus.cfg", problem="linear", linear_m=6, linear_n=4,
+        ep_sweep_mode="bogus", out=out,
+    )
+    assert main(["ep", "--config", cfg]) == 2
+    s = load_summary(out)
+    assert s["ok"] is False and s["error"] == "bad_ep_sweep_mode"
+    cfg = write_cfg(
+        tmp_path / "bogus2.cfg", problem="linear", linear_m=6, linear_n=4,
+        ep_on_downdate_failure="retry", out=out,
+    )
+    assert main(["ep", "--config", cfg]) == 2
+    assert load_summary(out)["error"] == "bad_ep_on_downdate_failure"
+
+
+def test_ep_truncated_mesh_writes_internal_error(workspace, tmp_path):
+    _, mesh_path, data_path = workspace
+    lines = mesh_path.read_text().splitlines()
+    truncated = tmp_path / "truncated_mesh.txt"
+    truncated.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
+    out = tmp_path / "trunc_out"
+    cfg = write_cfg(tmp_path / "t.cfg", problem="eit", mesh=truncated, data=data_path, out=out)
+    rc = main(["ep", "--config", cfg])
+    assert rc != 0
+    s = load_summary(out)
+    assert s["ok"] is False and s["error"] == "internal"
+    assert "Traceback" in s["error_detail"]

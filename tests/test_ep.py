@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from epinverse import (
+    CavityResult,
     EPOptions,
     GaussianFactor1D,
-    GaussianFactorND,
     LaplacePositivityFactor,
     NaturalGaussian,
     Site,
@@ -19,6 +19,7 @@ from epinverse import (
     update_site,
 )
 from epinverse.ep import site_moments
+from epinverse.errors import CavityInvalid, NotPositiveDefinite
 from epinverse.factors import TiltedMoments
 
 
@@ -45,7 +46,7 @@ def test_cavity_empty_site_is_full_marginal():
     marg_var = (U @ Kinv @ U.T).item()
     marg_mean = (U @ Kinv @ h).item()
     assert cav.prec[0, 0] == pytest.approx(1.0 / marg_var, rel=1e-10)
-    assert float(cav.mu_hat[0]) == pytest.approx(marg_mean, rel=1e-10)
+    assert cav.eta[0] / cav.prec[0, 0] == pytest.approx(marg_mean, rel=1e-10)
 
 
 def test_cavity_scalar_example():
@@ -54,7 +55,7 @@ def test_cavity_scalar_example():
              K_i=np.array([[0.5]]), h_i=np.array([0.3]))
     cav = cavity(g, s)
     assert cav.prec[0, 0] == pytest.approx(1.5, rel=1e-12)
-    assert float(cav.mu_hat[0]) == pytest.approx((1.0 - 0.15) / 0.75, rel=1e-12)
+    assert cav.eta[0] / cav.prec[0, 0] == pytest.approx((1.0 - 0.15) / 0.75, rel=1e-12)
 
 
 def test_cavity_after_multiplying_site_back_in():
@@ -69,8 +70,8 @@ def test_cavity_after_multiplying_site_back_in():
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=Ki, h_i=hi)
     cav = cavity(g1, s)
     K0inv = np.linalg.inv(K0)
-    assert float(cav.mu_hat[0]) == pytest.approx((U @ K0inv @ h0).item(), rel=1e-10)
-    assert float(cav.C_hat[0, 0]) == pytest.approx((U @ K0inv @ U.T).item(), rel=1e-10)
+    assert cav.eta[0] / cav.prec[0, 0] == pytest.approx((U @ K0inv @ h0).item(), rel=1e-10)
+    assert 1.0 / cav.prec[0, 0] == pytest.approx((U @ K0inv @ U.T).item(), rel=1e-10)
 
 
 def test_cavity_site_global_identity():
@@ -78,16 +79,51 @@ def test_cavity_site_global_identity():
     rng = np.random.default_rng(9)
     M = rng.standard_normal((6, 6))
     g = make_global(rng.standard_normal(6), M.T @ M + 2 * np.eye(6))
-    U = rng.standard_normal((2, 6))
-    s = Site(U, GaussianFactorND(np.zeros(2), np.eye(2)),
-             K_i=np.array([[0.5, 0.1], [0.1, 0.7]]), h_i=np.array([0.2, -0.3]))
+    U = rng.standard_normal((1, 6))
+    s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=np.array([[0.5]]), h_i=np.array([0.2]))
     cav = cavity(g, s)
     Kinv = np.linalg.inv(g.K)
-    marg_cov = U @ Kinv @ U.T
-    marg_prec = np.linalg.inv(marg_cov)
-    marg_eta = marg_prec @ (U @ Kinv @ g.h)
-    assert np.linalg.norm(cav.prec + s.K_i - marg_prec) <= 1e-12 * np.linalg.norm(marg_prec)
-    assert np.linalg.norm(cav.eta + s.h_i - marg_eta) <= 1e-12 * max(np.linalg.norm(marg_eta), 1.0)
+    marg_prec = 1.0 / (U @ Kinv @ U.T).item()
+    marg_eta = marg_prec * (U @ Kinv @ g.h).item()
+    assert cav.prec[0, 0] + s.K_i[0, 0] == pytest.approx(marg_prec, rel=1e-12)
+    assert cav.eta[0] + s.h_i[0] == pytest.approx(marg_eta, rel=1e-12, abs=1e-12)
+
+
+def test_cavity_of_null_projection_is_invalid():
+    g = make_global([1.0, 2.0], [[3.0, 0.5], [0.5, 2.0]])
+    s = Site(np.zeros((1, 2)), LaplacePositivityFactor(1.0, 0.0))
+    with pytest.raises(CavityInvalid):
+        cavity(g, s)
+
+
+def test_cavity_flat_within_rtol():
+    # the site holds the whole marginal precision: the cavity is exactly flat
+    g = make_global([2.0], [[2.0]])
+    s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0),
+             K_i=np.array([[2.0 * (1.0 - 1e-13)]]), h_i=np.array([0.5]))
+    cav = cavity(g, s)
+    assert cav.is_flat and cav.prec[0, 0] == 0.0
+    assert cav.eta[0] == pytest.approx(1.5, rel=1e-12)
+    s.K_i = np.array([[2.0 * (1.0 + 1e-11)]])
+    with pytest.raises(CavityInvalid):
+        cavity(g, s)
+
+
+# ---------------------------------------------------------------------------
+# Site
+# ---------------------------------------------------------------------------
+
+def test_site_holds_its_own_row():
+    eye = np.eye(3)
+    s = Site(eye[1:2], LaplacePositivityFactor(1.0, 0.0))
+    assert s.U.shape == (1, 3) and not np.shares_memory(s.U, eye)
+    assert s.K_i.shape == (1, 1) and s.h_i.shape == (1,)
+    assert Site(np.array([0.0, 2.0]), LaplacePositivityFactor(1.0, 0.0)).U.shape == (1, 2)
+
+
+def test_site_rejects_more_than_one_row():
+    with pytest.raises(ValueError):
+        Site(np.eye(3)[:2], LaplacePositivityFactor(1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +135,7 @@ def test_update_site_identity_factor_gives_zero():
     U = np.array([[1.0, 0.0]])
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=np.array([[0.4]]), h_i=np.array([0.1]))
     cav = cavity(g, s)
-    tm = TiltedMoments(0.0, float(cav.mu_hat[0]), float(cav.C_hat[0, 0]))
+    tm = TiltedMoments(0.0, cav.eta[0] / cav.prec[0, 0], 1.0 / cav.prec[0, 0])
     K_new, h_new = update_site(s, cav, tm)
     assert abs(K_new[0, 0]) <= 1e-12
     assert abs(h_new[0]) <= 1e-12
@@ -128,11 +164,17 @@ def test_update_site_log_concave_psd_grid():
         f = LaplacePositivityFactor(lam, bg, floor)
         tm = moments_laplace_positivity(f, m_hat, v_hat)
         s = Site(np.array([[1.0]]), f)
-        from epinverse import CavityResult
-
         cav = CavityResult(np.array([m_hat / v_hat]), np.array([[1.0 / v_hat]]), False)
         K_new, _ = update_site(s, cav, tm)
         assert K_new[0, 0] >= -1e-10
+
+
+@pytest.mark.parametrize("var", [0.0, -1.0, math.inf, math.nan])
+def test_update_site_rejects_bad_variance(var):
+    s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0))
+    cav = CavityResult(np.array([0.0]), np.array([[1.0]]), False)
+    with pytest.raises(NotPositiveDefinite):
+        update_site(s, cav, TiltedMoments(0.0, 0.0, var))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +202,7 @@ def test_refresh_matches_full_reassembly():
     g2 = refresh_global(g, s, (s.K_i, s.h_i), new)
     s.K_i, s.h_i = new
     scratch = assemble_global(base, sites)
-    assert np.linalg.norm(g2.K - scratch.K) / np.linalg.norm(scratch.K) <= 1e-10
+    assert np.linalg.norm(g2.h - scratch.h) <= 1e-12 * np.linalg.norm(scratch.h)
     assert (
         np.linalg.norm(g2.factor.L - scratch.factor.L) / np.linalg.norm(scratch.factor.L)
         <= 1e-10
@@ -179,24 +221,6 @@ def test_refresh_apply_then_revert():
     g3 = refresh_global(g2, s, new, old)
     assert np.linalg.norm(g3.factor.L - g.factor.L) / np.linalg.norm(g.factor.L) <= 1e-12
     assert np.linalg.norm(g3.h - g.h) <= 1e-12 * max(np.linalg.norm(g.h), 1.0)
-
-
-def test_refresh_multidim_site():
-    rng = np.random.default_rng(23)
-    M = rng.standard_normal((6, 6))
-    base = NaturalGaussian(rng.standard_normal(6), M.T @ M + np.eye(6))
-    s = Site(rng.standard_normal((2, 6)), GaussianFactorND(np.zeros(2), np.eye(2)))
-    g = assemble_global(base, [s])
-    new_K = np.array([[1.5, -0.4], [-0.4, 0.3]])  # indefinite delta vs eye(2)
-    new_h = np.array([0.3, 0.9])
-    g2 = refresh_global(g, s, (s.K_i, s.h_i), (new_K, new_h))
-    s.K_i, s.h_i = new_K, new_h
-    scratch = assemble_global(base, [s])
-    assert np.linalg.norm(g2.K - scratch.K) / np.linalg.norm(scratch.K) <= 1e-10
-    assert (
-        np.linalg.norm(g2.factor.L - scratch.factor.L) / np.linalg.norm(scratch.factor.L)
-        <= 1e-10
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +479,17 @@ def test_run_ep_cavity_invalid_skips():
     bad = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0), K_i=np.array([[-2.0]]))
     res = run_ep(base, [good, bad], EPOptions(max_sweeps=1, site_tol=1e-8))
     assert any("CavityInvalid" in sk.reason for sk in res.skipped_sites)
+
+
+def test_run_ep_sweep_with_skipped_sites_does_not_converge():
+    # every site is skipped, so no site moves; that is not convergence
+    base = NaturalGaussian(np.zeros(4), np.eye(4))
+    sites = [Site(np.eye(1, 4, i), LaplacePositivityFactor(1.0, 0.0, floor=60.0)) for i in range(4)]
+    res = run_ep(base, sites, EPOptions(max_sweeps=3, site_tol=1e-8))
+    assert not res.converged
+    assert res.sweeps_used == 3
+    assert len(res.skipped_sites) == 12
+    assert all("DegenerateSupport" in sk.reason for sk in res.skipped_sites)
 
 
 def test_run_ep_degenerate_support_skips():

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from epinverse import (
+    GaussianFactor1D,
+    LaplacePositivityFactor,
     NaturalGaussian,
+    Site,
+    assemble_global,
+    cavity,
     moment_from_natural,
-    natural_from_moment,
-    natural_product,
-    natural_quotient,
+    refresh_global,
 )
 
 
@@ -40,42 +43,80 @@ def test_moment_from_natural_residual():
 def test_moment_natural_roundtrip():
     rng = np.random.default_rng(21)
     g = random_natural(5, rng)
-    back = natural_from_moment(moment_from_natural(g))
-    assert np.linalg.norm(back.h - g.h) / np.linalg.norm(g.h) <= 1e-10
-    assert np.linalg.norm(back.K - g.K) / np.linalg.norm(g.K) <= 1e-10
+    mg = moment_from_natural(g)
+    K = np.linalg.inv(mg.C)
+    assert np.linalg.norm(K @ mg.mu - g.h) / np.linalg.norm(g.h) <= 1e-10
+    assert np.linalg.norm(K - g.K) / np.linalg.norm(g.K) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# natural-parameter quotient and product as the EP engine forms them: the
+# cavity divides a site out of the global marginal, assemble_global and
+# refresh_global multiply sites in
+# ---------------------------------------------------------------------------
+
+def _with_site(g, u, K_i, h_i):
+    """The global g times a rank-one site (h_i u, K_i u u^T), and the site."""
+    s = Site(u[None, :], LaplacePositivityFactor(1.0, 0.0), K_i=[[K_i]], h_i=[h_i])
+    g1 = NaturalGaussian(g.h + h_i * u, g.K + K_i * np.outer(u, u))
+    g1.ensure_factor()
+    return g1, s
 
 
 def test_quotient_zero_contribution_is_identity():
     rng = np.random.default_rng(3)
     g = random_natural(4, rng)
-    h, K = natural_quotient(g, np.zeros(4), np.zeros((4, 4)))
-    assert np.array_equal(h, g.h) and np.array_equal(K, g.K)
+    g.ensure_factor()
+    s = Site(np.eye(1, 4, 2), LaplacePositivityFactor(1.0, 0.0), K_i=[[0.0]], h_i=[0.0])
+    cav = cavity(g, s)
+    C = np.linalg.inv(g.K)
+    assert cav.prec[0, 0] == pytest.approx(1.0 / C[2, 2], rel=1e-12)
+    assert cav.eta[0] == pytest.approx((C @ g.h)[2] / C[2, 2], rel=1e-12)
 
 
 def test_quotient_scalar_arithmetic():
     g = NaturalGaussian(np.array([3.0]), np.array([[2.0]]))
-    h, K = natural_quotient(g, np.array([1.0]), np.array([[0.5]]))
-    assert h[0] == pytest.approx(2.0) and K[0, 0] == pytest.approx(1.5)
+    g.ensure_factor()
+    s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0), K_i=[[0.5]], h_i=[1.0])
+    cav = cavity(g, s)
+    assert cav.eta[0] == pytest.approx(2.0) and cav.prec[0, 0] == pytest.approx(1.5)
 
 
 def test_quotient_then_product_restores():
+    # dividing a site out of the global and multiplying it back in restores
+    # the global; the cavity is the same whether or not the site is held
     rng = np.random.default_rng(17)
-    g = random_natural(5, rng)
-    dh = rng.standard_normal(5)
-    dK = np.diag(rng.uniform(0.1, 1.0, size=5))
-    h, K = natural_quotient(g, dh, dK)
-    back = natural_product(NaturalGaussian(h, K), dh, dK)
-    assert np.linalg.norm(back.h - g.h) <= 1e-12 * np.linalg.norm(g.h)
-    assert np.linalg.norm(back.K - g.K) <= 1e-12 * np.linalg.norm(g.K)
+    g0 = random_natural(5, rng)
+    u = rng.standard_normal(5)
+    g1, s = _with_site(g0, u, 0.7, -0.4)
+    zero = (np.zeros((1, 1)), np.zeros(1))
+    g_out = refresh_global(g1, s, (s.K_i, s.h_i), zero)
+    assert np.linalg.norm(g_out.h - g0.h) <= 1e-12 * np.linalg.norm(g0.h)
+    L0 = np.linalg.cholesky(g0.K)
+    assert np.linalg.norm(g_out.factor.L - L0) <= 1e-12 * np.linalg.norm(L0)
+    g_back = refresh_global(g_out, s, zero, (s.K_i, s.h_i))
+    assert np.linalg.norm(g_back.h - g1.h) <= 1e-12 * np.linalg.norm(g1.h)
+    assert np.linalg.norm(g_back.factor.L - g1.factor.L) <= 1e-12 * np.linalg.norm(g1.factor.L)
+    bare = Site(s.U, s.family, K_i=zero[0], h_i=zero[1])
+    cav_held, cav_out = cavity(g1, s), cavity(g_out, bare)
+    assert cav_held.prec[0, 0] == pytest.approx(cav_out.prec[0, 0], rel=1e-10)
+    assert cav_held.eta[0] == pytest.approx(cav_out.eta[0], rel=1e-10, abs=1e-12)
 
 
 def test_product_adds_parameters():
     rng = np.random.default_rng(8)
-    a = random_natural(3, rng)
-    b = random_natural(3, rng)
-    prod = natural_product(a, b.h, b.K)
-    assert np.allclose(prod.h, a.h + b.h, atol=0.0)
-    assert np.allclose(prod.K, a.K + b.K, atol=0.0)
+    base = random_natural(3, rng)
+    sites = [
+        Site(rng.standard_normal((1, 3)), LaplacePositivityFactor(1.0, 0.0),
+             K_i=[[rng.uniform(0.1, 2.0)]], h_i=[rng.standard_normal()])
+        for _ in range(4)
+    ]
+    g = assemble_global(base, sites)
+    K = base.K + sum(s.K_i[0, 0] * np.outer(s.U[0], s.U[0]) for s in sites)
+    h = base.h + sum(s.h_i[0] * s.U[0] for s in sites)
+    assert np.allclose(g.h, h, rtol=1e-14, atol=0.0)
+    assert np.allclose(g.K, K, rtol=1e-13, atol=1e-14)
+    assert np.allclose(g.factor.L @ g.factor.L.T, K, rtol=1e-12, atol=1e-12)
 
 
 def _grid_density_product(gaussians, grid):
@@ -89,10 +130,12 @@ def _grid_density_product(gaussians, grid):
 
 def test_product_matches_grid_density_1d():
     gaussians = [(0.3, 1.2), (-0.5, 0.7), (1.1, 2.5)]
-    g = NaturalGaussian(np.zeros(1), np.zeros((1, 1)))
-    for mu, var in gaussians:
-        g = natural_product(g, np.array([mu / var]), np.array([[1.0 / var]]))
-    mg = moment_from_natural(g)
+    base = NaturalGaussian(np.zeros(1), np.zeros((1, 1)))
+    sites = [
+        Site(np.array([[1.0]]), GaussianFactor1D(mu, var), K_i=[[1.0 / var]], h_i=[mu / var])
+        for mu, var in gaussians
+    ]
+    mg = moment_from_natural(assemble_global(base, sites))
     grid = np.linspace(-8, 8, 400001)
     brute = _grid_density_product(gaussians, grid)
     ours = np.exp(-0.5 * (grid - mg.mu[0]) ** 2 / mg.C[0, 0])
@@ -110,10 +153,7 @@ def test_product_matches_grid_density_2d():
         K = M.T @ M + np.eye(2)
         h = rng.standard_normal(2)
         terms.append((h, K))
-    g = NaturalGaussian(np.zeros(2), np.zeros((2, 2)))
-    for h, K in terms:
-        g = natural_product(g, h, K)
-    mg = moment_from_natural(g)
+    mg = moment_from_natural(NaturalGaussian(sum(t[0] for t in terms), sum(t[1] for t in terms)))
 
     xs = np.linspace(mg.mu[0] - 6, mg.mu[0] + 6, 601)
     ys = np.linspace(mg.mu[1] - 6, mg.mu[1] + 6, 601)
@@ -143,14 +183,16 @@ def test_quotient_product_roundtrip_property():
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
     def inner(n, seed):
+        # cavity (quotient) plus site (product) recovers the global marginal
         rng = np.random.default_rng(seed)
-        g = random_natural(n, rng)
-        dh = rng.standard_normal(n)
-        dK = rng.standard_normal((n, n))
-        dK = 0.5 * (dK + dK.T)
-        h, K = natural_quotient(g, dh, dK)
-        back = natural_product(NaturalGaussian(h, K), dh, dK)
-        assert np.linalg.norm(back.h - g.h) <= 1e-12 * max(np.linalg.norm(g.h), 1.0)
-        assert np.linalg.norm(back.K - g.K) <= 1e-12 * max(np.linalg.norm(g.K), 1.0)
+        g0 = random_natural(n, rng)
+        u = rng.standard_normal(n)
+        g1, s = _with_site(g0, u, rng.uniform(0.0, 2.0), rng.standard_normal())
+        cav = cavity(g1, s)
+        C = np.linalg.inv(g1.K)
+        marg_prec = 1.0 / (u @ C @ u)
+        marg_eta = marg_prec * (u @ C @ g1.h)
+        assert abs(cav.prec[0, 0] + s.K_i[0, 0] - marg_prec) <= 1e-9 * marg_prec
+        assert abs(cav.eta[0] + s.h_i[0] - marg_eta) <= 1e-9 * max(abs(marg_eta), marg_prec, 1.0)
 
     inner()

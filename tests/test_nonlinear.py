@@ -6,7 +6,7 @@ from epinverse.nonlinear import (
     ForwardModel,
     LinearModel,
     NonlinearOptions,
-    bb_step,
+    _effective_tau,
     fd_directional,
     linearize,
     run_nonlinear,
@@ -71,31 +71,35 @@ def test_jacobian_matches_fd():
 
 
 # ---------------------------------------------------------------------------
-# bb_step
+# BB step policy (_effective_tau)
 # ---------------------------------------------------------------------------
 
 def test_bb_step_zero_direction_change():
+    # raw BB value 0: a zero step would freeze the iterate, so tau = 1
     mu_k, mu_km1 = np.array([1.0, 2.0]), np.array([0.5, 1.5])
     d = np.array([0.3, -0.2])
-    assert bb_step(mu_k, mu_km1, d, d) == 0.0
+    assert _effective_tau(mu_k, mu_km1, d, d) == 1.0
 
 
 def test_bb_step_unit():
     mu_k, mu_km1 = np.array([1.0, 2.0]), np.array([0.5, 1.5])
     s = mu_k - mu_km1
-    assert bb_step(mu_k, mu_km1, s, np.zeros(2)) == pytest.approx(1.0)
+    assert _effective_tau(mu_k, mu_km1, s, np.zeros(2)) == pytest.approx(1.0)
+    assert _effective_tau(mu_k, mu_km1, 0.25 * s, np.zeros(2)) == pytest.approx(0.25)
 
 
 def test_bb_step_clamped():
     mu_k, mu_km1 = np.array([1.0]), np.array([0.0])
     s = mu_k - mu_km1
-    assert bb_step(mu_k, mu_km1, 3.0 * s, np.zeros(1)) == 1.0
-    assert bb_step(mu_k, mu_km1, -2.0 * s, np.zeros(1)) == 0.0
+    # raw > 1 is clamped to 1; raw < 0 takes the BB magnitude min(1, -1/raw)
+    assert _effective_tau(mu_k, mu_km1, 3.0 * s, np.zeros(1)) == 1.0
+    assert _effective_tau(mu_k, mu_km1, -2.0 * s, np.zeros(1)) == 0.5
+    assert _effective_tau(mu_k, mu_km1, -0.5 * s, np.zeros(1)) == 1.0
 
 
 def test_bb_step_coincident_iterates():
     mu = np.array([1.0, 1.0])
-    assert bb_step(mu, mu.copy(), np.ones(2), np.zeros(2)) == 1.0
+    assert _effective_tau(mu, mu.copy(), np.ones(2), np.zeros(2)) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +185,7 @@ def test_bb_step_always_clamped_property():
     @given(vec, vec, vec, vec)
     def inner(a, b, c, d):
         n = min(len(a), len(b), len(c), len(d))
-        tau = bb_step(np.array(a[:n]), np.array(b[:n]), np.array(c[:n]), np.array(d[:n]))
-        assert 0.0 <= tau <= 1.0
+        tau = _effective_tau(np.array(a[:n]), np.array(b[:n]), np.array(c[:n]), np.array(d[:n]))
+        assert 0.0 < tau <= 1.0
 
     inner()
