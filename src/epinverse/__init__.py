@@ -15,6 +15,7 @@ from .errors import (
     DowndateFailed,
     EpinverseError,
     GlobalNotPD,
+    MeshFileError,
     MeshGenFailed,
     NonFiniteIterate,
     NotPositiveDefinite,
@@ -26,7 +27,6 @@ from .factors import (
     GaussianFactor1D,
     LaplacePositivityFactor,
     TiltedMoments,
-    moments_gaussian_factor,
     moments_laplace_positivity,
     moments_quadrature,
 )
@@ -68,6 +68,7 @@ __all__ = [
     "GaussianFactor1D",
     "GlobalNotPD",
     "LaplacePositivityFactor",
+    "MeshFileError",
     "MeshGenFailed",
     "MomentGaussian",
     "NaturalGaussian",
@@ -78,7 +79,6 @@ __all__ = [
     "TiltedMoments",
     "cholesky",
     "moment_from_natural",
-    "moments_gaussian_factor",
     "moments_laplace_positivity",
     "moments_quadrature",
     "rank1_update",

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigKeyError
-from .ep import DOWNDATE_POLICIES, SWEEP_MODES, EPOptions, Site
-from .errors import EpinverseError
+from .ep import DOWNDATE_POLICIES, FULL_COV_MAX_N, SWEEP_MODES, EPOptions, Site
+from .errors import EpinverseError, MeshFileError
 from .factors import LaplacePositivityFactor
 from .mcmc import (
     ChainConfig,
@@ -39,7 +39,7 @@ from .nonlinear import ForwardModel, LinearModel, NonlinearOptions, run_nonlinea
 from .eit import cem
 from .eit.mesh import gen_disk_mesh, read_mesh, write_mesh
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _fmt(v: float) -> str:
@@ -110,18 +110,35 @@ def _cem_config_from(cfg: dict[str, str]) -> cem.CEMConfig:
         z = cem.default_config(L).z
     else:
         z = np.asarray(cfgmod.get_float_list(cfg, "impedances"))
-        if z.shape != (L,):
-            raise ConfigKeyError(f"impedances must list {L} values", "bad_impedances")
+        if z.shape != (L,) or not np.all(z > 0.0):
+            raise ConfigKeyError(f"impedances must list {L} positive values", "bad_impedances")
     pat_raw = cfgmod.get_str(cfg, "patterns", "adjacent")
     if pat_raw == "adjacent":
         patterns = cem.adjacent_patterns(L)
     else:
-        patterns = []
-        for tok in pat_raw.split(","):
-            a, b = tok.split("-")
-            patterns.append((int(a), int(b)))
+        patterns = [_parse_pattern(tok, L) for tok in pat_raw.split(",")]
     amplitude = cfgmod.get_float(cfg, "amplitude", cem.CURRENT_AMPLITUDE)
     return cem.CEMConfig(z=z, patterns=patterns, amplitude=amplitude)
+
+
+def _parse_pattern(tok: str, L: int) -> tuple[int, int]:
+    """One ``a-b`` injection pair of distinct electrodes in 0..L-1."""
+    try:
+        a, b = (int(v) for v in tok.split("-"))
+    except ValueError:
+        a = b = -1
+    if a == b or not (0 <= a < L and 0 <= b < L):
+        raise ConfigKeyError(f"pattern {tok!r} is not a-b with distinct electrodes in 0..{L - 1}", "bad_patterns")
+    return a, b
+
+
+def _read_mesh_key(cfg: dict[str, str], key: str):
+    """The mesh in the file named by ``key``; a bad file is ``bad_<key>``."""
+    path = cfgmod.get_existing_path(cfg, key, "mesh_not_found")
+    try:
+        return read_mesh(path)
+    except MeshFileError as exc:
+        raise ConfigKeyError(f"key {key!r}: {exc}", f"bad_{key}") from exc
 
 
 def _build_linear_problem(cfg: dict[str, str], seed: int):
@@ -175,7 +192,7 @@ def _build_problem(cfg: dict[str, str], seed: int) -> _Problem:
         center = np.full(model.n, max(bg, floor))
         return _Problem(problem, model, data, alpha, lam, bg, floor, np.arange(model.n), center, 0.1)
     if problem == "eit":
-        mesh = read_mesh(cfgmod.get_existing_path(cfg, "mesh", "mesh_not_found"))
+        mesh = _read_mesh_key(cfg, "mesh")
         cem_cfg = _cem_config_from(cfg)
         data = _read_data_csv(cfgmod.get_existing_path(cfg, "data", "data_not_found"), cem_cfg)
         alpha = _check_positive(cfgmod.get_float(cfg, "alpha", cem.ALPHA_DEFAULT), "alpha")
@@ -190,14 +207,14 @@ def _build_problem(cfg: dict[str, str], seed: int) -> _Problem:
 
 def _ep_options(cfg: dict[str, str]) -> EPOptions:
     return EPOptions(
-        max_sweeps=cfgmod.get_int(cfg, "ep_max_sweeps", 5),
+        max_sweeps=_check_positive(cfgmod.get_int(cfg, "ep_max_sweeps", 5), "ep_max_sweeps"),
         site_tol=_check_positive(cfgmod.get_float(cfg, "ep_site_tol", 1e-4), "ep_site_tol"),
         sweep_mode=cfgmod.get_choice(cfg, "ep_sweep_mode", SWEEP_MODES),
         on_downdate_failure=cfgmod.get_choice(cfg, "ep_on_downdate_failure", DOWNDATE_POLICIES),
     )
 
 
-def _check_positive(value: float, key: str) -> float:
+def _check_positive(value, key: str):
     if not value > 0.0:
         raise ConfigKeyError(f"key {key!r} must be > 0, got {value}", f"bad_{key}")
     return value
@@ -210,7 +227,7 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(p.lam, p.bg, p.floor)) for i in range(n)]
     opts = NonlinearOptions(
         alpha=p.alpha,
-        max_outer=cfgmod.get_int(cfg, "ep_max_outer", 10),
+        max_outer=_check_positive(cfgmod.get_int(cfg, "ep_max_outer", 10), "ep_max_outer"),
         outer_tol=cfgmod.get_float(cfg, "ep_outer_tol", 1e-3),
         inner=inner,
         floor=p.floor if math.isfinite(p.floor) else None,
@@ -220,7 +237,7 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     std = np.sqrt(np.diag(res.cov))
     _write_vector_csv(out / "mean.csv", p.node_ids, res.mean, "mean")
     _write_vector_csv(out / "std.csv", p.node_ids, std, "std")
-    if n <= 1000:
+    if n <= FULL_COV_MAX_N:
         _write_matrix_csv(out / "cov.csv", res.cov)
     _write_trace_csv(out / "trace.csv", res.trace)
     return {
@@ -230,8 +247,8 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
         "total_inner_sweeps": int(sum(r.inner_sweeps for r in res.outer_records)),
         "converged": bool(res.converged),
         "skipped_sites": [
-            {"sweep": s.sweep, "site": s.index, "reason": s.reason}
-            for s in res.last_ep.skipped_sites
+            {"outer": outer, "sweep": s.sweep, "site": s.index, "reason": s.reason}
+            for outer, s in res.skipped_sites
         ],
         "tau": [r.tau for r in res.outer_records],
     }
@@ -243,15 +260,18 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     post = Posterior(p.model.evaluate, p.data, p.alpha, prior)
 
     n_chains = cfgmod.get_int(cfg, "mcmc_chains", 8)
-    steps = cfgmod.get_int(cfg, "mcmc_steps", 1_000_000)
+    if n_chains < 2:
+        raise ConfigKeyError(f"key 'mcmc_chains' must be >= 2, got {n_chains}", "bad_mcmc_chains")
+    steps = _check_positive(cfgmod.get_int(cfg, "mcmc_steps", 1_000_000), "mcmc_steps")
     burn_in = cfgmod.get_int(cfg, "mcmc_burn_in", steps // 10)
-    thin = cfgmod.get_int(cfg, "mcmc_thin", 10)
+    if not 0 <= burn_in < steps:
+        raise ConfigKeyError(f"key 'mcmc_burn_in' must lie in [0, {steps}), got {burn_in}", "bad_mcmc_burn_in")
+    thin = _check_positive(cfgmod.get_int(cfg, "mcmc_thin", 10), "mcmc_thin")
+    pilot_steps = _check_positive(cfgmod.get_int(cfg, "mcmc_pilot_steps", 4000), "mcmc_pilot_steps")
     init_spread = cfgmod.get_float(cfg, "mcmc_init_spread", 0.0)
 
     std0 = cfgmod.get_float(cfg, "mcmc_proposal_std", p.proposal_std)
-    adapted = adapt_proposal(
-        post, p.center, std0, pilot_steps=cfgmod.get_int(cfg, "mcmc_pilot_steps", 4000), seed=seed
-    )
+    adapted = adapt_proposal(post, p.center, std0, pilot_steps=pilot_steps, seed=seed)
     inits = (
         overdispersed_inits(p.center, init_spread, n_chains, seed=seed, floor=p.floor)
         if init_spread > 0.0
@@ -328,7 +348,7 @@ def cmd_compare(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict
 def cmd_synth(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     mesh_key = cfgmod.get_str(cfg, "fine_mesh", "")
     if mesh_key:
-        mesh = read_mesh(cfgmod.get_existing_path(cfg, "fine_mesh", "mesh_not_found"))
+        mesh = _read_mesh_key(cfg, "fine_mesh")
     else:
         mesh = gen_disk_mesh(
             cfgmod.get_float(cfg, "radius", cem.TANK_RADIUS),

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import Delaunay
 
-from ..errors import MeshGenFailed
+from ..errors import MeshFileError, MeshGenFailed
 
 
 @dataclass
@@ -220,7 +220,23 @@ def write_mesh(mesh: Mesh, path: str | Path) -> None:
 
 
 def read_mesh(path: str | Path) -> Mesh:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    """The mesh in a file of the grammar above, validated.
+
+    Raises
+    ------
+    MeshFileError
+        If the file is truncated or malformed, or the mesh it holds breaks
+        the invariants of ``validate_mesh``.
+    """
+    try:
+        mesh = _parse_mesh([ln for ln in Path(path).read_text().splitlines() if ln.strip()])
+        validate_mesh(mesh)
+    except (IndexError, ValueError, MeshGenFailed) as exc:
+        raise MeshFileError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    return mesh
+
+
+def _parse_mesh(lines: list[str]) -> Mesh:
     pos = 0
 
     def header(word: str) -> int:

@@ -32,6 +32,10 @@ from .gaussians import MomentGaussian, NaturalGaussian, moment_from_natural
 # as exactly flat; below the negative of it, the cavity is invalid.
 CAVITY_RTOL = 1e-12
 
+# Up to this many unknowns a run keeps every sweep's full covariance and the
+# CLI writes cov.csv; above it only the diagonals are kept.
+FULL_COV_MAX_N = 1000
+
 SWEEP_MODES = ("serial", "parallel")
 DOWNDATE_POLICIES = ("skip_site", "abort")
 
@@ -80,6 +84,8 @@ class EPOptions:
     on_downdate_failure: str = "skip_site"  # or "abort"
 
     def __post_init__(self) -> None:
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be >= 1")
         if self.site_tol <= 0.0:
             raise ValueError("site_tol must be > 0")
         if self.sweep_mode not in SWEEP_MODES:
@@ -91,10 +97,6 @@ class EPOptions:
 @dataclass(frozen=True)
 class SweepMetrics:
     sweep: int
-    e_p_mu: float
-    e_f_mu: float
-    e_p_C: float
-    e_f_C: float
     max_site_change: float
 
 
@@ -114,7 +116,7 @@ class EPResult:
     metrics: list[SweepMetrics]
     skipped_sites: list[SkippedSite]
     mean_history: list[np.ndarray]
-    cov_history: list[np.ndarray] | None  # per-sweep C (n <= 1000) or diagonals
+    cov_history: list[np.ndarray]  # per-sweep C (n <= FULL_COV_MAX_N) or diagonals
 
 
 def assemble_global(base: NaturalGaussian, sites: list[Site]) -> NaturalGaussian:
@@ -244,114 +246,73 @@ def project_moments(
     return MomentGaussian(mu_star, 0.5 * (C_star + C_star.T))
 
 
-def _rel_change(K_old, h_old, K_new, h_new) -> float:
-    num = math.hypot(float(np.linalg.norm(K_new - K_old)), float(np.linalg.norm(h_new - h_old)))
-    den = math.hypot(float(np.linalg.norm(K_old)), float(np.linalg.norm(h_old)))
-    return num / max(den, 1e-12)
-
-
-def _rel_diff(a, b) -> float:
-    return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
+def _rel_change(s: Site, new: tuple[np.ndarray, np.ndarray]) -> float:
+    K, h = float(s.K_i[0, 0]), float(s.h_i[0])
+    num = math.hypot(float(new[0][0, 0]) - K, float(new[1][0]) - h)
+    return num / max(math.hypot(K, h), 1e-12)
 
 
 def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = None) -> EPResult:
     """Sweep all sites until their parameters stop moving.
 
-    Serial mode refreshes the global approximation after every site; parallel
-    mode computes every site update from the same global snapshot and applies
-    them in one reassembly.  Site parameters are updated in place (callers
-    wanting a cold start should pass fresh sites).
+    Each sweep refits every site from its cavity.  Serial mode refreshes the
+    global approximation after every site; parallel mode computes every
+    refit from the same global and reassembles once.  Refits are written to
+    the sites at the end of the sweep, which is exact in serial mode too:
+    a cavity reads only its own site's parameters.  Sites are updated in
+    place (callers wanting a cold start should pass fresh sites).
 
     Raises
     ------
     GlobalNotPD
         If the assembled precision is not positive definite.
+    DowndateFailed
+        Under ``on_downdate_failure="abort"``; the sites then keep their
+        start-of-sweep parameters.
     """
     opts = opts or EPOptions()
     global_ = assemble_global(base, sites)
-    n = global_.n
-    keep_full_cov = n <= 1000
-
-    start = moment_from_natural(global_)
-    mu_prev, C_prev = start.mu, start.C
-    mean_history = [mu_prev]
-    cov_history = [C_prev if keep_full_cov else np.diag(C_prev).copy()]
-    raw_metrics = []
+    keep_full_cov = global_.n <= FULL_COV_MAX_N
+    snap = moment_from_natural(global_)
+    mean_history = [snap.mu]
+    cov_history = [snap.C if keep_full_cov else np.diag(snap.C).copy()]
+    metrics: list[SweepMetrics] = []
     skipped: list[SkippedSite] = []
     converged = False
-    sweeps_used = 0
 
     for sweep in range(1, opts.max_sweeps + 1):
-        sweeps_used = sweep
-        max_change = 0.0
-        skipped_before = len(skipped)
-
-        if opts.sweep_mode == "serial":
-            for i, s in enumerate(sites):
-                try:
-                    cav = cavity(global_, s)
-                    tm = site_moments(s, cav)
-                    new_K, new_h = update_site(s, cav, tm)
-                    cand = refresh_global(global_, s, (s.K_i, s.h_i), (new_K, new_h))
-                except (CavityInvalid, DegenerateSupport, NotPositiveDefinite) as exc:
-                    skipped.append(SkippedSite(sweep, i, f"{type(exc).__name__}: {exc}"))
-                    continue
-                except DowndateFailed as exc:
-                    if opts.on_downdate_failure == "abort":
-                        raise
-                    skipped.append(SkippedSite(sweep, i, f"DowndateFailed: {exc}"))
-                    continue
-                global_ = cand
-                max_change = max(max_change, _rel_change(s.K_i, s.h_i, new_K, new_h))
-                s.K_i, s.h_i = new_K, new_h
-        else:
-            proposals: list[tuple[int, np.ndarray, np.ndarray]] = []
-            for i, s in enumerate(sites):
-                try:
-                    cav = cavity(global_, s)
-                    tm = site_moments(s, cav)
-                    new_K, new_h = update_site(s, cav, tm)
-                except (CavityInvalid, DegenerateSupport, NotPositiveDefinite) as exc:
-                    skipped.append(SkippedSite(sweep, i, f"{type(exc).__name__}: {exc}"))
-                    continue
-                proposals.append((i, new_K, new_h))
-            for i, new_K, new_h in proposals:
-                s = sites[i]
-                max_change = max(max_change, _rel_change(s.K_i, s.h_i, new_K, new_h))
-                s.K_i, s.h_i = new_K, new_h
+        refits: list[tuple[Site, tuple[np.ndarray, np.ndarray]]] = []
+        for i, s in enumerate(sites):
+            try:
+                cav = cavity(global_, s)
+                new = update_site(s, cav, site_moments(s, cav))
+                if opts.sweep_mode == "serial":
+                    global_ = refresh_global(global_, s, (s.K_i, s.h_i), new)
+            except (CavityInvalid, DegenerateSupport, NotPositiveDefinite, DowndateFailed) as exc:
+                if isinstance(exc, DowndateFailed) and opts.on_downdate_failure == "abort":
+                    raise
+                skipped.append(SkippedSite(sweep, i, f"{type(exc).__name__}: {exc}"))
+                continue
+            refits.append((s, new))
+        max_change = max([0.0] + [_rel_change(s, new) for s, new in refits])
+        for s, (K_i, h_i) in refits:
+            s.K_i, s.h_i = K_i, h_i
+        if opts.sweep_mode == "parallel":
             global_ = assemble_global(base, sites)
 
         snap = moment_from_natural(global_)
-        mu_j, C_j = snap.mu, snap.C
-        e_p_mu = _rel_diff(mu_j, mu_prev)
-        e_p_C = _rel_diff(C_j, C_prev)
-        raw_metrics.append((sweep, e_p_mu, e_p_C, max_change))
-        mean_history.append(mu_j)
-        cov_history.append(C_j if keep_full_cov else np.diag(C_j).copy())
-        mu_prev, C_prev = mu_j, C_j
-
+        mean_history.append(snap.mu)
+        cov_history.append(snap.C if keep_full_cov else np.diag(snap.C).copy())
+        metrics.append(SweepMetrics(sweep, max_change))
         # a sweep that skipped a site did not refit it: no convergence
-        if max_change < opts.site_tol and len(skipped) == skipped_before:
+        if max_change < opts.site_tol and len(refits) == len(sites):
             converged = True
             break
 
-    mu_final, C_final = mean_history[-1], cov_history[-1]
-    metrics = [
-        SweepMetrics(
-            sweep=sw,
-            e_p_mu=epm,
-            e_f_mu=_rel_diff(mean_history[k + 1], mu_final),
-            e_p_C=epc,
-            e_f_C=_rel_diff(cov_history[k + 1], C_final),
-            max_site_change=mc,
-        )
-        for k, (sw, epm, epc, mc) in enumerate(raw_metrics)
-    ]
-    cov = C_final if keep_full_cov else chol.inverse(global_.ensure_factor())
     return EPResult(
-        mean=mean_history[-1],
-        cov=cov,
-        sweeps_used=sweeps_used,
+        mean=snap.mu,
+        cov=snap.C,
+        sweeps_used=len(metrics),
         converged=converged,
         metrics=metrics,
         skipped_sites=skipped,

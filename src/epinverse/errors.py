@@ -33,6 +33,10 @@ class MeshGenFailed(EpinverseError):
     """Disk mesh generation could not satisfy its constraints."""
 
 
+class MeshFileError(EpinverseError):
+    """A mesh file is truncated, malformed or breaks the mesh invariants."""
+
+
 class SingularSystem(EpinverseError):
     """The assembled FEM system is singular (conductivity below floor or bad mesh)."""
 

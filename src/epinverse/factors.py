@@ -21,7 +21,7 @@ from scipy import integrate
 from scipy.special import erfcx, log_ndtr
 
 from .errors import DegenerateSupport, QuadratureNotConverged
-from .gaussians import MomentGaussian, log_density_1d
+from .gaussians import log_density_1d
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
@@ -270,7 +270,13 @@ class GaussianFactor1D(FactorFamily):
     t_var: float
 
     def moments(self, m: float, v: float) -> TiltedMoments:
-        return moments_gaussian_factor(MomentGaussian(np.array([self.t_mean]), np.array([[self.t_var]])), m, v)
+        """Product-of-Gaussians closed form."""
+        mt, vt = self.t_mean, self.t_var
+        if v <= 0.0 or vt <= 0.0:
+            raise ValueError("variances must be positive")
+        var = 1.0 / (1.0 / v + 1.0 / vt)
+        mean = var * (m / v + mt / vt)
+        return TiltedMoments(float(log_density_1d(m, mt, v + vt)), mean, var)
 
     def moments_flat(self, eta: float = 0.0) -> TiltedMoments:
         logz = eta * self.t_mean + 0.5 * eta * eta * self.t_var
@@ -335,18 +341,6 @@ def moments_laplace_positivity(f: LaplacePositivityFactor, m: float, v: float) -
         pieces.append((logw2, (b - m) + sd * mmb2, v * var2))
 
     return _combine_pieces(pieces, m)
-
-
-def moments_gaussian_factor(t: MomentGaussian, m: float, v: float) -> TiltedMoments:
-    """Product-of-Gaussians closed form for a 1-D Gaussian factor."""
-    mt = float(np.ravel(t.mu)[0])
-    vt = float(np.ravel(t.C)[0])
-    if v <= 0.0 or vt <= 0.0:
-        raise ValueError("variances must be positive")
-    var = 1.0 / (1.0 / v + 1.0 / vt)
-    mean = var * (m / v + mt / vt)
-    logz = float(log_density_1d(m, mt, v + vt))
-    return TiltedMoments(logz, mean, var)
 
 
 def moments_quadrature(

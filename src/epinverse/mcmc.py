@@ -24,13 +24,10 @@ class ChainConfig:
     proposal_std: float | np.ndarray
     seed: int
     thin: int = 10
-    target_acceptance: float = 0.234
 
     def __post_init__(self) -> None:
         if not self.burn_in < self.steps:
             raise ValueError("burn_in must be smaller than steps")
-        if not 0.0 < self.target_acceptance < 1.0:
-            raise ValueError("target_acceptance must lie in (0, 1)")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ep import EPOptions, EPResult, Site, run_ep
+from .ep import EPOptions, Site, SkippedSite, run_ep
 from .errors import NonFiniteIterate
 from .gaussians import NaturalGaussian
 
@@ -35,15 +35,14 @@ class ForwardModel(ABC):
 
 
 class LinearModel(ForwardModel):
-    """F(x) = A x (+ offset); its own Jacobian everywhere."""
+    """F(x) = A x; its own Jacobian everywhere."""
 
-    def __init__(self, A: np.ndarray, offset: np.ndarray | None = None):
+    def __init__(self, A: np.ndarray):
         self.A = np.asarray(A, dtype=float)
         self.m, self.n = self.A.shape
-        self.offset = np.zeros(self.m) if offset is None else np.asarray(offset, dtype=float)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.offset
+        return self.A @ x
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.A
@@ -60,6 +59,8 @@ class NonlinearOptions:
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
             raise ValueError("alpha must be > 0")
+        if self.max_outer < 1:
+            raise ValueError("max_outer must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ class NonlinearResult:
     converged: bool
     trace: list[TraceRow]
     outer_records: list[OuterRecord]
-    last_ep: EPResult
+    skipped_sites: list[tuple[int, SkippedSite]]  # (outer, site skipped in that outer's EP run)
 
 
 def linearize(model: ForwardModel, mu_k: np.ndarray, data: np.ndarray, alpha: float) -> NaturalGaussian:
@@ -126,11 +127,6 @@ def _effective_tau(mu_k, mu_km1, d_k, d_km1) -> float:
     return 1.0
 
 
-def fd_directional(model: ForwardModel, x: np.ndarray, d: np.ndarray, eps: float) -> np.ndarray:
-    """Central finite difference of F along direction d (Jacobian test helper)."""
-    return (model.evaluate(x + eps * d) - model.evaluate(x - eps * d)) / (2.0 * eps)
-
-
 def run_nonlinear(
     model: ForwardModel,
     data: np.ndarray,
@@ -155,8 +151,8 @@ def run_nonlinear(
 
     prev_mu = None
     prev_d = None
-    ep_result = None
     outer_records: list[OuterRecord] = []
+    skipped: list[tuple[int, SkippedSite]] = []
     mean_chain: list[np.ndarray] = []
     cov_chain: list[np.ndarray] = []
     chain_tags: list[tuple[int, int]] = []  # (outer, inner)
@@ -174,6 +170,7 @@ def run_nonlinear(
         mean_chain.extend(ep_result.mean_history[1:])
         cov_chain.extend(ep_result.cov_history[1:])
         chain_tags.extend((k, j) for j in range(1, ep_result.sweeps_used + 1))
+        skipped.extend((k, s) for s in ep_result.skipped_sites)
 
         mu_star = ep_result.mean
         d = mu_star - mu
@@ -214,7 +211,7 @@ def run_nonlinear(
         converged=converged,
         trace=trace,
         outer_records=outer_records,
-        last_ep=ep_result,
+        skipped_sites=skipped,
     )
 
 

@@ -315,15 +315,74 @@ def test_ep_bad_sweep_mode_is_a_config_error(tmp_path):
     assert load_summary(out)["error"] == "bad_ep_on_downdate_failure"
 
 
-def test_ep_truncated_mesh_writes_internal_error(workspace, tmp_path):
+def test_ep_truncated_mesh_is_a_config_error(workspace, tmp_path):
     _, mesh_path, data_path = workspace
     lines = mesh_path.read_text().splitlines()
     truncated = tmp_path / "truncated_mesh.txt"
     truncated.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
     out = tmp_path / "trunc_out"
     cfg = write_cfg(tmp_path / "t.cfg", problem="eit", mesh=truncated, data=data_path, out=out)
-    rc = main(["ep", "--config", cfg])
-    assert rc != 0
+    assert main(["ep", "--config", cfg]) == 2
+    s = load_summary(out)
+    assert s["ok"] is False and s["error"] == "bad_mesh"
+    assert "IndexError" in s["error_detail"]
+
+
+LINEAR_6x4 = {"problem": "linear", "linear_m": 6, "linear_n": 4}
+
+
+@pytest.mark.parametrize(
+    "command, keys, code",
+    [
+        ("ep", {**LINEAR_6x4, "ep_max_sweeps": 0}, "bad_ep_max_sweeps"),
+        ("ep", {**LINEAR_6x4, "ep_max_sweeps": -3}, "bad_ep_max_sweeps"),
+        ("ep", {**LINEAR_6x4, "ep_max_outer": 0}, "bad_ep_max_outer"),
+        ("mcmc", {**LINEAR_6x4, "mcmc_chains": 1}, "bad_mcmc_chains"),
+        ("mcmc", {**LINEAR_6x4, "mcmc_thin": 0}, "bad_mcmc_thin"),
+        ("mcmc", {**LINEAR_6x4, "mcmc_steps": 100, "mcmc_burn_in": 100}, "bad_mcmc_burn_in"),
+        ("mcmc", {**LINEAR_6x4, "mcmc_pilot_steps": 0}, "bad_mcmc_pilot_steps"),
+        ("ep", {"problem": "eit", "patterns": "0-1,1"}, "bad_patterns"),
+        ("ep", {"problem": "eit", "patterns": "0-1,3-3"}, "bad_patterns"),
+        ("ep", {"problem": "eit", "impedances": "2e-4 " * 15 + "-2e-4"}, "bad_impedances"),
+    ],
+)
+def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, code):
+    _, mesh_path, data_path = workspace
+    if keys["problem"] == "eit":
+        keys = {**keys, "mesh": mesh_path, "data": data_path}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path / "c.cfg", **keys, out=out)]) == 2
+    s = load_summary(out)
+    assert s["ok"] is False and s["error"] == code
+    assert s["schema_version"] == 2
+
+
+def test_ep_skipped_sites_are_tagged_by_outer(tmp_path):
+    # a steep Laplace prior against data of scale 1e4 puts every site's
+    # tilted mass out of reach, in every sweep of every outer iteration
+    out = tmp_path / "skip"
+    cfg = write_cfg(
+        tmp_path / "skip.cfg", **LINEAR_6x4, linear_amplitude=1e4, **{"lambda": 10.0},
+        ep_max_sweeps=2, out=out,
+    )
+    assert main(["ep", "--config", cfg]) == 0
+    s = load_summary(out)
+    assert s["outer_iterations"] == 2
+    assert [(e["outer"], e["sweep"]) for e in s["skipped_sites"]] == [
+        (k, j) for k in (1, 2) for j in (1, 2) for _ in range(4)
+    ]
+    assert all(e["reason"].startswith("DegenerateSupport") for e in s["skipped_sites"])
+
+
+def test_unexpected_failure_writes_internal_error(tmp_path, monkeypatch):
+    import epinverse.cli as cli
+
+    def broken(cfg, out, seed, threads):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "ep", broken)
+    out = tmp_path / "internal"
+    assert main(["ep", "--config", write_cfg(tmp_path / "i.cfg", **LINEAR_6x4, out=out)]) == 3
     s = load_summary(out)
     assert s["ok"] is False and s["error"] == "internal"
-    assert "Traceback" in s["error_detail"]
+    assert "Traceback" in s["error_detail"] and "boom" in s["error_detail"]

@@ -422,12 +422,22 @@ def test_run_ep_metrics_and_histories():
     sites = [Site(np.eye(n)[i : i + 1], LaplacePositivityFactor(1.0, 0.0, -1.0)) for i in range(n)]
     res = run_ep(base, sites, EPOptions(max_sweeps=20, site_tol=1e-8))
     assert res.converged
-    assert len(res.metrics) == res.sweeps_used
-    assert len(res.mean_history) == res.sweeps_used + 1
-    assert res.metrics[-1].e_f_mu == 0.0
-    assert res.metrics[-1].e_f_C == 0.0
+    assert [m.sweep for m in res.metrics] == list(range(1, res.sweeps_used + 1))
+    assert res.metrics[-1].max_site_change < 1e-8
+    assert all(m.max_site_change >= 1e-8 for m in res.metrics[:-1])
+    # one snapshot before the first sweep and one after each sweep
+    assert len(res.mean_history) == len(res.cov_history) == res.sweeps_used + 1
+    assert np.array_equal(res.mean_history[-1], res.mean)
+    assert np.array_equal(res.cov_history[-1], res.cov)
     evals = np.linalg.eigvalsh(res.cov)
     assert evals.min() > 0.0
+
+
+@pytest.mark.parametrize("max_sweeps", [0, -3])
+def test_ep_options_reject_fewer_than_one_sweep(max_sweeps):
+    # zero sweeps would refit no site yet could be read as converged
+    with pytest.raises(ValueError, match="max_sweeps"):
+        EPOptions(max_sweeps=max_sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +471,19 @@ def test_run_ep_downdate_failure_abort():
     s = Site(np.array([[1.0]]), BlowupFactor(0.0, 1.0))
     with pytest.raises(DowndateFailed):
         run_ep(base, [s], EPOptions(max_sweeps=1, site_tol=1e-8, on_downdate_failure="abort"))
+
+
+def test_run_ep_abort_keeps_start_of_sweep_parameters():
+    from epinverse import DowndateFailed
+
+    # site 0 refits first; site 1 then fails its downdate and aborts the sweep
+    base = NaturalGaussian(np.zeros(2), 0.5 * np.eye(2))
+    good = Site(np.eye(1, 2, 0), LaplacePositivityFactor(1.0, 0.0))
+    bad = Site(np.eye(1, 2, 1), BlowupFactor(0.0, 1.0))
+    with pytest.raises(DowndateFailed):
+        run_ep(base, [good, bad], EPOptions(max_sweeps=1, on_downdate_failure="abort"))
+    for s in (good, bad):
+        assert s.K_i[0, 0] == 1.0 and s.h_i[0] == 0.0
 
 
 def test_run_ep_global_not_pd():

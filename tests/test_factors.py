@@ -7,8 +7,6 @@ from epinverse import (
     DegenerateSupport,
     GaussianFactor1D,
     LaplacePositivityFactor,
-    MomentGaussian,
-    moments_gaussian_factor,
     moments_laplace_positivity,
     moments_quadrature,
 )
@@ -135,16 +133,14 @@ def test_laplace_positivity_flat_pure_exponential():
 # ---------------------------------------------------------------------------
 
 def test_gaussian_factor_symmetric_case():
-    t = MomentGaussian(np.array([0.0]), np.array([[1.0]]))
-    tm = moments_gaussian_factor(t, 0.0, 1.0)
+    tm = GaussianFactor1D(0.0, 1.0).moments(0.0, 1.0)
     assert tm.mean == pytest.approx(0.0, abs=0.0)
     assert tm.var == pytest.approx(0.5, rel=1e-14)
     assert tm.logZ == pytest.approx(-0.5 * math.log(2 * math.pi * 2.0), rel=1e-14)
 
 
 def test_gaussian_factor_shifted():
-    t = MomentGaussian(np.array([2.0]), np.array([[1.0]]))
-    tm = moments_gaussian_factor(t, 0.0, 1.0)
+    tm = GaussianFactor1D(2.0, 1.0).moments(0.0, 1.0)
     assert tm.mean == pytest.approx(1.0, rel=1e-14)
     assert tm.var == pytest.approx(0.5, rel=1e-14)
 
@@ -154,7 +150,7 @@ def test_gaussian_factor_vs_quadrature():
     for _ in range(10):
         mt, vt = rng.normal(), rng.uniform(0.2, 3.0)
         m, v = rng.normal(), rng.uniform(0.2, 3.0)
-        got = moments_gaussian_factor(MomentGaussian(np.array([mt]), np.array([[vt]])), m, v)
+        got = GaussianFactor1D(mt, vt).moments(m, v)
         ora = moments_quadrature(GaussianFactor1D(mt, vt), m, v)
         assert rel(got.mean, ora.mean, scale=1e-12) <= 1e-10
         assert rel(got.var, ora.var) <= 1e-10

@@ -7,10 +7,14 @@ from epinverse.nonlinear import (
     LinearModel,
     NonlinearOptions,
     _effective_tau,
-    fd_directional,
     linearize,
     run_nonlinear,
 )
+
+
+def fd_directional(model: ForwardModel, x: np.ndarray, d: np.ndarray, eps: float) -> np.ndarray:
+    """Central finite difference of F along direction d."""
+    return (model.evaluate(x + eps * d) - model.evaluate(x - eps * d)) / (2.0 * eps)
 
 
 class ScalarPower(ForwardModel):
@@ -159,6 +163,29 @@ def test_floor_projection_invariant():
     res = run_nonlinear(model, np.array([8.0]), sites, opts, np.array([0.6]))
     assert np.all(res.mean >= 0.5)
     assert all(0.0 <= r.tau <= 1.0 for r in res.outer_records)
+
+
+@pytest.mark.parametrize("max_outer", [0, -1])
+def test_nonlinear_options_reject_fewer_than_one_outer(max_outer):
+    with pytest.raises(ValueError, match="max_outer"):
+        NonlinearOptions(alpha=1.0, max_outer=max_outer)
+
+
+def test_skipped_sites_cover_every_outer_iteration():
+    # site 1's floor puts its tilted mass out of reach in every EP sweep
+    rng = np.random.default_rng(4)
+    model = LinearModel(rng.standard_normal((5, 2)))
+    sites = [
+        Site(np.eye(1, 2, 0), LaplacePositivityFactor(1.0, 0.0, -5.0)),
+        Site(np.eye(1, 2, 1), LaplacePositivityFactor(1.0, 0.0, floor=60.0)),
+    ]
+    opts = NonlinearOptions(alpha=10.0, max_outer=3, outer_tol=1e-300,
+                            inner=EPOptions(max_sweeps=2, site_tol=1e-8))
+    res = run_nonlinear(model, rng.standard_normal(5), sites, opts, np.zeros(2))
+    assert res.outer_iters == 3
+    assert [outer for outer, _ in res.skipped_sites] == [1, 1, 2, 2, 3, 3]
+    assert [s.sweep for _, s in res.skipped_sites] == [1, 2] * 3
+    assert all(s.index == 1 and s.reason.startswith("DegenerateSupport") for _, s in res.skipped_sites)
 
 
 def test_trace_rows_are_tagged_by_outer_and_inner():
