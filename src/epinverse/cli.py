@@ -94,12 +94,18 @@ def _read_data_csv(path: Path, cfg: cem.CEMConfig) -> np.ndarray:
         )
     vals = np.empty(len(rows))
     for k, (row, (p, l)) in enumerate(zip(rows, expected)):
-        if (int(row[0]), int(row[1])) != (p, l):
+        try:
+            index, value = (int(row[0]), int(row[1])), float(row[2])
+        except (ValueError, IndexError) as exc:
+            raise ConfigKeyError(f"data row {k} is malformed: {exc}", "bad_data") from exc
+        if index != (p, l):
             raise ConfigKeyError(
                 f"data row {k} is ({row[0]}, {row[1]}), expected ({p}, {l})",
                 "data_shape_mismatch",
             )
-        vals[k] = float(row[2])
+        if not math.isfinite(value):
+            raise ConfigKeyError(f"data row {k} has a non-finite voltage {value}", "bad_data")
+        vals[k] = value
     return vals
 
 

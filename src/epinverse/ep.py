@@ -2,12 +2,15 @@
 projection type  t0(x) * prod_i t_i(u_i^T x).
 
 Every site acts on one projection row u_i and carries scalar natural
-parameters (h_i, K_i).  The global Gaussian approximation is held as its
-shift h and a Cholesky factor L of its precision; a site refresh is one
-rank-one up/downdate of L plus an additive update of h, and the dense
-precision is only formed when the global is assembled from scratch.
-Cavities are formed in natural parameters so that exactly-flat cavities
-(decoupled factors) stay well defined.
+parameters (h_i, K_i).  Inside a run the global Gaussian approximation is
+held in moment form, as one covariance work buffer Sigma and its mean mu:
+with z = Sigma u the cavity reads the marginal u^T z, u^T mu, and a site
+refresh is one in-place rank-one (Sherman-Morrison) update of Sigma plus an
+update of mu along z.  After every sweep the global is assembled afresh from
+the sites in natural form, K = K0 + U^T diag(K_i) U, and inverted once; that
+snapshot feeds the histories and resets the work buffer, so rounding drift
+is bounded by one sweep.  Cavities are formed in natural parameters so that
+exactly-flat cavities (decoupled factors) stay well defined.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 from . import chol
 from .errors import (
@@ -120,12 +124,15 @@ class EPResult:
 
 
 def assemble_global(base: NaturalGaussian, sites: list[Site]) -> NaturalGaussian:
-    """K = K0 + sum U_i^T K_i U_i, h = h0 + sum U_i^T h_i, freshly factored."""
-    K = base.K.copy()
-    h = base.h.copy()
-    for s in sites:
-        K += s.U.T @ s.K_i @ s.U
-        h += s.U.T @ s.h_i
+    """K = K0 + U^T diag(K_i) U and h = h0 + U^T h_i over the stacked site
+    rows U, freshly factored.
+
+    Raises
+    ------
+    GlobalNotPD
+        If K is not positive definite.
+    """
+    K, h = _sum_sites(base, sites)
     K = 0.5 * (K + K.T)
     try:
         factor = chol.cholesky(K)
@@ -134,12 +141,22 @@ def assemble_global(base: NaturalGaussian, sites: list[Site]) -> NaturalGaussian
     return NaturalGaussian(h, K, factor)
 
 
-def cavity(global_: NaturalGaussian, s: Site) -> CavityResult:
-    """Cavity natural parameters for one site.
+def _sum_sites(base: NaturalGaussian, sites: list[Site]) -> tuple[np.ndarray, np.ndarray]:
+    # a helper of its own, so the m x n stacks are freed before the factorization
+    U = np.array([s.U[0] for s in sites]).reshape(len(sites), base.n)
+    tau = np.array([s.K_i[0, 0] for s in sites])
+    nu = np.array([s.h_i[0] for s in sites])
+    K = U.T @ (tau[:, None] * U)
+    K += base.K
+    return K, base.h + U.T @ nu
 
-    With w = L^{-1} u and y = L^{-1} h against the maintained factor, the
-    marginal of u^T x has variance v = w.w and mean w.y; the cavity precision
-    is 1/v - K_i and the cavity shift is (w.y)/v - h_i.
+
+def cavity(work: MomentGaussian, s: Site) -> CavityResult:
+    """Cavity natural parameters for one site against the moment-form work
+    state (mu, Sigma).
+
+    The marginal of u^T x has variance v = u^T Sigma u and mean u^T mu; the
+    cavity precision is 1/v - K_i and the cavity shift is (u^T mu)/v - h_i.
 
     Raises
     ------
@@ -147,18 +164,15 @@ def cavity(global_: NaturalGaussian, s: Site) -> CavityResult:
         If the marginal variance is not positive, or the cavity precision is
         negative beyond roundoff.
     """
-    F = global_.ensure_factor()
-    w = chol.solve_lower(F, s.U[0])
-    y = chol.solve_lower(F, global_.h)
-    v = float(w @ w)
+    u = s.U[0]
+    v = float(u @ (work.C @ u))
     if not v > 0.0:
         raise CavityInvalid(f"marginal variance {v:.3e} is not positive")
-    # (1/sd)^2 rounds exactly as chol.inverse does on a 1x1 matrix, so the
-    # scalar algebra reproduces the matrix form bit for bit
+    # formed as (1/sd)^2, as update_site forms the tilted precision
     inv_sd = 1.0 / math.sqrt(v)
     marg_prec = inv_sd * inv_sd
     prec = marg_prec - float(s.K_i[0, 0])
-    eta = marg_prec * float(w @ y) - float(s.h_i[0])
+    eta = marg_prec * float(u @ work.mu) - float(s.h_i[0])
     tol = CAVITY_RTOL * marg_prec
     if prec < -tol:
         raise CavityInvalid(f"cavity precision is {prec:.3e}")
@@ -194,32 +208,44 @@ def update_site(s: Site, cav: CavityResult, tm: TiltedMoments) -> tuple[np.ndarr
 
 
 def refresh_global(
-    global_: NaturalGaussian,
+    work: MomentGaussian,
     s: Site,
     old: tuple[np.ndarray, np.ndarray],
     new: tuple[np.ndarray, np.ndarray],
-) -> NaturalGaussian:
-    """Move the global approximation from the old to the new site parameters.
+) -> None:
+    """Move the moment-form work state (mu, Sigma) from the old to the new
+    site parameters, in place.
 
-    The precision delta dK u u^T enters the maintained Cholesky factor as one
-    rank-one up/downdate, the shift delta dh u enters h additively; the dense
-    precision is not carried.  Pure: returns a new global, never touching the
-    input.
+    With z = Sigma u, v = u^T z, m = u^T mu and the deltas dK, dh of the site
+    parameters, Sherman-Morrison gives
+
+        Sigma <- Sigma - dK / (1 + dK v) z z^T
+        mu    <- mu + z (dh - dK m) / (1 + dK v),
+
+    the first applied as one BLAS rank-one update of Sigma's own buffer
+    (MomentGaussian keeps it C-contiguous, so its transpose is the Fortran
+    array BLAS updates in place).  1 + dK v is the ratio of the new to the
+    old determinant of the precision.
 
     Raises
     ------
     DowndateFailed
-        If a downdate would lose positive definiteness (caller recovers).
+        If 1 + dK v <= chol.PIVOT_RTOL, i.e. the downdate would lose positive
+        definiteness; the work state is then untouched (caller recovers).
     """
     dK = float(new[0][0, 0] - old[0][0, 0])
     dh = float(new[1][0] - old[1][0])
     if dK == 0.0 and dh == 0.0:
-        return global_
-    F = global_.ensure_factor()
+        return
     u = s.U[0]
+    z = work.C @ u
+    denom = 1.0 + dK * float(u @ z)
+    if denom <= chol.PIVOT_RTOL:
+        raise DowndateFailed(f"downdate loses positive definiteness: 1 + dK v = {denom:.3e}")
+    step = (dh - dK * float(u @ work.mu)) / denom
     if dK != 0.0:
-        F = chol.rank1_update(F, u * math.sqrt(abs(dK)), 1 if dK > 0.0 else -1)
-    return NaturalGaussian(global_.h + dh * u, None, F)
+        dger(-dK / denom, z, z, a=work.C.T, overwrite_a=1)
+    work.mu += step * z
 
 
 def project_moments(
@@ -256,11 +282,13 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     """Sweep all sites until their parameters stop moving.
 
     Each sweep refits every site from its cavity.  Serial mode refreshes the
-    global approximation after every site; parallel mode computes every
-    refit from the same global and reassembles once.  Refits are written to
-    the sites at the end of the sweep, which is exact in serial mode too:
-    a cavity reads only its own site's parameters.  Sites are updated in
-    place (callers wanting a cold start should pass fresh sites).
+    moment-form work state after every site; parallel mode computes every
+    refit from the start-of-sweep state.  Refits are written to the sites at
+    the end of the sweep, which is exact in serial mode too: a cavity reads
+    only its own site's parameters.  Either mode then reassembles the global
+    from the sites and inverts it once; that snapshot is the sweep's history
+    entry and the next sweep's work state.  Sites are updated in place
+    (callers wanting a cold start should pass fresh sites).
 
     Raises
     ------
@@ -271,11 +299,12 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
         start-of-sweep parameters.
     """
     opts = opts or EPOptions()
-    global_ = assemble_global(base, sites)
-    keep_full_cov = global_.n <= FULL_COV_MAX_N
-    snap = moment_from_natural(global_)
+    snap = moment_from_natural(assemble_global(base, sites))
+    keep_full_cov = snap.n <= FULL_COV_MAX_N
     mean_history = [snap.mu]
     cov_history = [snap.C if keep_full_cov else np.diag(snap.C).copy()]
+    # the work state: one buffer for the whole run, reset from every snapshot
+    work = MomentGaussian(snap.mu.copy(), snap.C.copy())
     metrics: list[SweepMetrics] = []
     skipped: list[SkippedSite] = []
     converged = False
@@ -284,10 +313,10 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
         refits: list[tuple[Site, tuple[np.ndarray, np.ndarray]]] = []
         for i, s in enumerate(sites):
             try:
-                cav = cavity(global_, s)
+                cav = cavity(work, s)
                 new = update_site(s, cav, site_moments(s, cav))
                 if opts.sweep_mode == "serial":
-                    global_ = refresh_global(global_, s, (s.K_i, s.h_i), new)
+                    refresh_global(work, s, (s.K_i, s.h_i), new)
             except (CavityInvalid, DegenerateSupport, NotPositiveDefinite, DowndateFailed) as exc:
                 if isinstance(exc, DowndateFailed) and opts.on_downdate_failure == "abort":
                     raise
@@ -297,10 +326,10 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
         max_change = max([0.0] + [_rel_change(s, new) for s, new in refits])
         for s, (K_i, h_i) in refits:
             s.K_i, s.h_i = K_i, h_i
-        if opts.sweep_mode == "parallel":
-            global_ = assemble_global(base, sites)
 
-        snap = moment_from_natural(global_)
+        snap = moment_from_natural(assemble_global(base, sites))
+        np.copyto(work.mu, snap.mu)
+        np.copyto(work.C, snap.C)
         mean_history.append(snap.mu)
         cov_history.append(snap.C if keep_full_cov else np.diag(snap.C).copy())
         metrics.append(SweepMetrics(sweep, max_change))

@@ -10,7 +10,7 @@ class NotPositiveDefinite(EpinverseError):
 
 
 class DowndateFailed(EpinverseError):
-    """A Cholesky rank-one downdate would leave the matrix indefinite."""
+    """A rank-one downdate would leave the precision matrix indefinite."""
 
 
 class CavityInvalid(EpinverseError):

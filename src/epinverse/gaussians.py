@@ -16,14 +16,15 @@ from .chol import CholeskyFactor
 
 @dataclass
 class MomentGaussian:
-    """Gaussian in moment parameters (mean, covariance)."""
+    """Gaussian in moment parameters (mean, covariance).  C is held
+    C-contiguous: the EP engine updates it in place through BLAS."""
 
     mu: np.ndarray
     C: np.ndarray
 
     def __post_init__(self) -> None:
         self.mu = np.asarray(self.mu, dtype=float)
-        self.C = np.asarray(self.C, dtype=float)
+        self.C = np.ascontiguousarray(self.C, dtype=float)
 
     @property
     def n(self) -> int:
@@ -36,18 +37,16 @@ class NaturalGaussian:
 
     A Cholesky factor of K is cached.  The factor may be absent while K is
     only positive semidefinite (e.g. a linearized likelihood base before
-    sites are multiplied in).  K may be None when a factor is held: the EP
-    engine's rank-one refreshes move only h and the factor.
+    sites are multiplied in).
     """
 
     h: np.ndarray
-    K: np.ndarray | None
+    K: np.ndarray
     factor: CholeskyFactor | None = field(default=None)
 
     def __post_init__(self) -> None:
         self.h = np.asarray(self.h, dtype=float)
-        if self.K is not None:
-            self.K = np.asarray(self.K, dtype=float)
+        self.K = np.asarray(self.K, dtype=float)
 
     @property
     def n(self) -> int:

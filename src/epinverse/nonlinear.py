@@ -138,7 +138,9 @@ def run_nonlinear(
 
     The first outer step uses tau = 1.  Iterates are projected onto the
     admissibility floor before each linearization.  Sites are warm-started
-    from the previous outer iteration (updated in place by run_ep).
+    from the previous outer iteration (updated in place by run_ep).  The run
+    converges when the mean moves by less than ``outer_tol`` and the last EP
+    sweep of that outer iteration refit every site.
 
     Raises
     ------
@@ -187,7 +189,9 @@ def run_nonlinear(
         outer_records.append(
             OuterRecord(k, tau, rel_change, ep_result.sweeps_used, ep_result.converged, residual)
         )
-        if rel_change < opts.outer_tol:
+        # as in run_ep: a step whose last sweep skipped a site is not converged
+        refit_all = all(sk.sweep < ep_result.sweeps_used for sk in ep_result.skipped_sites)
+        if rel_change < opts.outer_tol and refit_all:
             converged = True
             break
 

@@ -331,6 +331,21 @@ def test_ep_truncated_mesh_is_a_config_error(workspace, tmp_path):
 LINEAR_6x4 = {"problem": "linear", "linear_m": 6, "linear_n": 4}
 
 
+def _data_with_cell(data_path, tmp_path, edit):
+    """The data file, or a copy with one cell of its third data row replaced
+    (``edit = (column, text)``; text None drops the cell)."""
+    if edit is None:
+        return data_path
+    col, text = edit
+    lines = data_path.read_text().splitlines()
+    row = lines[3].split(",")
+    row[col : col + 1] = [] if text is None else [text]
+    lines[3] = ",".join(row)
+    edited = tmp_path / "edited_data.csv"
+    edited.write_text("\n".join(lines) + "\n")
+    return edited
+
+
 @pytest.mark.parametrize(
     "command, keys, code",
     [
@@ -344,12 +359,17 @@ LINEAR_6x4 = {"problem": "linear", "linear_m": 6, "linear_n": 4}
         ("ep", {"problem": "eit", "patterns": "0-1,1"}, "bad_patterns"),
         ("ep", {"problem": "eit", "patterns": "0-1,3-3"}, "bad_patterns"),
         ("ep", {"problem": "eit", "impedances": "2e-4 " * 15 + "-2e-4"}, "bad_impedances"),
+        ("ep", {"problem": "eit", "data": (2, "abc")}, "bad_data"),
+        ("ep", {"problem": "eit", "data": (2, None)}, "bad_data"),
+        ("ep", {"problem": "eit", "data": (1, "3.5")}, "bad_data"),
+        ("ep", {"problem": "eit", "data": (2, "nan")}, "bad_data"),
+        ("ep", {"problem": "eit", "data": (2, "-inf")}, "bad_data"),
     ],
 )
 def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, code):
     _, mesh_path, data_path = workspace
     if keys["problem"] == "eit":
-        keys = {**keys, "mesh": mesh_path, "data": data_path}
+        keys = {**keys, "mesh": mesh_path, "data": _data_with_cell(data_path, tmp_path, keys.get("data"))}
     out = tmp_path / "out"
     assert main([command, "--config", write_cfg(tmp_path / "c.cfg", **keys, out=out)]) == 2
     s = load_summary(out)
@@ -359,15 +379,16 @@ def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, co
 
 def test_ep_skipped_sites_are_tagged_by_outer(tmp_path):
     # a steep Laplace prior against data of scale 1e4 puts every site's
-    # tilted mass out of reach, in every sweep of every outer iteration
+    # tilted mass out of reach, in every sweep of every outer iteration;
+    # the mean then stops moving, which is not convergence
     out = tmp_path / "skip"
     cfg = write_cfg(
         tmp_path / "skip.cfg", **LINEAR_6x4, linear_amplitude=1e4, **{"lambda": 10.0},
-        ep_max_sweeps=2, out=out,
+        ep_max_sweeps=2, ep_max_outer=2, out=out,
     )
     assert main(["ep", "--config", cfg]) == 0
     s = load_summary(out)
-    assert s["outer_iterations"] == 2
+    assert s["outer_iterations"] == 2 and s["converged"] is False
     assert [(e["outer"], e["sweep"]) for e in s["skipped_sites"]] == [
         (k, j) for k in (1, 2) for j in (1, 2) for _ in range(4)
     ]

@@ -12,21 +12,22 @@ from epinverse import (
     Site,
     assemble_global,
     cavity,
+    moment_from_natural,
     moments_laplace_positivity,
     project_moments,
     refresh_global,
     run_ep,
     update_site,
 )
-from epinverse.ep import site_moments
-from epinverse.errors import CavityInvalid, NotPositiveDefinite
-from epinverse.factors import TiltedMoments
+from epinverse import chol, ep
+from epinverse.ep import DOWNDATE_POLICIES, site_moments
+from epinverse.errors import CavityInvalid, DowndateFailed, NotPositiveDefinite
+from epinverse.factors import FactorFamily, TiltedMoments
 
 
-def make_global(h, K):
-    g = NaturalGaussian(np.asarray(h, dtype=float), np.asarray(K, dtype=float))
-    g.ensure_factor()
-    return g
+def make_work(h, K):
+    """The engine's moment-form work state (mu, Sigma) of N(h, K) in natural form."""
+    return moment_from_natural(NaturalGaussian(np.asarray(h, dtype=float), np.asarray(K, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +39,7 @@ def test_cavity_empty_site_is_full_marginal():
     M = rng.standard_normal((5, 5))
     K = M.T @ M + np.eye(5)
     h = rng.standard_normal(5)
-    g = make_global(h, K)
+    g = make_work(h, K)
     U = rng.standard_normal((1, 5))
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=np.zeros((1, 1)), h_i=np.zeros(1))
     cav = cavity(g, s)
@@ -50,7 +51,7 @@ def test_cavity_empty_site_is_full_marginal():
 
 
 def test_cavity_scalar_example():
-    g = make_global([2.0], [[2.0]])
+    g = make_work([2.0], [[2.0]])
     s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0),
              K_i=np.array([[0.5]]), h_i=np.array([0.3]))
     cav = cavity(g, s)
@@ -66,7 +67,7 @@ def test_cavity_after_multiplying_site_back_in():
     U = rng.standard_normal((1, 4))
     Ki = np.array([[0.8]])
     hi = np.array([0.4])
-    g1 = make_global(h0 + U.T @ hi, K0 + U.T @ Ki @ U)
+    g1 = make_work(h0 + U.T @ hi, K0 + U.T @ Ki @ U)
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=Ki, h_i=hi)
     cav = cavity(g1, s)
     K0inv = np.linalg.inv(K0)
@@ -78,19 +79,20 @@ def test_cavity_site_global_identity():
     # cavity natural params plus site params recover the global marginal
     rng = np.random.default_rng(9)
     M = rng.standard_normal((6, 6))
-    g = make_global(rng.standard_normal(6), M.T @ M + 2 * np.eye(6))
+    h, K = rng.standard_normal(6), M.T @ M + 2 * np.eye(6)
+    g = make_work(h, K)
     U = rng.standard_normal((1, 6))
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=np.array([[0.5]]), h_i=np.array([0.2]))
     cav = cavity(g, s)
-    Kinv = np.linalg.inv(g.K)
+    Kinv = np.linalg.inv(K)
     marg_prec = 1.0 / (U @ Kinv @ U.T).item()
-    marg_eta = marg_prec * (U @ Kinv @ g.h).item()
+    marg_eta = marg_prec * (U @ Kinv @ h).item()
     assert cav.prec[0, 0] + s.K_i[0, 0] == pytest.approx(marg_prec, rel=1e-12)
     assert cav.eta[0] + s.h_i[0] == pytest.approx(marg_eta, rel=1e-12, abs=1e-12)
 
 
 def test_cavity_of_null_projection_is_invalid():
-    g = make_global([1.0, 2.0], [[3.0, 0.5], [0.5, 2.0]])
+    g = make_work([1.0, 2.0], [[3.0, 0.5], [0.5, 2.0]])
     s = Site(np.zeros((1, 2)), LaplacePositivityFactor(1.0, 0.0))
     with pytest.raises(CavityInvalid):
         cavity(g, s)
@@ -98,7 +100,7 @@ def test_cavity_of_null_projection_is_invalid():
 
 def test_cavity_flat_within_rtol():
     # the site holds the whole marginal precision: the cavity is exactly flat
-    g = make_global([2.0], [[2.0]])
+    g = make_work([2.0], [[2.0]])
     s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0),
              K_i=np.array([[2.0 * (1.0 - 1e-13)]]), h_i=np.array([0.5]))
     cav = cavity(g, s)
@@ -131,7 +133,7 @@ def test_site_rejects_more_than_one_row():
 # ---------------------------------------------------------------------------
 
 def test_update_site_identity_factor_gives_zero():
-    g = make_global([1.0, 0.0], [[2.0, 0.3], [0.3, 1.5]])
+    g = make_work([1.0, 0.0], [[2.0, 0.3], [0.3, 1.5]])
     U = np.array([[1.0, 0.0]])
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=np.array([[0.4]]), h_i=np.array([0.1]))
     cav = cavity(g, s)
@@ -142,7 +144,7 @@ def test_update_site_identity_factor_gives_zero():
 
 
 def test_update_site_gaussian_factor_recovers_its_naturals():
-    g = make_global([0.5, -0.2], [[1.7, 0.2], [0.2, 2.2]])
+    g = make_work([0.5, -0.2], [[1.7, 0.2], [0.2, 2.2]])
     U = np.array([[0.6, -0.8]])
     fam = GaussianFactor1D(0.7, 0.5)
     s = Site(U, fam)
@@ -182,10 +184,11 @@ def test_update_site_rejects_bad_variance(var):
 # ---------------------------------------------------------------------------
 
 def test_refresh_noop_is_bit_identical():
-    g = make_global([1.0, 2.0], [[3.0, 0.5], [0.5, 2.0]])
+    g = make_work([1.0, 2.0], [[3.0, 0.5], [0.5, 2.0]])
+    mu, C = g.mu.copy(), g.C.copy()
     s = Site(np.array([[1.0, 0.0]]), LaplacePositivityFactor(1.0, 0.0))
-    out = refresh_global(g, s, (s.K_i, s.h_i), (s.K_i.copy(), s.h_i.copy()))
-    assert out is g
+    refresh_global(g, s, (s.K_i, s.h_i), (s.K_i.copy(), s.h_i.copy()))
+    assert np.array_equal(g.mu, mu) and np.array_equal(g.C, C)
 
 
 def test_refresh_matches_full_reassembly():
@@ -196,17 +199,17 @@ def test_refresh_matches_full_reassembly():
         Site(rng.standard_normal((1, 6)), LaplacePositivityFactor(1.0, 0.0))
         for _ in range(4)
     ]
-    g = assemble_global(base, sites)
+    work = moment_from_natural(assemble_global(base, sites))
+    mu_buf, C_buf = work.mu, work.C
     s = sites[2]
     new = (np.array([[2.3]]), np.array([-0.7]))
-    g2 = refresh_global(g, s, (s.K_i, s.h_i), new)
+    refresh_global(work, s, (s.K_i, s.h_i), new)
+    # the work state is moved in place
+    assert work.mu is mu_buf and work.C is C_buf
     s.K_i, s.h_i = new
-    scratch = assemble_global(base, sites)
-    assert np.linalg.norm(g2.h - scratch.h) <= 1e-12 * np.linalg.norm(scratch.h)
-    assert (
-        np.linalg.norm(g2.factor.L - scratch.factor.L) / np.linalg.norm(scratch.factor.L)
-        <= 1e-10
-    )
+    scratch = moment_from_natural(assemble_global(base, sites))
+    assert np.linalg.norm(work.mu - scratch.mu) <= 1e-12 * np.linalg.norm(scratch.mu)
+    assert np.linalg.norm(work.C - scratch.C) <= 1e-12 * np.linalg.norm(scratch.C)
 
 
 def test_refresh_apply_then_revert():
@@ -214,13 +217,14 @@ def test_refresh_apply_then_revert():
     M = rng.standard_normal((5, 5))
     base = NaturalGaussian(rng.standard_normal(5), M.T @ M + np.eye(5))
     s = Site(rng.standard_normal((1, 5)), LaplacePositivityFactor(1.0, 0.0))
-    g = assemble_global(base, [s])
+    work = moment_from_natural(assemble_global(base, [s]))
+    mu0, C0 = work.mu.copy(), work.C.copy()
     old = (s.K_i.copy(), s.h_i.copy())
     new = (np.array([[0.2]]), np.array([1.1]))
-    g2 = refresh_global(g, s, old, new)
-    g3 = refresh_global(g2, s, new, old)
-    assert np.linalg.norm(g3.factor.L - g.factor.L) / np.linalg.norm(g.factor.L) <= 1e-12
-    assert np.linalg.norm(g3.h - g.h) <= 1e-12 * max(np.linalg.norm(g.h), 1.0)
+    refresh_global(work, s, old, new)
+    refresh_global(work, s, new, old)
+    assert np.linalg.norm(work.C - C0) / np.linalg.norm(C0) <= 1e-12
+    assert np.linalg.norm(work.mu - mu0) <= 1e-12 * max(np.linalg.norm(mu0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -530,3 +534,147 @@ def test_serial_and_parallel_agree_single_site():
     r1 = run_ep(base, s1, EPOptions(max_sweeps=60, site_tol=1e-10, sweep_mode="serial"))
     r2 = run_ep(base, s2, EPOptions(max_sweeps=60, site_tol=1e-10, sweep_mode="parallel"))
     assert abs(r1.mean[0] - r2.mean[0]) / abs(r1.mean[0]) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the moment-form engine against a dense reference
+# ---------------------------------------------------------------------------
+
+class BimodalFactor(FactorFamily):
+    """t(s) = N(s; -a, r) + N(s; a, r).  Not log-concave: moment matching
+    can give a site a negative precision."""
+
+    def __init__(self, a, r):
+        self.a, self.r = a, r
+
+    def moments(self, m, v):
+        # each component times N(s; m, v) is a scaled Gaussian
+        centers, r = np.array([-self.a, self.a]), self.r
+        logw = -0.5 * (m - centers) ** 2 / (v + r) - 0.5 * math.log(2 * math.pi * (v + r))
+        means = (m * r + centers * v) / (v + r)
+        top = logw.max()
+        w = np.exp(logw - top)
+        logz = top + math.log(w.sum())
+        w /= w.sum()
+        mean = float(w @ means)
+        var = v * r / (v + r) + float(w @ (means - mean) ** 2)
+        return TiltedMoments(logz, mean, var)
+
+    def log_density(self, s):
+        s = np.asarray(s, dtype=float)
+        log_n = [-0.5 * (s - c) ** 2 / self.r for c in (-self.a, self.a)]
+        return np.logaddexp(*log_n) - 0.5 * math.log(2 * math.pi * self.r)
+
+
+def textbook_serial_ep(base, rows, family, sweeps):
+    """Serial EP that re-inverts the global precision before every site;
+    returns the (mean, covariance) after each sweep."""
+    tau, nu = np.ones(len(rows)), np.zeros(len(rows))
+
+    def moments():
+        K = base.K + sum(t * np.outer(u, u) for t, u in zip(tau, rows))
+        C = np.linalg.inv(K)
+        return C @ (base.h + rows.T @ nu), C
+
+    out = []
+    for _ in range(sweeps):
+        for i, u in enumerate(rows):
+            mu, C = moments()
+            v = u @ C @ u
+            cav_prec, cav_eta = 1.0 / v - tau[i], (u @ mu) / v - nu[i]
+            tm = family.moments(cav_eta / cav_prec, 1.0 / cav_prec)
+            tau[i] = 1.0 / tm.var - cav_prec
+            nu[i] = tm.mean / tm.var - cav_eta
+        out.append(moments())
+    return out
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def test_serial_sweeps_match_textbook_ep_with_downdates(monkeypatch):
+    rng = np.random.default_rng(5)
+    n, m, sweeps = 5, 8, 6
+    M = rng.standard_normal((n, n))
+    base = NaturalGaussian(rng.standard_normal(n), M.T @ M + 2.0 * np.eye(n))
+    rows = rng.standard_normal((m, n)) / math.sqrt(n)
+    family = BimodalFactor(1.0, 0.3)
+    sites = [Site(u, family) for u in rows]
+
+    in_loop, dKs = [], []
+
+    def recording_refresh(work, s, old, new):
+        refresh_global(work, s, old, new)
+        dKs.append(new[0][0, 0] - old[0][0, 0])
+        in_loop.append((work.mu.copy(), work.C.copy()))
+
+    monkeypatch.setattr(ep, "refresh_global", recording_refresh)
+    res = run_ep(base, sites, EPOptions(max_sweeps=sweeps, site_tol=1e-300))
+    assert res.sweeps_used == sweeps and not res.skipped_sites
+    assert min(dKs) < 0.0 < max(dKs)  # downdates and updates
+    assert min(s.K_i[0, 0] for s in sites) < 0.0 < max(s.K_i[0, 0] for s in sites)
+
+    want = textbook_serial_ep(base, rows, family, sweeps)
+    for k, (mu, C) in enumerate(want, start=1):
+        assert _rel(res.mean_history[k], mu) <= 1e-10
+        assert _rel(res.cov_history[k], C) <= 1e-10
+        # the work state at the end of the sweep, before the snapshot resets it
+        mu_loop, C_loop = in_loop[k * m - 1]
+        assert _rel(mu_loop, res.mean_history[k]) <= 1e-10
+        assert _rel(C_loop, res.cov_history[k]) <= 1e-10
+
+
+@pytest.mark.parametrize("policy", DOWNDATE_POLICIES)
+@pytest.mark.parametrize("above", [False, True], ids=["at_tolerance", "just_above"])
+def test_downdate_guard_at_pivot_tolerance(monkeypatch, policy, above):
+    # Sigma = I exactly, so site 1's marginal variance is v = 1 and its
+    # refit's denominator is 1 + dK, exact in floating point for dK near -1;
+    # dK is chosen so that it is the nearest value 1 + dK can take at or
+    # below PIVOT_RTOL, or the nearest above it
+    tol = chol.PIVOT_RTOL
+    dK = -1.0 + tol
+    while 1.0 + dK > tol:
+        dK = float(np.nextafter(dK, -2.0))
+    if above:
+        dK = float(np.nextafter(dK, 0.0))
+    assert (1.0 + dK > tol) == above and abs(1.0 + dK - tol) <= 2.0**-52
+
+    base = NaturalGaussian(np.zeros(2), 0.5 * np.eye(2))
+    sites = [Site(np.eye(1, 2, i), LaplacePositivityFactor(1.0, 0.0), K_i=[[0.5]]) for i in range(2)]
+    refits = {id(sites[0]): (np.array([[0.3]]), np.array([0.1])),
+              id(sites[1]): (np.array([[0.5 + dK]]), np.array([0.2]))}
+    monkeypatch.setattr(ep, "update_site", lambda s, cav, tm: refits[id(s)])
+    opts = EPOptions(max_sweeps=1, on_downdate_failure=policy)
+
+    if not above and policy == "abort":
+        with pytest.raises(DowndateFailed):
+            run_ep(base, sites, opts)
+        assert all(s.K_i[0, 0] == 0.5 and s.h_i[0] == 0.0 for s in sites)
+        return
+    res = run_ep(base, sites, opts)
+    assert sites[0].K_i[0, 0] == 0.3
+    if above:
+        assert not res.skipped_sites
+        assert sites[1].K_i[0, 0] == 0.5 + dK
+    else:
+        assert [(sk.index, sk.reason.split(":")[0]) for sk in res.skipped_sites] == [(1, "DowndateFailed")]
+        assert sites[1].K_i[0, 0] == 0.5 and sites[1].h_i[0] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["serial", "parallel"])
+def test_run_ep_keeps_the_cholesky_loop_off_the_hot_path(monkeypatch, mode):
+    # rank1_update is an O(n) Python loop; neither it nor the triangular
+    # solves of the factor-form cavity belong in a sweep
+    def boom(*args, **kwargs):
+        raise AssertionError("called from run_ep")
+
+    monkeypatch.setattr(chol, "rank1_update", boom)
+    monkeypatch.setattr(chol, "solve_lower", boom)
+    rng = np.random.default_rng(19)
+    n = 4
+    M = rng.standard_normal((n, n))
+    base = NaturalGaussian(0.3 * rng.standard_normal(n), M.T @ M + np.eye(n))
+    sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(1.0, 0.0, -1.0)) for i in range(n)]
+    res = run_ep(base, sites, EPOptions(max_sweeps=50, site_tol=1e-10, sweep_mode=mode))
+    assert res.converged and not res.skipped_sites
