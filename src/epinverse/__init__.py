@@ -13,6 +13,7 @@ from .errors import (
     ConfigError,
     DegenerateSupport,
     DowndateFailed,
+    ElectrodeCountMismatch,
     EpinverseError,
     GlobalNotPD,
     MeshFileError,
@@ -63,6 +64,7 @@ __all__ = [
     "update_site",
     "DegenerateSupport",
     "DowndateFailed",
+    "ElectrodeCountMismatch",
     "EpinverseError",
     "FactorFamily",
     "GaussianFactor1D",

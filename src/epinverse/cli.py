@@ -24,7 +24,7 @@ import numpy as np
 from . import config as cfgmod
 from .config import ConfigKeyError
 from .ep import DOWNDATE_POLICIES, FULL_COV_MAX_N, SWEEP_MODES, EPOptions, Site
-from .errors import EpinverseError, MeshFileError
+from .errors import ElectrodeCountMismatch, EpinverseError, MeshFileError
 from .factors import LaplacePositivityFactor
 from .mcmc import (
     ChainConfig,
@@ -75,19 +75,13 @@ def _write_trace_csv(path: Path, rows) -> None:
 
 def _write_data_csv(path: Path, cfg: cem.CEMConfig, data: np.ndarray) -> None:
     lines = ["pattern_id,electrode_id,voltage"]
-    k = 0
-    for p, kept in enumerate(cfg.kept_electrodes()):
-        for l in kept:
-            lines.append(f"{p},{int(l)},{_fmt(data[k])}")
-            k += 1
+    lines += [f"{p},{l},{_fmt(v)}" for (p, l), v in zip(np.argwhere(cfg.kept_mask()), data)]
     path.write_text("\n".join(lines) + "\n")
 
 
 def _read_data_csv(path: Path, cfg: cem.CEMConfig) -> np.ndarray:
     rows = [ln.split(",") for ln in path.read_text().splitlines()[1:] if ln]
-    expected = [
-        (p, int(l)) for p, kept in enumerate(cfg.kept_electrodes()) for l in kept
-    ]
+    expected = [(int(p), int(l)) for p, l in np.argwhere(cfg.kept_mask())]
     if len(rows) != len(expected):
         raise ConfigKeyError(
             f"data file has {len(rows)} rows, expected {len(expected)}", "data_shape_mismatch"
@@ -454,6 +448,12 @@ def main(argv: list[str] | None = None) -> int:
         code = 0
     except ConfigKeyError as exc:
         summary["error"] = exc.code
+        summary["error_detail"] = str(exc)
+        code = 2
+    except ElectrodeCountMismatch as exc:
+        # the mesh and the `electrodes` key disagree, found where the CEM
+        # operator is built
+        summary["error"] = "bad_electrodes"
         summary["error_detail"] = str(exc)
         code = 2
     except EpinverseError as exc:

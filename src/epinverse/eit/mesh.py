@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,15 @@ class Mesh:
     @property
     def n_electrodes(self) -> int:
         return len(self.electrode_edges)
+
+    @cached_property
+    def cem_operator(self):
+        """The conductivity-independent CEM data of this mesh
+        (``cem.MeshOperator``), built on first use: the mesh arrays are
+        never changed after construction."""
+        from .cem import MeshOperator
+
+        return MeshOperator.from_mesh(self)
 
     def boundary_node_ids(self) -> np.ndarray:
         mask = np.ones(self.n_nodes, dtype=bool)

@@ -37,6 +37,10 @@ class MeshFileError(EpinverseError):
     """A mesh file is truncated, malformed or breaks the mesh invariants."""
 
 
+class ElectrodeCountMismatch(EpinverseError):
+    """A mesh and a CEM configuration disagree on the number of electrodes."""
+
+
 class SingularSystem(EpinverseError):
     """The assembled FEM system is singular (conductivity below floor or bad mesh)."""
 

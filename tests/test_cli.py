@@ -377,6 +377,44 @@ def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, co
     assert s["schema_version"] == 2
 
 
+@pytest.fixture(scope="module")
+def eight_electrodes(tmp_path_factory):
+    """An 8-electrode mesh and data laid out for 8 electrodes."""
+    root = tmp_path_factory.mktemp("eight")
+    mesh_cfg = write_cfg(root / "mesh.cfg", electrodes=8, target_nodes=200, out=root / "mesh")
+    assert main(["mesh", "--config", mesh_cfg]) == 0
+    synth_cfg = write_cfg(root / "synth.cfg", electrodes=8, fine_target_nodes=300, seed=1, out=root / "synth")
+    assert main(["synth", "--config", synth_cfg]) == 0
+    return root / "mesh" / "mesh.txt", root / "synth" / "data.csv"
+
+
+MCMC_TINY = {"mcmc_steps": 20, "mcmc_burn_in": 2, "mcmc_thin": 1, "mcmc_pilot_steps": 10}
+
+
+@pytest.mark.parametrize("command", ["ep", "mcmc", "synth"])
+@pytest.mark.parametrize("mesh_electrodes", [16, 8])
+def test_electrode_count_mismatch_is_a_config_error(
+    workspace, eight_electrodes, tmp_path, command, mesh_electrodes
+):
+    # a 16-electrode mesh run as 8 electrodes used to fail with IndexError
+    # (internal), an 8-electrode mesh run as 16 with SingularSystem
+    _, mesh16, data16 = workspace
+    mesh8, data8 = eight_electrodes
+    if mesh_electrodes == 16:
+        mesh, keys = mesh16, {"electrodes": 8, "data": data8}
+    else:
+        mesh, keys = mesh8, {"data": data16}
+    if command == "synth":
+        keys = {"electrodes": keys.get("electrodes", 16), "fine_mesh": mesh, "seed": 1}
+    else:
+        keys = {**keys, "problem": "eit", "mesh": mesh, **(MCMC_TINY if command == "mcmc" else {})}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path / "c.cfg", **keys, out=out)]) == 2
+    s = load_summary(out)
+    assert s["ok"] is False and s["error"] == "bad_electrodes"
+    assert f"{mesh_electrodes} electrodes" in s["error_detail"]
+
+
 def test_ep_skipped_sites_are_tagged_by_outer(tmp_path):
     # a steep Laplace prior against data of scale 1e4 puts every site's
     # tilted mass out of reach, in every sweep of every outer iteration;

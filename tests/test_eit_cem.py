@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from epinverse.ep import EPOptions, Site
 from epinverse.eit import (
+    ALPHA_DEFAULT,
     CEMConfig,
     EITForwardModel,
     ELECTRODE_COVERAGE,
+    LAMBDA_DEFAULT,
+    Mesh,
     SIGMA_BG,
+    SIGMA_FLOOR,
     TANK_RADIUS,
     adjacent_patterns,
     default_config,
@@ -17,7 +23,10 @@ from epinverse.eit import (
     solve_forward,
     synth_data,
 )
-from epinverse.errors import SingularSystem
+from epinverse.eit import cem
+from epinverse.errors import ElectrodeCountMismatch, SingularSystem
+from epinverse.factors import LaplacePositivityFactor
+from epinverse.nonlinear import NonlinearOptions, run_nonlinear
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +196,200 @@ def test_per_electrode_current_balance(mesh, cfg, homo):
                 d = np.linalg.norm(mesh.nodes[b] - mesh.nodes[a])
                 total += d / cfg.z[l] * (fs.voltages[p, l] - 0.5 * (u[a] + u[b]))
             assert abs(total - I[l, p]) <= 1e-10 * cfg.amplitude
+
+
+# ---------------------------------------------------------------------------
+# the precomputed operator against the direct assembly
+# ---------------------------------------------------------------------------
+
+
+def loop_reduced_system(mesh, cfg, sigma):
+    """The reduced CEM system built the direct way: element and electrode-edge
+    loops into the full (N+L) system, then reduced through the zero-sum basis
+    block by block."""
+    N, L = mesh.n_nodes, cfg.L
+    p = mesh.nodes[mesh.triangles]
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    areas = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    coef = sigma[mesh.triangles].mean(axis=1) / (4.0 * areas)
+    Ke = coef[:, None, None] * (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
+    A = np.zeros((N + L, N + L))
+    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
+    cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
+    np.add.at(A, (rows, cols), Ke.reshape(-1))
+    for l, edges in enumerate(mesh.electrode_edges):
+        zl = cfg.z[l]
+        for a, b_ in edges:
+            d = float(np.linalg.norm(mesh.nodes[b_] - mesh.nodes[a]))
+            m = d / (6.0 * zl)
+            A[a, a] += 2.0 * m
+            A[b_, b_] += 2.0 * m
+            A[a, b_] += m
+            A[b_, a] += m
+            for n in (a, b_):
+                A[n, N + l] -= d / (2.0 * zl)
+                A[N + l, n] -= d / (2.0 * zl)
+            A[N + l, N + l] += d / zl
+    Q = np.vstack([np.eye(L - 1), -np.ones((1, L - 1))])
+    R = np.zeros((N + L - 1, N + L - 1))
+    R[:N, :N] = A[:N, :N]
+    R[:N, N:] = A[:N, N:] @ Q
+    R[N:, :N] = Q.T @ A[N:, :N]
+    R[N:, N:] = Q.T @ A[N:, N:] @ Q
+    return R, Q
+
+
+CUSTOM_PATTERNS = [(0, 8), (3, 12), (15, 1), (5, 6), (10, 2), (7, 15)]
+
+
+@pytest.fixture(scope="module", params=[300, 1200])
+def oracle_case(request):
+    m = gen_disk_mesh(TANK_RADIUS, 16, ELECTRODE_COVERAGE, request.param)
+    rng = np.random.default_rng(request.param)
+    cfg = CEMConfig(z=rng.uniform(1e-4, 5e-4, 16), patterns=CUSTOM_PATTERNS, amplitude=2e-3)
+    sigma = paint_disk_inclusion(m, SIGMA_BG, (0.05, 0.02), 0.035, 0.25 * SIGMA_BG)
+    sigma *= rng.uniform(0.5, 2.0, m.n_nodes)
+    return m, cfg, sigma
+
+
+def test_operator_assembly_matches_loop_assembly(oracle_case):
+    m, cfg, sigma = oracle_case
+    R_ref, _ = loop_reduced_system(m, cfg, sigma)
+    R = np.asarray(cem._assemble(m.cem_operator, cfg, sigma))
+    assert R.shape == R_ref.shape
+    assert np.abs(R - R_ref).max() <= 1e-14 * np.abs(R_ref).max()
+
+
+def test_trailing_block_voltages_match_full_solve(oracle_case):
+    m, cfg, sigma = oracle_case
+    R_ref, Q = loop_reduced_system(m, cfg, sigma)
+    N = m.n_nodes
+    rhs = np.zeros((R_ref.shape[0], cfg.n_patterns))
+    rhs[N:] = Q.T @ cfg.current_matrix()
+    sol = cho_solve(cho_factor(R_ref, lower=True), rhs)
+    V_ref = (Q @ sol[N:]).T
+    fs = solve_forward(m, cfg, sigma)
+    scale = np.abs(V_ref).max()
+    assert np.abs(fs.voltages - V_ref).max() <= 1e-9 * scale
+    u_ref = sol[:N]
+    assert np.abs(fs.node_potentials - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
+    assert np.array_equal(forward(m, cfg, sigma), measurements(cfg, fs.voltages))
+
+
+def test_solve_guards(mesh, cfg):
+    sigma = np.full(mesh.n_nodes, SIGMA_BG)
+    with pytest.raises(ValueError):
+        solve_forward(mesh, cfg, sigma[:-1])
+    for bad in (0.0, -SIGMA_BG, np.nan, np.inf):
+        s = sigma.copy()
+        s[7] = bad
+        with pytest.raises(SingularSystem):
+            solve_forward(mesh, cfg, s)
+    # reversed triangles turn every element stiffness negative: not SPD
+    flipped = Mesh(mesh.nodes, mesh.triangles[:, [0, 2, 1]], mesh.electrode_edges, mesh.interior_node_ids)
+    with pytest.raises(SingularSystem, match="not SPD"):
+        solve_forward(flipped, cfg, sigma)
+
+
+def test_electrode_count_mismatch_is_a_typed_error(mesh):
+    sigma = np.full(mesh.n_nodes, SIGMA_BG)
+    for fn in (solve_forward, forward, jacobian):
+        with pytest.raises(ElectrodeCountMismatch):
+            fn(mesh, default_config(8), sigma)
+    mesh8 = gen_disk_mesh(TANK_RADIUS, 8, ELECTRODE_COVERAGE, 200)
+    with pytest.raises(ElectrodeCountMismatch):
+        forward(mesh8, default_config(16), np.full(mesh8.n_nodes, SIGMA_BG))
+
+
+@pytest.mark.parametrize(
+    "z, patterns",
+    [
+        (np.full(16, 2e-4), [(-1, 0)]),
+        (np.full(16, 2e-4), [(0, 16)]),
+        (np.full(16, 2e-4), [(0, 1), (3, -2)]),
+        (np.full((16, 1), 2e-4), [(0, 1)]),
+        (np.full(16, 2e-4), [(4, 4)]),
+    ],
+)
+def test_config_rejects_bad_patterns_and_impedances(z, patterns):
+    with pytest.raises(ValueError):
+        CEMConfig(z=z, patterns=patterns)
+
+
+def test_kept_mask_drops_the_current_carrying_electrodes():
+    cfg = CEMConfig(z=np.full(16, 2e-4), patterns=CUSTOM_PATTERNS)
+    keep = cfg.kept_mask()
+    assert keep.sum() == cfg.n_measurements == len(CUSTOM_PATTERNS) * 14
+    for p, (a, b) in enumerate(CUSTOM_PATTERNS):
+        assert np.array_equal(np.flatnonzero(keep[p]), [l for l in range(16) if l not in (a, b)])
+
+
+# ---------------------------------------------------------------------------
+# one factorization per linearization point
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def factor_count(monkeypatch):
+    calls = [0]
+    orig = cem.cho_factor
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(cem, "cho_factor", counted)
+    return calls
+
+
+def test_model_shares_one_factorization_per_point(mesh, cfg, factor_count):
+    model = EITForwardModel(mesh, cfg)
+    x = np.full(model.n, SIGMA_BG)
+    F = model.evaluate(x)
+    J = model.jacobian(x)
+    assert factor_count[0] == 1
+    assert np.array_equal(F, forward(mesh, cfg, model.full_sigma(x)))
+    assert np.array_equal(J, jacobian(mesh, cfg, model.full_sigma(x)))
+    factor_count[0] = 0
+    y = x.copy()
+    y[3] *= 1.5
+    model.evaluate(y)
+    model.evaluate(y.copy())
+    assert factor_count[0] == 1
+
+
+def test_model_cache_never_returns_a_stale_result(mesh, cfg, factor_count):
+    model = EITForwardModel(mesh, cfg)
+    x = np.full(model.n, SIGMA_BG)
+    F0 = model.evaluate(x)
+    x[5] = 2.0 * SIGMA_BG  # the caller reuses its array
+    F1 = model.evaluate(x)
+    assert factor_count[0] == 2
+    x[5] = 0.5 * model.floor  # below the floor after a cached call
+    with pytest.raises(SingularSystem):
+        model.evaluate(x)
+    with pytest.raises(SingularSystem):
+        model.jacobian(x)
+    assert factor_count[0] == 2
+    x[5] = 2.0 * SIGMA_BG
+    assert not np.array_equal(F0, F1)
+    assert np.array_equal(F1, forward(mesh, cfg, model.full_sigma(x)))
+
+
+def test_run_nonlinear_factors_once_per_outer_plus_one(factor_count):
+    m = gen_disk_mesh(TANK_RADIUS, 16, ELECTRODE_COVERAGE, 200)
+    cfg = default_config()
+    model = EITForwardModel(m, cfg)
+    truth = paint_disk_inclusion(m, SIGMA_BG, (0.04, 0.0), 0.04, 0.5 * SIGMA_BG)
+    data, _ = synth_data(m, cfg, truth, noise_std=1e-4, seed=3)
+    sites = [
+        Site(np.eye(1, model.n, i), LaplacePositivityFactor(LAMBDA_DEFAULT, SIGMA_BG, SIGMA_FLOOR))
+        for i in range(model.n)
+    ]
+    opts = NonlinearOptions(alpha=ALPHA_DEFAULT, max_outer=3, inner=EPOptions(max_sweeps=2), floor=SIGMA_FLOOR)
+    factor_count[0] = 0
+    res = run_nonlinear(model, data, sites, opts, np.full(model.n, SIGMA_BG))
+    assert res.outer_iters >= 2
+    assert factor_count[0] == res.outer_iters + 1
