@@ -28,6 +28,7 @@ from .factors import (
     GaussianFactor1D,
     LaplacePositivityFactor,
     TiltedMoments,
+    TiltedMomentsMany,
     moments_laplace_positivity,
     moments_quadrature,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "QuadratureNotConverged",
     "SingularSystem",
     "TiltedMoments",
+    "TiltedMomentsMany",
     "cholesky",
     "moment_from_natural",
     "moments_laplace_positivity",

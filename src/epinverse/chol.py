@@ -7,11 +7,12 @@ shared freely across threads for reading.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import DowndateFailed, NotPositiveDefinite
 
@@ -47,7 +48,11 @@ def cholesky(A: np.ndarray) -> CholeskyFactor:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-8 * max(1.0, float(np.abs(A).max(initial=0.0)))):
+    atol = 1e-8 * max(1.0, float(np.abs(A).max(initial=0.0)))
+    # with a finite atol, |A - A^T| <= atol is allclose's test; the slower
+    # allclose decides the rest (non-finite entries)
+    fast = math.isfinite(atol) and bool(np.all(np.abs(A - A.T) <= atol))
+    if not (fast or np.allclose(A, A.T, rtol=0.0, atol=atol)):
         raise ValueError("matrix is not symmetric")
     max_diag = float(np.max(np.diag(A), initial=0.0))
     if max_diag <= 0.0:
@@ -117,6 +122,15 @@ def solve_lower(F: CholeskyFactor, B: np.ndarray) -> np.ndarray:
 
 
 def inverse(F: CholeskyFactor) -> np.ndarray:
-    """Dense inverse of the represented matrix (symmetrized)."""
-    inv = solve(F, np.eye(F.n))
-    return 0.5 * (inv + inv.T)
+    """Dense symmetric inverse of the represented matrix, C-contiguous.
+
+    LAPACK dpotri forms the lower triangle of (L L^T)^{-1} from the factor;
+    the upper triangle of its output is L's, which is zero, so adding the
+    transpose to the strict lower triangle mirrors it.
+    """
+    inv, info = dpotri(F.L, lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"inversion from the factor failed (info {info})")
+    sym = np.tril(inv, -1)
+    sym += inv.T
+    return sym

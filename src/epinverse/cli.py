@@ -11,8 +11,11 @@ contract.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
+import os
 import sys
 import time
 import traceback
@@ -39,7 +42,48 @@ from .nonlinear import ForwardModel, LinearModel, NonlinearOptions, run_nonlinea
 from .eit import cem
 from .eit.mesh import gen_disk_mesh, read_mesh, write_mesh
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+# The OpenBLAS builds bundled with numpy and scipy, and their thread-count
+# entry points (set, get): matrix products run on numpy's, the LAPACK and
+# BLAS wrappers of scipy.linalg on scipy's.
+_OPENBLAS = (
+    ("numpy", "scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_entry_points() -> tuple[tuple, ...]:
+    """(set, get) of every bundled OpenBLAS found; a package whose library or
+    entry points are missing is left out."""
+    found = []
+    for package, set_name, get_name in _OPENBLAS:
+        try:
+            root = Path(__import__(package).__file__).parent.parent / f"{package}.libs"
+            lib = ctypes.CDLL(str(next(root.glob("libscipy_openblas*.so*"))))
+            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+        except (StopIteration, OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        found.append((set_threads, get_threads))
+    return tuple(found)
+
+
+def _pin_blas_threads() -> int | None:
+    """Run BLAS on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+    says otherwise.  At desk scale the BLAS calls are small, and a second
+    thread costs more in hand-offs than it gains: on a 2-core machine the
+    desk-scale serial ``ep`` run took 2.4-3.8 s with two threads against
+    0.6 s with one.  Returns the effective thread count, or None when no
+    bundled OpenBLAS is found."""
+    entry_points = _openblas_entry_points()
+    if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+        for set_threads, _ in entry_points:
+            set_threads(1)
+    counts = [get_threads() for _, get_threads in entry_points]
+    return max(counts) if counts else None
 
 
 def _fmt(v: float) -> str:
@@ -60,7 +104,10 @@ def _read_vector_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write_matrix_csv(path: Path, M: np.ndarray) -> None:
-    lines = [",".join(_fmt(v) for v in row) for row in M]
+    # one format string per row: the same text as _fmt per cell, in about
+    # 60 % of the time
+    row_fmt = ",".join(["%.17e"] * M.shape[1])
+    lines = [row_fmt % tuple(row.tolist()) for row in M]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -224,7 +271,8 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     inner = _ep_options(cfg)
     p = _build_problem(cfg, seed)
     n = p.model.n
-    sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(p.lam, p.bg, p.floor)) for i in range(n)]
+    prior = LaplacePositivityFactor(p.lam, p.bg, p.floor)
+    sites = [Site(np.eye(1, n, i), prior) for i in range(n)]
     opts = NonlinearOptions(
         alpha=p.alpha,
         max_outer=_check_positive(cfgmod.get_int(cfg, "ep_max_outer", 10), "ep_max_outer"),
@@ -246,6 +294,7 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
         "outer_iterations": res.outer_iters,
         "total_inner_sweeps": int(sum(r.inner_sweeps for r in res.outer_records)),
         "converged": bool(res.converged),
+        "ep_sweep_mode": inner.sweep_mode,
         "skipped_sites": [
             {"outer": outer, "sweep": s.sweep, "site": s.index, "reason": s.reason}
             for outer, s in res.skipped_sites
@@ -432,6 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": args.command,
         "ok": False,
         "error": None,
+        "blas_threads": _pin_blas_threads(),
     }
     out = Path(args.out) if args.out else None
     t0 = time.time()

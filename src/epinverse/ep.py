@@ -1,16 +1,26 @@
-"""Serial (and parallel-sweep) expectation propagation for posteriors of
+"""Serial and parallel-sweep expectation propagation for posteriors of
 projection type  t0(x) * prod_i t_i(u_i^T x).
 
 Every site acts on one projection row u_i and carries scalar natural
-parameters (h_i, K_i).  Inside a run the global Gaussian approximation is
-held in moment form, as one covariance work buffer Sigma and its mean mu:
-with z = Sigma u the cavity reads the marginal u^T z, u^T mu, and a site
-refresh is one in-place rank-one (Sherman-Morrison) update of Sigma plus an
-update of mu along z.  After every sweep the global is assembled afresh from
-the sites in natural form, K = K0 + U^T diag(K_i) U, and inverted once; that
-snapshot feeds the histories and resets the work buffer, so rounding drift
-is bounded by one sweep.  Cavities are formed in natural parameters so that
-exactly-flat cavities (decoupled factors) stay well defined.
+parameters (tau_i, nu_i), held as the site's K_i (1 x 1) and h_i (1,) and,
+inside a run, as two arrays over all sites.  Inside a run the global Gaussian
+approximation is held in moment form, as one covariance work buffer Sigma
+and its mean mu.
+
+A serial sweep visits the sites in turn: with z = Sigma u the cavity reads
+the marginal u^T z, u^T mu, and a site refresh is one in-place rank-one
+(Sherman-Morrison) update of Sigma plus an update of mu along z.  A parallel
+sweep refits every site from the start-of-sweep state in array form: one
+read of the marginals (diag Sigma and mu at the sites' coordinates when every
+row is a unit vector, else the stacked-row products), one moment call per
+factor family and one vectorized site update.
+
+After every sweep of either mode the sites' parameters are written back and
+the global is assembled afresh from the sites in natural form,
+K = K0 + U^T diag(tau) U, and inverted once; that snapshot feeds the
+histories and resets the work buffer, so rounding drift is bounded by one
+sweep.  Cavities are formed in natural parameters so that exactly-flat
+cavities (decoupled factors) stay well defined.
 """
 
 from __future__ import annotations
@@ -40,7 +50,8 @@ CAVITY_RTOL = 1e-12
 # CLI writes cov.csv; above it only the diagonals are kept.
 FULL_COV_MAX_N = 1000
 
-SWEEP_MODES = ("serial", "parallel")
+# The first mode is the CLI's default; the engine's default is serial.
+SWEEP_MODES = ("parallel", "serial")
 DOWNDATE_POLICIES = ("skip_site", "abort")
 
 
@@ -48,7 +59,8 @@ DOWNDATE_POLICIES = ("skip_site", "abort")
 class Site:
     """One factor approximation on the projection u^T x: the row U (1 x n)
     and natural parameters K_i (1 x 1) and h_i (1,), initialized to
-    K_i = 1, h_i = 0.  The site keeps its own copies of all three.
+    K_i = 1, h_i = 0.  The site keeps its own copies of all three; run_ep
+    writes refit parameters into K_i and h_i in place.
 
     Raises
     ------
@@ -142,13 +154,34 @@ def assemble_global(base: NaturalGaussian, sites: list[Site]) -> NaturalGaussian
 
 
 def _sum_sites(base: NaturalGaussian, sites: list[Site]) -> tuple[np.ndarray, np.ndarray]:
-    # a helper of its own, so the m x n stacks are freed before the factorization
-    U = np.array([s.U[0] for s in sites]).reshape(len(sites), base.n)
+    # a helper of its own, so the m x n stack is freed before the factorization
+    U = _stack_rows(sites, base.n)
     tau = np.array([s.K_i[0, 0] for s in sites])
     nu = np.array([s.h_i[0] for s in sites])
+    c = _coordinates(U)
+    if c is not None:
+        # K0 + diag(tau) without the n^3 product; add.at sums repeated coordinates
+        K, h = base.K.copy(), base.h.copy()
+        np.add.at(K, (c, c), tau)
+        np.add.at(h, c, nu)
+        return K, h
     K = U.T @ (tau[:, None] * U)
     K += base.K
     return K, base.h + U.T @ nu
+
+
+def _stack_rows(sites: list[Site], n: int) -> np.ndarray:
+    return np.array([s.U[0] for s in sites]).reshape(len(sites), n)
+
+
+def _coordinates(U: np.ndarray) -> np.ndarray | None:
+    """The coordinate each row picks out when every row of U is a unit
+    vector (as the CLI builds them), else None."""
+    nonzero = U != 0.0
+    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+        return None
+    c = np.argmax(nonzero, axis=1)
+    return c if np.all(U[np.arange(len(c)), c] == 1.0) else None
 
 
 def cavity(work: MomentGaussian, s: Site) -> CavityResult:
@@ -167,7 +200,7 @@ def cavity(work: MomentGaussian, s: Site) -> CavityResult:
     u = s.U[0]
     v = float(u @ (work.C @ u))
     if not v > 0.0:
-        raise CavityInvalid(f"marginal variance {v:.3e} is not positive")
+        raise _variance_not_positive(v)
     # formed as (1/sd)^2, as update_site forms the tilted precision
     inv_sd = 1.0 / math.sqrt(v)
     marg_prec = inv_sd * inv_sd
@@ -175,9 +208,17 @@ def cavity(work: MomentGaussian, s: Site) -> CavityResult:
     eta = marg_prec * float(u @ work.mu) - float(s.h_i[0])
     tol = CAVITY_RTOL * marg_prec
     if prec < -tol:
-        raise CavityInvalid(f"cavity precision is {prec:.3e}")
+        raise _negative_cavity(prec)
     is_flat = abs(prec) <= tol
     return CavityResult(np.array([eta]), np.array([[0.0 if is_flat else prec]]), is_flat)
+
+
+def _variance_not_positive(v: float) -> CavityInvalid:
+    return CavityInvalid(f"marginal variance {v:.3e} is not positive")
+
+
+def _negative_cavity(prec: float) -> CavityInvalid:
+    return CavityInvalid(f"cavity precision is {prec:.3e}")
 
 
 def site_moments(s: Site, cav: CavityResult) -> TiltedMoments:
@@ -201,10 +242,14 @@ def update_site(s: Site, cav: CavityResult, tm: TiltedMoments) -> tuple[np.ndarr
     """
     var = float(tm.var)
     if not 0.0 < var < math.inf:
-        raise NotPositiveDefinite(f"tilted variance {var:.3e} is not positive and finite")
+        raise _tilted_variance_not_pd(var)
     inv_sd = 1.0 / math.sqrt(var)  # rounds as in cavity
     prec_new = inv_sd * inv_sd
     return prec_new - cav.prec, prec_new * float(tm.mean) - cav.eta
+
+
+def _tilted_variance_not_pd(var: float) -> NotPositiveDefinite:
+    return NotPositiveDefinite(f"tilted variance {var:.3e} is not positive and finite")
 
 
 def refresh_global(
@@ -272,10 +317,117 @@ def project_moments(
     return MomentGaussian(mu_star, 0.5 * (C_star + C_star.T))
 
 
-def _rel_change(s: Site, new: tuple[np.ndarray, np.ndarray]) -> float:
-    K, h = float(s.K_i[0, 0]), float(s.h_i[0])
-    num = math.hypot(float(new[0][0, 0]) - K, float(new[1][0]) - h)
-    return num / max(math.hypot(K, h), 1e-12)
+@dataclass(frozen=True)
+class _SiteRows:
+    """What a parallel sweep needs of the sites' rows and families, fixed
+    for a run: the coordinate of each row when all are unit vectors, else
+    the stacked rows; and the sites grouped by (equal) family."""
+
+    coords: np.ndarray | None
+    U: np.ndarray | None
+    groups: list[tuple[FactorFamily, np.ndarray]]
+
+
+def _site_rows(sites: list[Site], n: int) -> _SiteRows:
+    U = _stack_rows(sites, n)
+    coords = _coordinates(U)
+    groups: dict = {}
+    for i, s in enumerate(sites):
+        try:
+            entry = groups.setdefault(s.family, (s.family, []))
+        except TypeError:  # an unhashable family is grouped by identity
+            entry = groups.setdefault(id(s.family), (s.family, []))
+        entry[1].append(i)
+    return _SiteRows(
+        coords, U if coords is None else None, [(f, np.array(idx)) for f, idx in groups.values()]
+    )
+
+
+def _serial_sweep(
+    work: MomentGaussian, sites: list[Site], tau: np.ndarray, nu: np.ndarray, on_downdate_failure: str
+) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Refit the sites in turn, refreshing the work state after each.  The
+    sites keep their start-of-sweep parameters: a cavity reads only its own
+    site's.  Returns the refit (tau, nu) and the skipped sites' errors."""
+    tau, nu = tau.copy(), nu.copy()
+    errors: dict[int, Exception] = {}
+    for i, s in enumerate(sites):
+        try:
+            cav = cavity(work, s)
+            new = update_site(s, cav, site_moments(s, cav))
+            refresh_global(work, s, (s.K_i, s.h_i), new)
+        except (CavityInvalid, DegenerateSupport, NotPositiveDefinite, DowndateFailed) as exc:
+            if isinstance(exc, DowndateFailed) and on_downdate_failure == "abort":
+                raise
+            errors[i] = exc
+            continue
+        tau[i], nu[i] = new[0][0, 0], new[1][0]
+    return tau, nu, errors
+
+
+def _parallel_sweep(
+    work: MomentGaussian, sites: list[Site], rows: _SiteRows, tau: np.ndarray, nu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Refit every site from the work state in array form, with the rules of
+    cavity, site_moments and update_site applied elementwise.  Returns the
+    refit (tau, nu) and the skipped sites' errors."""
+    if rows.coords is not None:
+        v = np.diagonal(work.C)[rows.coords]
+        m = work.mu[rows.coords]
+    else:
+        v = np.sum(rows.U @ work.C * rows.U, axis=1)
+        m = rows.U @ work.mu
+    errors: dict[int, Exception] = {}
+
+    # cavities: invalid, flat or proper, as in cavity()
+    valid = v > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_sd = 1.0 / np.sqrt(np.where(valid, v, 1.0))
+        marg_prec = inv_sd * inv_sd
+        prec = marg_prec - tau
+        eta = marg_prec * m - nu
+        tol = CAVITY_RTOL * marg_prec
+        negative = valid & (prec < -tol)
+        flat = valid & ~negative & (np.abs(prec) <= tol)
+    proper = valid & ~negative & ~flat
+    for i in np.flatnonzero(~valid).tolist():
+        errors[i] = _variance_not_positive(float(v[i]))
+    for i in np.flatnonzero(negative).tolist():
+        errors[i] = _negative_cavity(float(prec[i]))
+    cav_prec = np.where(flat, 0.0, prec)
+
+    # tilted moments: flat cavities one by one, the rest one call per family
+    mean = np.full(len(sites), np.nan)
+    var = np.full(len(sites), np.nan)
+    for i in np.flatnonzero(flat).tolist():
+        try:
+            tm = sites[i].family.moments_flat(float(eta[i]))
+        except DegenerateSupport as exc:
+            errors[i] = exc
+            continue
+        mean[i], var[i] = tm.mean, tm.var
+    for family, idx in rows.groups:
+        sel = idx[proper[idx]]
+        if sel.size:
+            v_hat = 1.0 / prec[sel]
+            tm = family.moments_many(eta[sel] * v_hat, v_hat)
+            mean[sel], var[sel] = tm.mean, tm.var
+            for k, exc in tm.errors.items():
+                errors[int(sel[k])] = exc
+
+    # site update, as in update_site
+    fitted = flat | proper
+    fitted[list(errors)] = False
+    bad = fitted & ~((var > 0.0) & (var < math.inf))
+    for i in np.flatnonzero(bad).tolist():
+        errors[i] = _tilted_variance_not_pd(float(var[i]))
+    fit = np.flatnonzero(fitted & ~bad)
+    inv_sd = 1.0 / np.sqrt(var[fit])  # rounds as in cavity
+    prec_new = inv_sd * inv_sd
+    tau, nu = tau.copy(), nu.copy()
+    tau[fit] = prec_new - cav_prec[fit]
+    nu[fit] = prec_new * mean[fit] - eta[fit]
+    return tau, nu, errors
 
 
 def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = None) -> EPResult:
@@ -283,12 +435,13 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
 
     Each sweep refits every site from its cavity.  Serial mode refreshes the
     moment-form work state after every site; parallel mode computes every
-    refit from the start-of-sweep state.  Refits are written to the sites at
-    the end of the sweep, which is exact in serial mode too: a cavity reads
-    only its own site's parameters.  Either mode then reassembles the global
-    from the sites and inverts it once; that snapshot is the sweep's history
-    entry and the next sweep's work state.  Sites are updated in place
-    (callers wanting a cold start should pass fresh sites).
+    refit from the start-of-sweep state, in array form.  The refit
+    parameters are written to the sites at the end of the sweep.  Either
+    mode then reassembles the global from the sites and inverts it once;
+    that snapshot is the sweep's history entry and the next sweep's work
+    state.  A sweep converges when no refit site moved by ``site_tol`` or
+    more and no site was skipped.  Sites are updated in place (callers
+    wanting a cold start should pass fresh sites).
 
     Raises
     ------
@@ -305,27 +458,27 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     cov_history = [snap.C if keep_full_cov else np.diag(snap.C).copy()]
     # the work state: one buffer for the whole run, reset from every snapshot
     work = MomentGaussian(snap.mu.copy(), snap.C.copy())
+    rows = _site_rows(sites, base.n) if opts.sweep_mode == "parallel" else None
+    tau = np.array([s.K_i[0, 0] for s in sites])
+    nu = np.array([s.h_i[0] for s in sites])
     metrics: list[SweepMetrics] = []
     skipped: list[SkippedSite] = []
     converged = False
 
     for sweep in range(1, opts.max_sweeps + 1):
-        refits: list[tuple[Site, tuple[np.ndarray, np.ndarray]]] = []
-        for i, s in enumerate(sites):
-            try:
-                cav = cavity(work, s)
-                new = update_site(s, cav, site_moments(s, cav))
-                if opts.sweep_mode == "serial":
-                    refresh_global(work, s, (s.K_i, s.h_i), new)
-            except (CavityInvalid, DegenerateSupport, NotPositiveDefinite, DowndateFailed) as exc:
-                if isinstance(exc, DowndateFailed) and opts.on_downdate_failure == "abort":
-                    raise
-                skipped.append(SkippedSite(sweep, i, f"{type(exc).__name__}: {exc}"))
-                continue
-            refits.append((s, new))
-        max_change = max([0.0] + [_rel_change(s, new) for s, new in refits])
-        for s, (K_i, h_i) in refits:
-            s.K_i, s.h_i = K_i, h_i
+        if rows is None:
+            new_tau, new_nu, errors = _serial_sweep(work, sites, tau, nu, opts.on_downdate_failure)
+        else:
+            new_tau, new_nu, errors = _parallel_sweep(work, sites, rows, tau, nu)
+        skipped += [SkippedSite(sweep, i, f"{type(errors[i]).__name__}: {errors[i]}") for i in sorted(errors)]
+        refit = np.ones(len(sites), dtype=bool)
+        refit[list(errors)] = False
+        change = np.hypot(new_tau - tau, new_nu - nu) / np.maximum(np.hypot(tau, nu), 1e-12)
+        max_change = float(np.max(change[refit], initial=0.0))
+        tau, nu = new_tau, new_nu
+        for s, K_i, h_i in zip(sites, tau.tolist(), nu.tolist()):
+            s.K_i[0, 0] = K_i
+            s.h_i[0] = h_i
 
         snap = moment_from_natural(assemble_global(base, sites))
         np.copyto(work.mu, snap.mu)
@@ -334,7 +487,7 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
         cov_history.append(snap.C if keep_full_cov else np.diag(snap.C).copy())
         metrics.append(SweepMetrics(sweep, max_change))
         # a sweep that skipped a site did not refit it: no convergence
-        if max_change < opts.site_tol and len(refits) == len(sites):
+        if max_change < opts.site_tol and not errors:
             converged = True
             break
 

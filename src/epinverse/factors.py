@@ -38,6 +38,18 @@ class TiltedMoments:
     var: float
 
 
+@dataclass(frozen=True)
+class TiltedMomentsMany:
+    """Elementwise tilted moments.  ``errors`` maps the position of every
+    element without reachable mass to its DegenerateSupport; logZ, mean and
+    var are NaN there."""
+
+    logZ: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
+    errors: dict[int, DegenerateSupport]
+
+
 # ---------------------------------------------------------------------------
 # standardized truncated-normal kernel
 # ---------------------------------------------------------------------------
@@ -151,6 +163,109 @@ def trunc_gauss_std(a: float, b: float) -> tuple[float, float, float, float, flo
     return logz, mean, var, mma, mmb
 
 
+# Array forms of the kernels above: the same regimes and the same arithmetic,
+# selected by masks, so each element agrees with the scalar kernel to
+# roundoff.
+
+def _mills_tail_many(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_mills_tail elementwise.  The terms nxt_k = (2k+1)!! t^k of every
+    element are one cumulative product over k, and each element's two
+    alternating sums are read off their cumulative sums where its series
+    stops (the first nxt_k < 1e-19, or k = 500), as in the scalar loop."""
+    t = 1.0 / (alpha * alpha)
+    odd = 2.0 * np.arange(1, 501) + 1.0
+    # the largest t runs longest; no series needs more terms than it
+    small = np.cumprod(odd * np.max(t)) < 1e-19
+    n_terms = int(np.argmax(small)) + 1 if small.any() else 500
+    nxt = np.cumprod(odd[:n_terms] * t[:, None], axis=1)
+    small = nxt < 1e-19
+    stop = np.where(small.any(axis=1), np.argmax(small, axis=1), n_terms - 1)
+    term = np.hstack([np.ones((len(t), 1)), nxt[:, :-1]])
+    sign = np.where(np.arange(n_terms) % 2 == 0, 1.0, -1.0)
+    rows = np.arange(len(t))
+    s_over_t = np.cumsum(sign * term, axis=1)[rows, stop]
+    w = np.cumsum(sign * nxt, axis=1)[rows, stop]
+    s_val = s_over_t * t
+    delta = alpha * s_val / (1.0 - s_val)
+    var = (w - s_val) / (1.0 - s_val) - delta * delta
+    logz = -0.5 * alpha * alpha - np.log(alpha) - _LOG_SQRT_2PI + np.log1p(-s_val)
+    return logz, delta, var
+
+
+def _far_tail_many(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_far_tail_two_sided elementwise, as one (k, 64) Gauss-Legendre product."""
+    umax = np.minimum(b - a, 45.0 / a)[:, None]
+    u = 0.5 * umax * (_GL_NODES + 1.0)
+    wt = 0.5 * umax * _GL_WEIGHTS
+    f = np.exp(-a[:, None] * u - 0.5 * u * u) * wt
+    i0 = np.sum(f, axis=1)
+    mma = np.sum(u * f, axis=1) / i0
+    var = np.sum(u * u * f, axis=1) / i0 - mma * mma
+    logz = -0.5 * a * a - _LOG_SQRT_2PI + np.log(i0)
+    mean = a + mma
+    return logz, mean, var, mma, mean - b
+
+
+def trunc_gauss_std_many(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """trunc_gauss_std elementwise over 1-D arrays of bounds.
+
+    Raises
+    ------
+    ValueError
+        If any interval is empty (or a bound is NaN).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not np.all(a < b):
+        raise ValueError("empty truncation interval")
+    logz = np.zeros_like(a)
+    mean = np.zeros_like(a)
+    var = np.ones_like(a)
+    mma = np.full_like(a, math.inf)
+    mmb = np.full_like(a, -math.inf)
+
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        proper = ~((a == -math.inf) & (b == math.inf))
+        mirrored = proper & ((a == -math.inf) | ((b != math.inf) & (a + b < 0.0)))
+        lo = np.where(mirrored, -b, a)  # now lo is finite and the mass hugs it
+        hi = np.where(mirrored, -a, b)
+        one_sided = proper & (hi == math.inf)
+        two_sided = proper & ~one_sided
+        i = np.flatnonzero(one_sided & (lo >= 10.0))
+        if i.size:
+            logz[i], mma[i], var[i] = _mills_tail_many(lo[i])
+            mean[i] = lo[i] + mma[i]
+        i = np.flatnonzero(one_sided & (lo < 10.0))
+        if i.size:
+            x = lo[i]
+            logz[i] = log_ndtr(-x)
+            h = math.sqrt(2.0 / math.pi) / erfcx(x / _SQRT2)
+            mean[i] = h
+            var[i] = 1.0 + x * h - h * h
+            mma[i] = h - x
+        i = np.flatnonzero(two_sided & (lo >= 10.0))
+        if i.size:
+            logz[i], mean[i], var[i], mma[i], mmb[i] = _far_tail_many(lo[i], hi[i])
+        i = np.flatnonzero(two_sided & (lo < 10.0))
+        if i.size:
+            x, y = lo[i], hi[i]
+            la = log_ndtr(-x)
+            lz = la + np.log1p(-np.exp(log_ndtr(-y) - la))
+            ra = np.exp(-0.5 * x * x - _LOG_SQRT_2PI - lz)
+            rb = np.exp(-0.5 * y * y - _LOG_SQRT_2PI - lz)
+            mn = ra - rb
+            logz[i], mean[i] = lz, mn
+            var[i] = 1.0 + x * ra - y * rb - mn * mn
+            mma[i], mmb[i] = mn - x, mn - y
+    return (
+        logz,
+        np.where(mirrored, -mean, mean),
+        var,
+        np.where(mirrored, -mmb, mma),
+        np.where(mirrored, -mma, mmb),
+    )
+
+
 def _trunc_exp_moments(c: float, big_d: float) -> tuple[float, float]:
     """Mean and variance of u ~ Exp(c) truncated to (0, D]; D may be inf."""
     if big_d == math.inf:
@@ -180,6 +295,24 @@ class FactorFamily(ABC):
     @abstractmethod
     def moments(self, m, v) -> TiltedMoments:
         """Tilted moments against the Gaussian N(s; m, v)."""
+
+    def moments_many(self, m: np.ndarray, v: np.ndarray) -> TiltedMomentsMany:
+        """Tilted moments against N(s; m[k], v[k]) for every k.
+
+        An element without reachable mass (DegenerateSupport) is reported in
+        ``errors``; any other exception propagates.  This default calls
+        ``moments`` once per element.
+        """
+        out = np.full((3, len(m)), np.nan)
+        errors: dict[int, DegenerateSupport] = {}
+        for k, (mk, vk) in enumerate(zip(np.asarray(m).tolist(), np.asarray(v).tolist())):
+            try:
+                tm = self.moments(mk, vk)
+            except DegenerateSupport as exc:
+                errors[k] = exc
+                continue
+            out[:, k] = tm.logZ, tm.mean, tm.var
+        return TiltedMomentsMany(out[0], out[1], out[2], errors)
 
     def moments_flat(self, eta: float = 0.0) -> TiltedMoments:
         """Tilted moments against an improper flat cavity e^{eta s}.
@@ -218,6 +351,9 @@ class LaplacePositivityFactor(FactorFamily):
 
     def moments(self, m: float, v: float) -> TiltedMoments:
         return moments_laplace_positivity(self, m, v)
+
+    def moments_many(self, m: np.ndarray, v: np.ndarray) -> TiltedMomentsMany:
+        return moments_laplace_positivity_many(self, m, v)
 
     def moments_flat(self, eta: float = 0.0) -> TiltedMoments:
         lam, b, lo = self.lam, self.sigma_bg, self.floor
@@ -297,11 +433,15 @@ def _combine_pieces(pieces: list[tuple[float, float, float]], ref: float) -> Til
     vars_ = np.array([p[2] for p in pieces])
     logz = float(np.logaddexp.reduce(logws))
     if logz < LOGZ_FLOOR or not math.isfinite(logz):
-        raise DegenerateSupport(f"no numerically reachable mass (logZ = {logz:.1f})")
+        raise _unreachable(logz)
     pis = np.exp(logws - logz)
     off_bar = float(pis @ offs)
     var = float(pis @ (vars_ + (offs - off_bar) ** 2))
     return TiltedMoments(logz, ref + off_bar, var)
+
+
+def _unreachable(logz: float) -> DegenerateSupport:
+    return DegenerateSupport(f"no numerically reachable mass (logZ = {logz:.1f})")
 
 
 def moments_laplace_positivity(f: LaplacePositivityFactor, m: float, v: float) -> TiltedMoments:
@@ -341,6 +481,53 @@ def moments_laplace_positivity(f: LaplacePositivityFactor, m: float, v: float) -
         pieces.append((logw2, (b - m) + sd * mmb2, v * var2))
 
     return _combine_pieces(pieces, m)
+
+
+def moments_laplace_positivity_many(
+    f: LaplacePositivityFactor, m: np.ndarray, v: np.ndarray
+) -> TiltedMomentsMany:
+    """moments_laplace_positivity elementwise over 1-D arrays (m, v): the
+    same two pieces through trunc_gauss_std_many, recombined with
+    np.logaddexp.  Elements with logZ < LOGZ_FLOOR or a non-finite logZ are
+    reported in ``errors`` with the scalar kernel's DegenerateSupport."""
+    m = np.asarray(m, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not np.all(v > 0.0):
+        raise ValueError("cavity variance must be positive")
+    lam, b, lo = f.lam, f.sigma_bg, f.floor
+    if lam == 0.0 and lo == -math.inf:
+        return TiltedMomentsMany(np.zeros_like(m), m.copy(), v.copy(), {})
+    # elements without reachable mass may pass through inf - inf on their way
+    # to the flag below
+    with np.errstate(invalid="ignore", over="ignore"):
+        sd = np.sqrt(v)
+        half = 0.5 * lam * lam * v
+        a1 = max(lo, b)
+        alpha1 = (a1 - m + lam * v) / sd
+        logz1, _, var1, mma1, _ = trunc_gauss_std_many(alpha1, np.full_like(m, math.inf))
+        logw1 = half + lam * (b - m) + logz1
+        off1 = (a1 - m) + sd * mma1
+        var1 = v * var1
+        if lo < b:
+            alpha2 = (lo - m - lam * v) / sd if lo != -math.inf else np.full_like(m, -math.inf)
+            beta2 = (b - m - lam * v) / sd
+            logz2, _, var2, _, mmb2 = trunc_gauss_std_many(alpha2, beta2)
+            logw2 = half + lam * (m - b) + logz2
+            off2 = (b - m) + sd * mmb2
+            var2 = v * var2
+            logz = np.logaddexp(logw1, logw2)
+            p1 = np.exp(logw1 - logz)
+            p2 = np.exp(logw2 - logz)
+            off_bar = p1 * off1 + p2 * off2
+            var = p1 * (var1 + (off1 - off_bar) ** 2) + p2 * (var2 + (off2 - off_bar) ** 2)
+        else:
+            logz, off_bar, var = logw1, off1, var1
+        mean = m + off_bar
+    bad = ~np.isfinite(logz) | (logz < LOGZ_FLOOR)
+    errors = {k: _unreachable(float(logz[k])) for k in np.flatnonzero(bad).tolist()}
+    if errors:
+        logz, mean, var = (np.where(bad, np.nan, x) for x in (logz, mean, var))
+    return TiltedMomentsMany(logz, mean, var, errors)
 
 
 def moments_quadrature(

@@ -152,3 +152,16 @@ def test_woodbury_identity(n, l):
     wood = Ainv - Ainv @ W @ np.linalg.inv(np.eye(l) + W.T @ Ainv @ W) @ W.T @ Ainv
     rel = np.linalg.norm(inverse(F) - wood) / np.linalg.norm(wood)
     assert rel <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_inverse_is_exactly_symmetric_and_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    A = random_spd(n, rng)
+    F = cholesky(A)
+    L = F.L.copy()
+    inv = inverse(F)
+    assert inv.flags["C_CONTIGUOUS"] and np.array_equal(inv, inv.T)
+    np.testing.assert_allclose(inv, np.linalg.inv(A), rtol=1e-10, atol=1e-12 * np.abs(inv).max())
+    np.testing.assert_allclose(inv @ A, np.eye(n), atol=1e-10)
+    assert np.array_equal(F.L, L)  # the factor is not touched

@@ -374,7 +374,7 @@ def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, co
     assert main([command, "--config", write_cfg(tmp_path / "c.cfg", **keys, out=out)]) == 2
     s = load_summary(out)
     assert s["ok"] is False and s["error"] == code
-    assert s["schema_version"] == 2
+    assert s["schema_version"] == 3
 
 
 @pytest.fixture(scope="module")
@@ -445,3 +445,136 @@ def test_unexpected_failure_writes_internal_error(tmp_path, monkeypatch):
     s = load_summary(out)
     assert s["ok"] is False and s["error"] == "internal"
     assert "Traceback" in s["error_detail"] and "boom" in s["error_detail"]
+
+
+# ---------------------------------------------------------------------------
+# output writers, BLAS threads and the default sweep mode
+# ---------------------------------------------------------------------------
+
+def test_matrix_csv_writer_matches_the_per_cell_format(tmp_path):
+    import epinverse.cli as cli
+
+    M = np.array(
+        [
+            [np.nan, np.inf, -np.inf, -0.0],
+            [5e-324, 2.2250738585072014e-308, 1.0 / 3.0, -1e300],
+            [0.0, 1.0, -2.5e-17, 123456789.0],
+        ]
+    )
+    cli._write_matrix_csv(tmp_path / "m.csv", M)
+    want = "\n".join(",".join(f"{v:.17e}" for v in row) for row in M) + "\n"
+    assert (tmp_path / "m.csv").read_bytes() == want.encode()
+    cli._write_matrix_csv(tmp_path / "col.csv", M[:, :1])
+    assert (tmp_path / "col.csv").read_text() == "".join(f"{v:.17e}\n" for v in M[:, 0])
+
+
+def test_blas_runs_on_one_thread_after_main_when_unset(tmp_path, monkeypatch):
+    import epinverse.cli as cli
+
+    if not cli._openblas_entry_points():
+        pytest.skip("no bundled OpenBLAS to pin")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    out = tmp_path / "ep"
+    assert main(["ep", "--config", write_cfg(tmp_path / "e.cfg", **LINEAR_6x4, out=out)]) == 0
+    assert [int(get()) for _, get in cli._openblas_entry_points()] == [1] * len(cli._openblas_entry_points())
+    s = load_summary(out)
+    assert s["blas_threads"] == 1 and s["schema_version"] == 3
+
+
+@pytest.mark.parametrize("var", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_blas_thread_environment_variables_override_the_pin(tmp_path, monkeypatch, var):
+    import epinverse.cli as cli
+
+    calls = []
+    fake = ((calls.append, lambda: 4), (calls.append, lambda: 3))
+    monkeypatch.setattr(cli, "_openblas_entry_points", lambda: fake)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    if var:
+        monkeypatch.setenv(var, "4")
+    out = tmp_path / "ep"
+    assert main(["ep", "--config", write_cfg(tmp_path / "e.cfg", **LINEAR_6x4, out=out)]) == 0
+    assert calls == ([] if var else [1, 1])
+    assert load_summary(out)["blas_threads"] == 4
+
+
+def test_blas_threads_is_null_without_a_bundled_openblas(tmp_path, monkeypatch):
+    import epinverse.cli as cli
+
+    monkeypatch.setattr(cli, "_openblas_entry_points", lambda: ())
+    out = tmp_path / "bad"
+    assert main(["ep", "--config", write_cfg(tmp_path / "b.cfg", problem="nope", out=out)]) == 2
+    s = load_summary(out)
+    assert s["error"] == "bad_problem" and s["blas_threads"] is None
+
+
+@pytest.fixture(scope="module")
+def desk_scale(tmp_path_factory):
+    """The criterion-7 inputs made through the CLI: a ~300-node inversion
+    mesh, and data from a 1200-node mesh with one inclusion at a quarter of
+    the background, noise seed 42."""
+    from epinverse.eit import SIGMA_BG
+
+    root = tmp_path_factory.mktemp("desk")
+    assert main(["mesh", "--config", write_cfg(root / "mesh.cfg", target_nodes=300, out=root)]) == 0
+    synth_cfg = write_cfg(
+        root / "synth.cfg",
+        fine_target_nodes=1200,
+        inclusion_cx=0.05,
+        inclusion_cy=0.02,
+        inclusion_radius=0.035,
+        inclusion_value=repr(0.25 * SIGMA_BG),
+        seed=42,
+        out=root / "synth",
+    )
+    assert main(["synth", "--config", synth_cfg]) == 0
+    return root / "mesh.txt", root / "synth" / "data.csv"
+
+
+def _desk_ep(tmp_path, desk_scale, name, **keys):
+    mesh, data = desk_scale
+    out = tmp_path / name
+    assert main(["ep", "--config", write_cfg(tmp_path / f"{name}.cfg", problem="eit", mesh=mesh,
+                                             data=data, out=out, **keys)]) == 0
+    return out
+
+
+def test_ep_desk_scale_default_keys_pass_criteria_7_and_9(tmp_path, desk_scale):
+    from epinverse.eit import SIGMA_BG, TANK_RADIUS, read_mesh
+
+    out = _desk_ep(tmp_path, desk_scale, "default")
+    s = load_summary(out)
+    assert s["ep_sweep_mode"] == "parallel"
+    # criterion 7
+    assert s["converged"] and s["outer_iterations"] <= 10 and s["total_inner_sweeps"] <= 50
+    mesh = read_mesh(desk_scale[0])
+    ids, mean = read_vec(out / "mean.csv")
+    _, std = read_vec(out / "std.csv")
+    center, rad = (0.05, 0.02), 0.035
+    inside = set(np.nonzero(np.hypot(*(mesh.nodes - center).T) <= rad)[0].tolist())
+    dilated = set(inside)
+    for t in mesh.triangles.tolist():
+        if inside.intersection(t):
+            dilated.update(t)
+    assert int(ids[np.argmax(np.abs(mean - SIGMA_BG))]) in dilated
+    r = np.hypot(*mesh.nodes[ids].T)
+    assert std[r < 0.25 * TANK_RADIUS].mean() > std[r > 0.75 * TANK_RADIUS].mean()
+    # criterion 9
+    rows = [ln.split(",") for ln in (out / "trace.csv").read_text().splitlines()[1:]]
+    by_outer: dict[int, list[float]] = {}
+    for row in rows:
+        by_outer.setdefault(int(row[0]), []).append(float(row[2]))
+    assert len(rows) == s["total_inner_sweeps"]
+    assert all(e[-1] < e[0] for e in by_outer.values() if len(e) > 1)
+    firsts = [by_outer[k][0] for k in sorted(by_outer) if k >= 2]
+    assert all(b <= a for a, b in zip(firsts, firsts[1:]))
+
+    # ep_sweep_mode = serial restores the serial schedule; the posteriors agree
+    serial = _desk_ep(tmp_path, desk_scale, "serial", ep_sweep_mode="serial")
+    s_ser = load_summary(serial)
+    assert s_ser["ep_sweep_mode"] == "serial" and s_ser["converged"]
+    _, mean_ser = read_vec(serial / "mean.csv")
+    _, std_ser = read_vec(serial / "std.csv")
+    assert np.linalg.norm(mean - mean_ser) / np.linalg.norm(mean_ser) <= 1e-4
+    assert np.linalg.norm(std - std_ser) / np.linalg.norm(std_ser) <= 1e-3

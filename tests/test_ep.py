@@ -20,8 +20,8 @@ from epinverse import (
     update_site,
 )
 from epinverse import chol, ep
-from epinverse.ep import DOWNDATE_POLICIES, site_moments
-from epinverse.errors import CavityInvalid, DowndateFailed, NotPositiveDefinite
+from epinverse.ep import DOWNDATE_POLICIES, SkippedSite, site_moments
+from epinverse.errors import CavityInvalid, DegenerateSupport, DowndateFailed, NotPositiveDefinite
 from epinverse.factors import FactorFamily, TiltedMoments
 
 
@@ -678,3 +678,155 @@ def test_run_ep_keeps_the_cholesky_loop_off_the_hot_path(monkeypatch, mode):
     sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(1.0, 0.0, -1.0)) for i in range(n)]
     res = run_ep(base, sites, EPOptions(max_sweeps=50, site_tol=1e-10, sweep_mode=mode))
     assert res.converged and not res.skipped_sites
+
+
+# ---------------------------------------------------------------------------
+# the array-form parallel sweep against a per-site oracle
+# ---------------------------------------------------------------------------
+
+class ZeroVarianceFactor(GaussianFactor1D):
+    """Reports a zero tilted variance, which update_site rejects."""
+
+    def moments(self, m, v):
+        return TiltedMoments(0.0, m, 0.0)
+
+
+def per_site_parallel_ep(base, sites, max_sweeps, site_tol):
+    """Parallel EP one site at a time: every refit comes from the
+    start-of-sweep snapshot through ep.cavity, site_moments and update_site.
+    Returns the (mean, covariance) after each sweep, the skipped sites and
+    whether the run converged."""
+    snap = moment_from_natural(assemble_global(base, sites))
+    history, skipped = [], []
+    for sweep in range(1, max_sweeps + 1):
+        refits = []
+        for i, s in enumerate(sites):
+            try:
+                cav = ep.cavity(snap, s)
+                new = ep.update_site(s, cav, ep.site_moments(s, cav))
+            except (CavityInvalid, DegenerateSupport, NotPositiveDefinite) as exc:
+                skipped.append(SkippedSite(sweep, i, f"{type(exc).__name__}: {exc}"))
+                continue
+            refits.append((s, new))
+        change = max(
+            [0.0]
+            + [
+                math.hypot(K[0, 0] - s.K_i[0, 0], h[0] - s.h_i[0]) / max(math.hypot(s.K_i[0, 0], s.h_i[0]), 1e-12)
+                for s, (K, h) in refits
+            ]
+        )
+        for s, (K, h) in refits:
+            s.K_i, s.h_i = K, h
+        snap = moment_from_natural(assemble_global(base, sites))
+        history.append((snap.mu, snap.C))
+        if change < site_tol and len(refits) == len(sites):
+            return history, skipped, True
+    return history, skipped, False
+
+
+def _site_params(sites):
+    return np.array([[s.K_i[0, 0], s.h_i[0]] for s in sites])
+
+
+def _spd_base(n, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    return NaturalGaussian(scale * rng.standard_normal(n), M.T @ M + np.eye(n))
+
+
+def _zero_block_base(n, seed):
+    # coordinate 0 is decoupled and has no base precision: with K_i = 1 the
+    # site holds its whole marginal precision, so its cavity is flat
+    g = _spd_base(n, seed)
+    K = g.K.copy()
+    K[0, :] = K[:, 0] = 0.0
+    return NaturalGaussian(np.concatenate([[0.0], g.h[1:]]), K)
+
+
+def _parallel_cases():
+    lap = LaplacePositivityFactor(1.0, 0.0, -1.0)
+    rng = np.random.default_rng(23)
+    rows = rng.standard_normal((7, 5)) / math.sqrt(5)
+    mixed = [lap, LaplacePositivityFactor(3.0, 0.2, -math.inf), GaussianFactor1D(0.3, 0.5),
+             BimodalFactor(1.0, 0.3), lap, GaussianFactor1D(-0.2, 2.0), LaplacePositivityFactor(0.5, 0.0)]
+    return {
+        # the CLI's layout: one unit row per unknown, one shared family
+        "coordinate_rows": lambda: (
+            _spd_base(6, 1), [Site(np.eye(1, 6, i), lap) for i in range(6)]),
+        "dense_rows_mixed_families": lambda: (
+            _spd_base(5, 2), [Site(u, f) for u, f in zip(rows, mixed)]),
+        "unit_and_dense_rows": lambda: (
+            _spd_base(4, 3), [Site(np.eye(1, 4, i), lap) for i in range(4)] + [Site(rows[0, :4], lap)]),
+        # one nonzero per row, but not a unit vector: not a coordinate site
+        "scaled_coordinate_rows": lambda: (
+            _spd_base(4, 5), [Site(0.5 * np.eye(1, 4, i), lap) for i in range(4)]),
+        "flat_cavity": lambda: (
+            _zero_block_base(4, 4),
+            [Site(np.eye(1, 4, i), LaplacePositivityFactor(1.5, 0.2, -1.0)) for i in range(4)]),
+        "skips": lambda: (
+            NaturalGaussian(np.array([0.0, 0.3, 0.0, 0.1]), np.diag([1.0, 1.0, 1.0, 2.0])),
+            [
+                Site(np.eye(1, 4, 0), lap, K_i=[[3.0]]),  # with the next site: CavityInvalid
+                Site(np.eye(1, 4, 0), lap, K_i=[[-2.0]]),
+                Site(np.eye(1, 4, 1), LaplacePositivityFactor(1.0, 0.0, floor=60.0)),  # DegenerateSupport
+                Site(np.eye(1, 4, 2), ZeroVarianceFactor(0.0, 1.0)),  # NotPositiveDefinite
+                Site(np.eye(1, 4, 3), lap),
+                Site(np.eye(1, 4, 2), lap),
+            ]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_parallel_cases()))
+def test_parallel_sweep_matches_per_site_oracle(case):
+    make = _parallel_cases()[case]
+    base, sites = make()
+    _, oracle_sites = make()
+    sweeps = 4
+    if case == "flat_cavity":
+        assert cavity(make_work(base.h, base.K + np.diag([1.0, 1.0, 1.0, 1.0])), sites[0]).is_flat
+    want, want_skipped, want_converged = per_site_parallel_ep(base, oracle_sites, sweeps, 1e-300)
+    res = run_ep(base, sites, EPOptions(max_sweeps=sweeps, site_tol=1e-300, sweep_mode="parallel"))
+    assert res.skipped_sites == want_skipped
+    assert (case == "skips") == bool(want_skipped)
+    assert res.converged == want_converged and res.sweeps_used == len(want)
+    assert _rel(_site_params(sites), _site_params(oracle_sites)) <= 1e-12
+    for k, (mu, C) in enumerate(want, start=1):
+        assert _rel(res.mean_history[k], mu) <= 1e-12
+        assert _rel(res.cov_history[k], C) <= 1e-12
+
+
+def test_parallel_sweep_with_a_skip_does_not_converge():
+    base, sites = _parallel_cases()["skips"]()
+    res = run_ep(base, sites, EPOptions(max_sweeps=3, site_tol=1e300, sweep_mode="parallel"))
+    assert not res.converged and res.sweeps_used == 3
+    reasons = {sk.reason.split(":")[0] for sk in res.skipped_sites}
+    assert reasons == {"CavityInvalid", "DegenerateSupport", "NotPositiveDefinite"}
+    # the skipped sites keep their parameters
+    assert sites[2].K_i[0, 0] == 1.0 and sites[3].K_i[0, 0] == 1.0
+
+
+def test_parallel_sweep_uses_no_per_site_kernel(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("per-site kernel called in a parallel sweep")
+
+    for name in ("cavity", "site_moments", "update_site", "refresh_global"):
+        monkeypatch.setattr(ep, name, boom)
+    monkeypatch.setattr(LaplacePositivityFactor, "moments", boom)
+    base, sites = _parallel_cases()["coordinate_rows"]()
+    res = run_ep(base, sites, EPOptions(max_sweeps=50, site_tol=1e-10, sweep_mode="parallel"))
+    assert res.converged and not res.skipped_sites
+
+
+def test_sum_sites_adds_sites_on_one_coordinate():
+    rng = np.random.default_rng(12)
+    base = _spd_base(4, 12)
+    coords = [0, 2, 2, 3, 0]
+    sites = [Site(np.eye(1, 4, c), LaplacePositivityFactor(1.0, 0.0), K_i=[[rng.uniform(-0.5, 2.0)]],
+                  h_i=[rng.normal()]) for c in coords]
+    K, h = ep._sum_sites(base, sites)
+    U = np.vstack([s.U for s in sites])
+    tau, nu = _site_params(sites).T
+    assert ep._coordinates(U).tolist() == coords
+    np.testing.assert_allclose(K, base.K + U.T @ (tau[:, None] * U), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(h, base.h + U.T @ nu, rtol=1e-14, atol=0.0)
+    assert K[2, 2] == pytest.approx(base.K[2, 2] + tau[1] + tau[2], rel=1e-15)

@@ -10,7 +10,8 @@ from epinverse import (
     moments_laplace_positivity,
     moments_quadrature,
 )
-from epinverse.factors import trunc_gauss_std
+from epinverse import factors
+from epinverse.factors import trunc_gauss_std, trunc_gauss_std_many
 
 
 def rel(a, b, scale=0.0):
@@ -273,3 +274,117 @@ def test_flat_moments_negative_tilt_and_divergence():
     tm = g.moments_flat(-2.0)
     assert tm.mean == pytest.approx(0.5, rel=1e-12)
     assert tm.var == pytest.approx(0.25, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array kernels against the scalar ones
+# ---------------------------------------------------------------------------
+
+def test_trunc_std_many_matches_scalar_on_every_branch():
+    # whole line, one-sided (core and Mills, plain and mirrored), two-sided
+    # (core and far tail, plain and mirrored), and narrow intervals
+    bounds = [-math.inf, -300.0, -40.0, -12.0, -10.0, -3.0, -0.5, 0.0, 1e-9, 0.5, 3.0,
+              9.999, 10.0, 10.5, 12.0, 40.0, 40.001, 300.0, math.inf]
+    pairs = [(a, b) for a in bounds for b in bounds if a < b]
+    a = np.array([p[0] for p in pairs])
+    b = np.array([p[1] for p in pairs])
+    many = trunc_gauss_std_many(a, b)
+    for k, (ak, bk) in enumerate(pairs):
+        ref = trunc_gauss_std(ak, bk)
+        for name, want, got in zip(("logZ", "mean", "var", "mean-a", "mean-b"), ref, many):
+            if math.isinf(want):
+                assert got[k] == want, (ak, bk, name)
+            else:
+                assert rel(got[k], want, scale=1e-300) <= 1e-12, (ak, bk, name, got[k], want)
+
+
+def test_trunc_std_many_rejects_an_empty_interval():
+    with pytest.raises(ValueError, match="empty"):
+        trunc_gauss_std_many(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+
+LAPLACE_REGIMES = {
+    # name: (lam, bg, floor, v, cavity means, scalar tail kernel the grid reaches)
+    "core": (1.0, 0.0, -1.0, 1.0, np.linspace(-3.0, 3.0, 13), None),
+    "mills_tail": (1.0, 0.0, 0.0, 1.0, np.array([-9.5, -12.0, -20.0, -30.0]), "_mills_tail"),
+    "far_tail_two_sided": (1.0, 0.0, -1.0, 1.0, np.array([-12.0, -25.0, -35.0]), "_far_tail_two_sided"),
+    "mirrored_far_tail": (30.0, 0.0, -1.0, 1.0, np.array([-2.0, 0.0, 0.5, 3.0]), "_far_tail_two_sided"),
+    "mirrored_mills_tail": (30.0, 0.0, -math.inf, 1.0, np.array([-5.0, 0.0, 5.0, 15.0]), "_mills_tail"),
+    "mirrored_core": (1.0, 0.0, -1.0, 1.0, np.array([0.0, 0.2, 0.6]), None),
+    "no_floor": (2.0, 0.5, -math.inf, 0.3, np.linspace(-4.0, 4.0, 9), None),
+    "floor_at_bg": (2.0, 0.5, 0.5, 0.3, np.linspace(-4.0, 4.0, 9), None),
+    "floor_above_bg": (2.0, 0.5, 1.5, 0.3, np.linspace(-4.0, 4.0, 9), None),
+    "lam_zero": (0.0, 0.5, 0.0, 2.0, np.linspace(-4.0, 4.0, 9), None),
+    "lam_zero_no_floor": (0.0, 0.5, -math.inf, 2.0, np.linspace(-4.0, 4.0, 9), None),
+    "degenerate": (1.0, 0.0, 60.0, 1.0, np.array([0.0, 20.0, 30.0, 61.0]), None),
+}
+
+
+@pytest.mark.parametrize("regime", LAPLACE_REGIMES)
+def test_laplace_moments_many_matches_scalar(regime, monkeypatch):
+    lam, bg, floor, v, means, tail_kernel = LAPLACE_REGIMES[regime]
+    f = LaplacePositivityFactor(lam, bg, floor)
+    sd = math.sqrt(v)
+    many = f.moments_many(means, np.full(len(means), v))
+    if tail_kernel is not None:
+        calls = []
+        kernel = getattr(factors, tail_kernel)
+        monkeypatch.setattr(factors, tail_kernel, lambda *a: calls.append(a) or kernel(*a))
+    degenerate = []
+    for k, m in enumerate(means.tolist()):
+        try:
+            tm = f.moments(m, v)
+        except DegenerateSupport as exc:
+            degenerate.append(k)
+            assert str(many.errors[k]) == str(exc)
+            assert np.isnan([many.logZ[k], many.mean[k], many.var[k]]).all()
+            continue
+        assert rel(many.mean[k], tm.mean, scale=sd) <= 1e-10, (m, many.mean[k], tm.mean)
+        assert rel(many.var[k], tm.var) <= 1e-10, (m, many.var[k], tm.var)
+        assert rel(many.logZ[k], tm.logZ, scale=1.0) <= 1e-10, (m, many.logZ[k], tm.logZ)
+    assert sorted(many.errors) == degenerate
+    assert (regime == "degenerate") == bool(degenerate) and len(degenerate) < len(means)
+    if tail_kernel is not None:
+        assert calls, f"the grid does not reach {tail_kernel}"
+
+
+def test_laplace_moments_many_criterion_4_grid_vs_quadrature():
+    # the criterion-4 grid, one array call per factor
+    bg = 0.7
+    worst, count = 0.0, 0
+    dm_svs = np.array([-5.0, -1.0, 0.0, 1.0, 5.0])
+    for lam_sv in (1e-2, 1.0, 10.0, 1e2, 1e3):
+        for floor_kind in ("none", "far", "near", "at_bg"):
+            for v in (0.25, 4.0):
+                sd = math.sqrt(v)
+                floor = {"none": -math.inf, "far": bg - 5.0 * sd, "near": bg - 0.5 * sd, "at_bg": bg}[floor_kind]
+                f = LaplacePositivityFactor(lam_sv / sd, bg, floor)
+                ms = bg + dm_svs * sd
+                many = f.moments_many(ms, np.full(len(ms), v))
+                assert not many.errors
+                for k, m in enumerate(ms.tolist()):
+                    ora = moments_quadrature(f, m, v)
+                    worst = max(worst, rel(many.mean[k], ora.mean, scale=sd), rel(many.var[k], ora.var))
+                    count += 1
+    assert count == 200
+    assert worst <= 1e-9
+
+
+class _FlakyGaussian(GaussianFactor1D):
+    """Has no reachable mass for cavity means above 10."""
+
+    def moments(self, m, v):
+        if m > 10.0:
+            raise DegenerateSupport(f"mean {m} out of reach")
+        return super().moments(m, v)
+
+
+def test_default_moments_many_loops_the_scalar_kernel():
+    f = _FlakyGaussian(0.3, 0.7)
+    ms, vs = np.array([-1.0, 11.0, 0.5]), np.array([0.5, 1.0, 2.0])
+    many = f.moments_many(ms, vs)
+    assert list(many.errors) == [1] and str(many.errors[1]) == "mean 11.0 out of reach"
+    assert np.isnan([many.logZ[1], many.mean[1], many.var[1]]).all()
+    for k in (0, 2):
+        tm = f.moments(ms[k], vs[k])
+        assert (many.logZ[k], many.mean[k], many.var[k]) == (tm.logZ, tm.mean, tm.var)
