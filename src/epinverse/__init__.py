@@ -38,10 +38,7 @@ from .ep import (
     EPResult,
     Site,
     SweepMetrics,
-    assemble_global,
-    cavity,
     project_moments,
-    refresh_global,
     run_ep,
     update_site,
 )
@@ -57,10 +54,7 @@ __all__ = [
     "EPResult",
     "Site",
     "SweepMetrics",
-    "assemble_global",
-    "cavity",
     "project_moments",
-    "refresh_global",
     "run_ep",
     "update_site",
     "DegenerateSupport",

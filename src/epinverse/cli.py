@@ -190,9 +190,10 @@ def _read_mesh_key(cfg: dict[str, str], key: str):
 
 def _build_linear_problem(cfg: dict[str, str], seed: int):
     """Deterministic synthetic linear problem shared by ep and mcmc."""
-    m = cfgmod.get_int(cfg, "linear_m", 20)
-    n = cfgmod.get_int(cfg, "linear_n", 12)
+    m = _check_positive(cfgmod.get_int(cfg, "linear_m", 20), "linear_m")
+    n = _check_positive(cfgmod.get_int(cfg, "linear_n", 12), "linear_n")
     k_sparse = cfgmod.get_int(cfg, "linear_sparsity", 3)
+    _check(k_sparse, 0 <= k_sparse <= n, "linear_sparsity", f"lie in [0, {n}]")
     amp = cfgmod.get_float(cfg, "linear_amplitude", 1.0)
     alpha = _check_positive(cfgmod.get_float(cfg, "alpha", 400.0), "alpha")
     lam = _check_positive(cfgmod.get_float(cfg, "lambda", 2.0), "lambda")
@@ -261,10 +262,15 @@ def _ep_options(cfg: dict[str, str]) -> EPOptions:
     )
 
 
-def _check_positive(value, key: str):
-    if not value > 0.0:
-        raise ConfigKeyError(f"key {key!r} must be > 0, got {value}", f"bad_{key}")
+def _check(value, ok: bool, key: str, rule: str):
+    """``value``, or the config error ``bad_<key>`` when it breaks ``rule``."""
+    if not ok:
+        raise ConfigKeyError(f"key {key!r} must {rule}, got {value}", f"bad_{key}")
     return value
+
+
+def _check_positive(value, key: str):
+    return _check(value, value > 0.0, key, "be > 0")
 
 
 def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
@@ -276,7 +282,7 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     opts = NonlinearOptions(
         alpha=p.alpha,
         max_outer=_check_positive(cfgmod.get_int(cfg, "ep_max_outer", 10), "ep_max_outer"),
-        outer_tol=cfgmod.get_float(cfg, "ep_outer_tol", 1e-3),
+        outer_tol=_check_positive(cfgmod.get_float(cfg, "ep_outer_tol", 1e-3), "ep_outer_tol"),
         inner=inner,
         floor=p.floor if math.isfinite(p.floor) else None,
     )
@@ -320,6 +326,7 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     init_spread = cfgmod.get_float(cfg, "mcmc_init_spread", 0.0)
 
     std0 = cfgmod.get_float(cfg, "mcmc_proposal_std", p.proposal_std)
+    _check(std0, 0.0 < std0 < math.inf, "mcmc_proposal_std", "be finite and > 0")
     adapted = adapt_proposal(post, p.center, std0, pilot_steps=pilot_steps, seed=seed)
     inits = (
         overdispersed_inits(p.center, init_spread, n_chains, seed=seed, floor=p.floor)
@@ -395,6 +402,11 @@ def cmd_compare(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict
 
 
 def cmd_synth(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
+    if "noise_std" in cfg:
+        noise_std = cfgmod.get_float(cfg, "noise_std")
+        _check(noise_std, 0.0 <= noise_std < math.inf, "noise_std", "be finite and >= 0")
+    else:
+        noise_std = 1.0 / math.sqrt(_check_positive(cfgmod.get_float(cfg, "alpha", cem.ALPHA_DEFAULT), "alpha"))
     mesh_key = cfgmod.get_str(cfg, "fine_mesh", "")
     if mesh_key:
         mesh = _read_mesh_key(cfg, "fine_mesh")
@@ -417,10 +429,6 @@ def cmd_synth(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
             cfgmod.get_float(cfg, "inclusion_radius"),
             cfgmod.get_float(cfg, "inclusion_value"),
         )
-    if "noise_std" in cfg:
-        noise_std = cfgmod.get_float(cfg, "noise_std")
-    else:
-        noise_std = 1.0 / math.sqrt(cfgmod.get_float(cfg, "alpha", cem.ALPHA_DEFAULT))
     data, truth = cem.synth_data(mesh, cem_cfg, sigma_true, noise_std, seed)
     _write_data_csv(out / "data.csv", cem_cfg, data)
     _write_vector_csv(out / "sigma_true.csv", np.arange(mesh.n_nodes), sigma_true, "sigma")

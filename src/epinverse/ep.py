@@ -2,8 +2,9 @@
 projection type  t0(x) * prod_i t_i(u_i^T x).
 
 Every site acts on one projection row u_i and carries scalar natural
-parameters (tau_i, nu_i), held as the site's K_i (1 x 1) and h_i (1,) and,
-inside a run, as two arrays over all sites.  Inside a run the global Gaussian
+parameters (tau_i, nu_i), held as the site's K_i (1 x 1) and h_i (1,).  A
+run reads the sites once into a SiteSet, which holds tau and nu as arrays,
+and writes them back when it ends.  Inside a run the global Gaussian
 approximation is held in moment form, as one covariance work buffer Sigma
 and its mean mu.
 
@@ -15,12 +16,12 @@ read of the marginals (diag Sigma and mu at the sites' coordinates when every
 row is a unit vector, else the stacked-row products), one moment call per
 factor family and one vectorized site update.
 
-After every sweep of either mode the sites' parameters are written back and
-the global is assembled afresh from the sites in natural form,
-K = K0 + U^T diag(tau) U, and inverted once; that snapshot feeds the
-histories and resets the work buffer, so rounding drift is bounded by one
-sweep.  Cavities are formed in natural parameters so that exactly-flat
-cavities (decoupled factors) stay well defined.
+After every sweep of either mode the global is assembled afresh from the
+site parameters in natural form, K = K0 + U^T diag(tau) U, and inverted
+once; that snapshot feeds the histories and resets the work buffer, so
+rounding drift is bounded by one sweep.  Cavities are formed in natural
+parameters so that exactly-flat cavities (decoupled factors) stay well
+defined.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class Site:
     """One factor approximation on the projection u^T x: the row U (1 x n)
     and natural parameters K_i (1 x 1) and h_i (1,), initialized to
     K_i = 1, h_i = 0.  The site keeps its own copies of all three; run_ep
-    writes refit parameters into K_i and h_i in place.
+    writes its parameters into K_i and h_i in place when it ends.
 
     Raises
     ------
@@ -83,12 +84,12 @@ class Site:
 
 @dataclass(frozen=True)
 class CavityResult:
-    """Cavity in natural parameters: eta = mu_hat / v_hat (shape (1,)) and
-    prec = 1 / v_hat (shape (1, 1)).  A vanishing precision (flat cavity) is
-    legal and is stored as exactly zero."""
+    """Cavity in natural parameters: eta = mu_hat / v_hat and
+    prec = 1 / v_hat.  A vanishing precision (flat cavity) is legal and is
+    stored as exactly zero."""
 
-    eta: np.ndarray
-    prec: np.ndarray
+    eta: float
+    prec: float
     is_flat: bool
 
 
@@ -135,16 +136,55 @@ class EPResult:
     cov_history: list[np.ndarray]  # per-sweep C (n <= FULL_COV_MAX_N) or diagonals
 
 
-def assemble_global(base: NaturalGaussian, sites: list[Site]) -> NaturalGaussian:
-    """K = K0 + U^T diag(K_i) U and h = h0 + U^T h_i over the stacked site
-    rows U, freshly factored.
+class SiteSet:
+    """The sites of one EP run in array form: the stacked m x n rows ``U``,
+    and ``coords``, the coordinate of each row when every row is a unit
+    vector (else None); ``groups`` are the sites grouped by (equal)
+    ``family``, and ``tau`` and ``nu`` the site parameters."""
+
+    def __init__(self, sites: list[Site], n: int) -> None:
+        self.U = np.array([s.U[0] for s in sites]).reshape(len(sites), n)
+        self.coords = _coordinates(self.U)
+        self.family = [s.family for s in sites]
+        self.tau = np.array([s.K_i[0, 0] for s in sites], dtype=float)
+        self.nu = np.array([s.h_i[0] for s in sites], dtype=float)
+        groups: dict = {}
+        for i, f in enumerate(self.family):
+            try:
+                entry = groups.setdefault(f, (f, []))
+            except TypeError:  # an unhashable family is grouped by identity
+                entry = groups.setdefault(id(f), (f, []))
+            entry[1].append(i)
+        self.groups = [(f, np.array(idx)) for f, idx in groups.values()]
+
+
+def _coordinates(U: np.ndarray) -> np.ndarray | None:
+    """The coordinate each row picks out when every row of U is a unit
+    vector, else None."""
+    nonzero = U != 0.0
+    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+        return None
+    c = np.argmax(nonzero, axis=1)
+    return c if np.all(U[np.arange(len(c)), c] == 1.0) else None
+
+
+def assemble_global(base: NaturalGaussian, sites: SiteSet) -> NaturalGaussian:
+    """K = K0 + U^T diag(tau) U and h = h0 + U^T nu, freshly factored.
 
     Raises
     ------
     GlobalNotPD
         If K is not positive definite.
     """
-    K, h = _sum_sites(base, sites)
+    if sites.coords is not None:
+        # K0 + diag(tau) without the n^3 product; add.at sums repeated coordinates
+        K, h = base.K.copy(), base.h.copy()
+        np.add.at(K, (sites.coords, sites.coords), sites.tau)
+        np.add.at(h, sites.coords, sites.nu)
+    else:
+        K = sites.U.T @ (sites.tau[:, None] * sites.U)
+        K += base.K
+        h = base.h + sites.U.T @ sites.nu
     K = 0.5 * (K + K.T)
     try:
         factor = chol.cholesky(K)
@@ -153,43 +193,12 @@ def assemble_global(base: NaturalGaussian, sites: list[Site]) -> NaturalGaussian
     return NaturalGaussian(h, K, factor)
 
 
-def _sum_sites(base: NaturalGaussian, sites: list[Site]) -> tuple[np.ndarray, np.ndarray]:
-    # a helper of its own, so the m x n stack is freed before the factorization
-    U = _stack_rows(sites, base.n)
-    tau = np.array([s.K_i[0, 0] for s in sites])
-    nu = np.array([s.h_i[0] for s in sites])
-    c = _coordinates(U)
-    if c is not None:
-        # K0 + diag(tau) without the n^3 product; add.at sums repeated coordinates
-        K, h = base.K.copy(), base.h.copy()
-        np.add.at(K, (c, c), tau)
-        np.add.at(h, c, nu)
-        return K, h
-    K = U.T @ (tau[:, None] * U)
-    K += base.K
-    return K, base.h + U.T @ nu
-
-
-def _stack_rows(sites: list[Site], n: int) -> np.ndarray:
-    return np.array([s.U[0] for s in sites]).reshape(len(sites), n)
-
-
-def _coordinates(U: np.ndarray) -> np.ndarray | None:
-    """The coordinate each row picks out when every row of U is a unit
-    vector (as the CLI builds them), else None."""
-    nonzero = U != 0.0
-    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
-        return None
-    c = np.argmax(nonzero, axis=1)
-    return c if np.all(U[np.arange(len(c)), c] == 1.0) else None
-
-
-def cavity(work: MomentGaussian, s: Site) -> CavityResult:
-    """Cavity natural parameters for one site against the moment-form work
+def cavity(work: MomentGaussian, sites: SiteSet, i: int) -> CavityResult:
+    """Cavity natural parameters for site i against the moment-form work
     state (mu, Sigma).
 
     The marginal of u^T x has variance v = u^T Sigma u and mean u^T mu; the
-    cavity precision is 1/v - K_i and the cavity shift is (u^T mu)/v - h_i.
+    cavity precision is 1/v - tau_i and the cavity shift is (u^T mu)/v - nu_i.
 
     Raises
     ------
@@ -197,20 +206,20 @@ def cavity(work: MomentGaussian, s: Site) -> CavityResult:
         If the marginal variance is not positive, or the cavity precision is
         negative beyond roundoff.
     """
-    u = s.U[0]
-    v = float(u @ (work.C @ u))
+    u = sites.U[i]
+    v, m = float(u @ (work.C @ u)), float(u @ work.mu)
     if not v > 0.0:
         raise _variance_not_positive(v)
     # formed as (1/sd)^2, as update_site forms the tilted precision
     inv_sd = 1.0 / math.sqrt(v)
     marg_prec = inv_sd * inv_sd
-    prec = marg_prec - float(s.K_i[0, 0])
-    eta = marg_prec * float(u @ work.mu) - float(s.h_i[0])
+    prec = marg_prec - float(sites.tau[i])
+    eta = marg_prec * m - float(sites.nu[i])
     tol = CAVITY_RTOL * marg_prec
     if prec < -tol:
         raise _negative_cavity(prec)
     is_flat = abs(prec) <= tol
-    return CavityResult(np.array([eta]), np.array([[0.0 if is_flat else prec]]), is_flat)
+    return CavityResult(eta, 0.0 if is_flat else prec, is_flat)
 
 
 def _variance_not_positive(v: float) -> CavityInvalid:
@@ -221,19 +230,20 @@ def _negative_cavity(prec: float) -> CavityInvalid:
     return CavityInvalid(f"cavity precision is {prec:.3e}")
 
 
-def site_moments(s: Site, cav: CavityResult) -> TiltedMoments:
-    """Tilted moments of the site's factor against its cavity."""
+def site_moments(family: FactorFamily, cav: CavityResult) -> TiltedMoments:
+    """Tilted moments of a site's factor family against its cavity."""
     if cav.is_flat:
-        return s.family.moments_flat(float(cav.eta[0]))
-    v_hat = 1.0 / float(cav.prec[0, 0])
-    m_hat = float(cav.eta[0]) * v_hat
-    return s.family.moments(m_hat, v_hat)
+        return family.moments_flat(cav.eta)
+    v_hat = 1.0 / cav.prec
+    return family.moments(cav.eta * v_hat, v_hat)
 
 
-def update_site(s: Site, cav: CavityResult, tm: TiltedMoments) -> tuple[np.ndarray, np.ndarray]:
-    """Moment-matched site parameters: K_i = 1/var - 1/v_hat and
-    h_i = mean/var - mu_hat/v_hat.  The sign of K_i may be negative; that is
-    resolved at the global refresh.
+def update_site(s, cav: CavityResult, tm: TiltedMoments) -> tuple[float, float]:
+    """Moment-matched site parameters (tau_i, nu_i): tau_i = 1/var - 1/v_hat
+    and nu_i = mean/var - mu_hat/v_hat.  The sign of tau_i may be negative;
+    that is resolved at the global refresh.  ``s`` names the site (run_ep
+    passes its index) and is not read: the refit depends only on the cavity
+    and the tilted moments.
 
     Raises
     ------
@@ -254,12 +264,13 @@ def _tilted_variance_not_pd(var: float) -> NotPositiveDefinite:
 
 def refresh_global(
     work: MomentGaussian,
-    s: Site,
-    old: tuple[np.ndarray, np.ndarray],
-    new: tuple[np.ndarray, np.ndarray],
+    sites: SiteSet,
+    i: int,
+    old: tuple[float, float],
+    new: tuple[float, float],
 ) -> None:
     """Move the moment-form work state (mu, Sigma) from the old to the new
-    site parameters, in place.
+    parameters (tau_i, nu_i) of site i, in place.
 
     With z = Sigma u, v = u^T z, m = u^T mu and the deltas dK, dh of the site
     parameters, Sherman-Morrison gives
@@ -278,16 +289,17 @@ def refresh_global(
         If 1 + dK v <= chol.PIVOT_RTOL, i.e. the downdate would lose positive
         definiteness; the work state is then untouched (caller recovers).
     """
-    dK = float(new[0][0, 0] - old[0][0, 0])
-    dh = float(new[1][0] - old[1][0])
+    dK = float(new[0] - old[0])
+    dh = float(new[1] - old[1])
     if dK == 0.0 and dh == 0.0:
         return
-    u = s.U[0]
+    u = sites.U[i]
     z = work.C @ u
-    denom = 1.0 + dK * float(u @ z)
+    v, m = float(u @ z), float(u @ work.mu)
+    denom = 1.0 + dK * v
     if denom <= chol.PIVOT_RTOL:
         raise DowndateFailed(f"downdate loses positive definiteness: 1 + dK v = {denom:.3e}")
-    step = (dh - dK * float(u @ work.mu)) / denom
+    step = (dh - dK * m) / denom
     if dK != 0.0:
         dger(-dK / denom, z, z, a=work.C.T, overwrite_a=1)
     work.mu += step * z
@@ -317,66 +329,38 @@ def project_moments(
     return MomentGaussian(mu_star, 0.5 * (C_star + C_star.T))
 
 
-@dataclass(frozen=True)
-class _SiteRows:
-    """What a parallel sweep needs of the sites' rows and families, fixed
-    for a run: the coordinate of each row when all are unit vectors, else
-    the stacked rows; and the sites grouped by (equal) family."""
-
-    coords: np.ndarray | None
-    U: np.ndarray | None
-    groups: list[tuple[FactorFamily, np.ndarray]]
-
-
-def _site_rows(sites: list[Site], n: int) -> _SiteRows:
-    U = _stack_rows(sites, n)
-    coords = _coordinates(U)
-    groups: dict = {}
-    for i, s in enumerate(sites):
-        try:
-            entry = groups.setdefault(s.family, (s.family, []))
-        except TypeError:  # an unhashable family is grouped by identity
-            entry = groups.setdefault(id(s.family), (s.family, []))
-        entry[1].append(i)
-    return _SiteRows(
-        coords, U if coords is None else None, [(f, np.array(idx)) for f, idx in groups.values()]
-    )
-
-
 def _serial_sweep(
-    work: MomentGaussian, sites: list[Site], tau: np.ndarray, nu: np.ndarray, on_downdate_failure: str
+    work: MomentGaussian, sites: SiteSet, on_downdate_failure: str
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Refit the sites in turn, refreshing the work state after each.  The
-    sites keep their start-of-sweep parameters: a cavity reads only its own
+    SiteSet keeps its start-of-sweep parameters: a cavity reads only its own
     site's.  Returns the refit (tau, nu) and the skipped sites' errors."""
-    tau, nu = tau.copy(), nu.copy()
+    tau, nu = sites.tau.copy(), sites.nu.copy()
     errors: dict[int, Exception] = {}
-    for i, s in enumerate(sites):
+    for i in range(tau.size):
         try:
-            cav = cavity(work, s)
-            new = update_site(s, cav, site_moments(s, cav))
-            refresh_global(work, s, (s.K_i, s.h_i), new)
+            cav = cavity(work, sites, i)
+            new = update_site(i, cav, site_moments(sites.family[i], cav))
+            refresh_global(work, sites, i, (sites.tau[i], sites.nu[i]), new)
         except (CavityInvalid, DegenerateSupport, NotPositiveDefinite, DowndateFailed) as exc:
             if isinstance(exc, DowndateFailed) and on_downdate_failure == "abort":
                 raise
             errors[i] = exc
             continue
-        tau[i], nu[i] = new[0][0, 0], new[1][0]
+        tau[i], nu[i] = new
     return tau, nu, errors
 
 
-def _parallel_sweep(
-    work: MomentGaussian, sites: list[Site], rows: _SiteRows, tau: np.ndarray, nu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+def _parallel_sweep(work: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Refit every site from the work state in array form, with the rules of
     cavity, site_moments and update_site applied elementwise.  Returns the
     refit (tau, nu) and the skipped sites' errors."""
-    if rows.coords is not None:
-        v = np.diagonal(work.C)[rows.coords]
-        m = work.mu[rows.coords]
+    if sites.coords is not None:
+        v = np.diagonal(work.C)[sites.coords]
+        m = work.mu[sites.coords]
     else:
-        v = np.sum(rows.U @ work.C * rows.U, axis=1)
-        m = rows.U @ work.mu
+        v = np.sum(sites.U @ work.C * sites.U, axis=1)
+        m = sites.U @ work.mu
     errors: dict[int, Exception] = {}
 
     # cavities: invalid, flat or proper, as in cavity()
@@ -384,8 +368,8 @@ def _parallel_sweep(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_sd = 1.0 / np.sqrt(np.where(valid, v, 1.0))
         marg_prec = inv_sd * inv_sd
-        prec = marg_prec - tau
-        eta = marg_prec * m - nu
+        prec = marg_prec - sites.tau
+        eta = marg_prec * m - sites.nu
         tol = CAVITY_RTOL * marg_prec
         negative = valid & (prec < -tol)
         flat = valid & ~negative & (np.abs(prec) <= tol)
@@ -397,16 +381,16 @@ def _parallel_sweep(
     cav_prec = np.where(flat, 0.0, prec)
 
     # tilted moments: flat cavities one by one, the rest one call per family
-    mean = np.full(len(sites), np.nan)
-    var = np.full(len(sites), np.nan)
+    mean = np.full(v.size, np.nan)
+    var = np.full(v.size, np.nan)
     for i in np.flatnonzero(flat).tolist():
         try:
-            tm = sites[i].family.moments_flat(float(eta[i]))
+            tm = sites.family[i].moments_flat(float(eta[i]))
         except DegenerateSupport as exc:
             errors[i] = exc
             continue
         mean[i], var[i] = tm.mean, tm.var
-    for family, idx in rows.groups:
+    for family, idx in sites.groups:
         sel = idx[proper[idx]]
         if sel.size:
             v_hat = 1.0 / prec[sel]
@@ -424,7 +408,7 @@ def _parallel_sweep(
     fit = np.flatnonzero(fitted & ~bad)
     inv_sd = 1.0 / np.sqrt(var[fit])  # rounds as in cavity
     prec_new = inv_sd * inv_sd
-    tau, nu = tau.copy(), nu.copy()
+    tau, nu = sites.tau.copy(), sites.nu.copy()
     tau[fit] = prec_new - cav_prec[fit]
     nu[fit] = prec_new * mean[fit] - eta[fit]
     return tau, nu, errors
@@ -435,61 +419,62 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
 
     Each sweep refits every site from its cavity.  Serial mode refreshes the
     moment-form work state after every site; parallel mode computes every
-    refit from the start-of-sweep state, in array form.  The refit
-    parameters are written to the sites at the end of the sweep.  Either
-    mode then reassembles the global from the sites and inverts it once;
+    refit from the start-of-sweep state, in array form.  Either mode then
+    reassembles the global from the refit parameters and inverts it once;
     that snapshot is the sweep's history entry and the next sweep's work
     state.  A sweep converges when no refit site moved by ``site_tol`` or
-    more and no site was skipped.  Sites are updated in place (callers
-    wanting a cold start should pass fresh sites).
+    more and no site was skipped.  The sweeps read a SiteSet built on entry;
+    its parameters are written into the sites when the run returns or raises
+    (callers wanting a cold start should pass fresh sites).
 
     Raises
     ------
     GlobalNotPD
-        If the assembled precision is not positive definite.
+        If the assembled precision is not positive definite; the sites then
+        hold the parameters that were assembled.
     DowndateFailed
         Under ``on_downdate_failure="abort"``; the sites then keep their
         start-of-sweep parameters.
     """
     opts = opts or EPOptions()
-    snap = moment_from_natural(assemble_global(base, sites))
-    keep_full_cov = snap.n <= FULL_COV_MAX_N
-    mean_history = [snap.mu]
-    cov_history = [snap.C if keep_full_cov else np.diag(snap.C).copy()]
-    # the work state: one buffer for the whole run, reset from every snapshot
-    work = MomentGaussian(snap.mu.copy(), snap.C.copy())
-    rows = _site_rows(sites, base.n) if opts.sweep_mode == "parallel" else None
-    tau = np.array([s.K_i[0, 0] for s in sites])
-    nu = np.array([s.h_i[0] for s in sites])
-    metrics: list[SweepMetrics] = []
-    skipped: list[SkippedSite] = []
-    converged = False
+    site_set = SiteSet(sites, base.n)
+    try:
+        snap = moment_from_natural(assemble_global(base, site_set))
+        keep_full_cov = snap.n <= FULL_COV_MAX_N
+        mean_history = [snap.mu]
+        cov_history = [snap.C if keep_full_cov else np.diag(snap.C).copy()]
+        # the work state: one buffer for the whole run, reset from every snapshot
+        work = MomentGaussian(snap.mu.copy(), snap.C.copy())
+        metrics: list[SweepMetrics] = []
+        skipped: list[SkippedSite] = []
+        converged = False
 
-    for sweep in range(1, opts.max_sweeps + 1):
-        if rows is None:
-            new_tau, new_nu, errors = _serial_sweep(work, sites, tau, nu, opts.on_downdate_failure)
-        else:
-            new_tau, new_nu, errors = _parallel_sweep(work, sites, rows, tau, nu)
-        skipped += [SkippedSite(sweep, i, f"{type(errors[i]).__name__}: {errors[i]}") for i in sorted(errors)]
-        refit = np.ones(len(sites), dtype=bool)
-        refit[list(errors)] = False
-        change = np.hypot(new_tau - tau, new_nu - nu) / np.maximum(np.hypot(tau, nu), 1e-12)
-        max_change = float(np.max(change[refit], initial=0.0))
-        tau, nu = new_tau, new_nu
-        for s, K_i, h_i in zip(sites, tau.tolist(), nu.tolist()):
+        for sweep in range(1, opts.max_sweeps + 1):
+            if opts.sweep_mode == "serial":
+                tau, nu, errors = _serial_sweep(work, site_set, opts.on_downdate_failure)
+            else:
+                tau, nu, errors = _parallel_sweep(work, site_set)
+            skipped += [SkippedSite(sweep, i, f"{type(errors[i]).__name__}: {errors[i]}") for i in sorted(errors)]
+            old_tau, old_nu = site_set.tau, site_set.nu
+            change = np.hypot(tau - old_tau, nu - old_nu) / np.maximum(np.hypot(old_tau, old_nu), 1e-12)
+            change[list(errors)] = 0.0  # skipped sites kept their parameters
+            max_change = float(np.max(change, initial=0.0))
+            site_set.tau, site_set.nu = tau, nu
+
+            snap = moment_from_natural(assemble_global(base, site_set))
+            np.copyto(work.mu, snap.mu)
+            np.copyto(work.C, snap.C)
+            mean_history.append(snap.mu)
+            cov_history.append(snap.C if keep_full_cov else np.diag(snap.C).copy())
+            metrics.append(SweepMetrics(sweep, max_change))
+            # a sweep that skipped a site did not refit it: no convergence
+            if max_change < opts.site_tol and not errors:
+                converged = True
+                break
+    finally:
+        for s, K_i, h_i in zip(sites, site_set.tau.tolist(), site_set.nu.tolist()):
             s.K_i[0, 0] = K_i
             s.h_i[0] = h_i
-
-        snap = moment_from_natural(assemble_global(base, sites))
-        np.copyto(work.mu, snap.mu)
-        np.copyto(work.C, snap.C)
-        mean_history.append(snap.mu)
-        cov_history.append(snap.C if keep_full_cov else np.diag(snap.C).copy())
-        metrics.append(SweepMetrics(sweep, max_change))
-        # a sweep that skipped a site did not refit it: no convergence
-        if max_change < opts.site_tol and not errors:
-            converged = True
-            break
 
     return EPResult(
         mean=snap.mu,

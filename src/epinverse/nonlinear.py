@@ -61,6 +61,8 @@ class NonlinearOptions:
             raise ValueError("alpha must be > 0")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        if not self.outer_tol > 0.0:
+            raise ValueError("outer_tol must be > 0")
 
 
 @dataclass(frozen=True)

@@ -364,11 +364,27 @@ def _data_with_cell(data_path, tmp_path, edit):
         ("ep", {"problem": "eit", "data": (1, "3.5")}, "bad_data"),
         ("ep", {"problem": "eit", "data": (2, "nan")}, "bad_data"),
         ("ep", {"problem": "eit", "data": (2, "-inf")}, "bad_data"),
+        ("ep", {**LINEAR_6x4, "ep_outer_tol": -1}, "bad_ep_outer_tol"),
+        ("ep", {**LINEAR_6x4, "ep_outer_tol": 0}, "bad_ep_outer_tol"),
+        ("ep", {**LINEAR_6x4, "ep_outer_tol": "nan"}, "bad_ep_outer_tol"),
+        ("ep", {"problem": "linear", "linear_sparsity": 50}, "bad_linear_sparsity"),
+        ("ep", {**LINEAR_6x4, "linear_sparsity": -1}, "bad_linear_sparsity"),
+        ("ep", {"problem": "linear", "linear_n": 0}, "bad_linear_n"),
+        ("mcmc", {"problem": "linear", "linear_m": 0}, "bad_linear_m"),
+        ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": 0}, "bad_mcmc_proposal_std"),
+        ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": -0.1}, "bad_mcmc_proposal_std"),
+        ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": "inf"}, "bad_mcmc_proposal_std"),
+        ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": "nan"}, "bad_mcmc_proposal_std"),
+        ("synth", {"alpha": 0}, "bad_alpha"),
+        ("synth", {"alpha": -400}, "bad_alpha"),
+        ("synth", {"noise_std": -1}, "bad_noise_std"),
+        ("synth", {"noise_std": "nan"}, "bad_noise_std"),
+        ("synth", {"noise_std": "inf"}, "bad_noise_std"),
     ],
 )
 def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, code):
     _, mesh_path, data_path = workspace
-    if keys["problem"] == "eit":
+    if keys.get("problem") == "eit":
         keys = {**keys, "mesh": mesh_path, "data": _data_with_cell(data_path, tmp_path, keys.get("data"))}
     out = tmp_path / "out"
     assert main([command, "--config", write_cfg(tmp_path / "c.cfg", **keys, out=out)]) == 2

@@ -10,17 +10,14 @@ from epinverse import (
     LaplacePositivityFactor,
     NaturalGaussian,
     Site,
-    assemble_global,
-    cavity,
     moment_from_natural,
     moments_laplace_positivity,
     project_moments,
-    refresh_global,
     run_ep,
     update_site,
 )
 from epinverse import chol, ep
-from epinverse.ep import DOWNDATE_POLICIES, SkippedSite, site_moments
+from epinverse.ep import DOWNDATE_POLICIES, SiteSet, SkippedSite, assemble_global, cavity, refresh_global, site_moments
 from epinverse.errors import CavityInvalid, DegenerateSupport, DowndateFailed, NotPositiveDefinite
 from epinverse.factors import FactorFamily, TiltedMoments
 
@@ -28,6 +25,11 @@ from epinverse.factors import FactorFamily, TiltedMoments
 def make_work(h, K):
     """The engine's moment-form work state (mu, Sigma) of N(h, K) in natural form."""
     return moment_from_natural(NaturalGaussian(np.asarray(h, dtype=float), np.asarray(K, dtype=float)))
+
+
+def one(s):
+    """The SiteSet of the lone site s."""
+    return SiteSet([s], s.U.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -42,21 +44,21 @@ def test_cavity_empty_site_is_full_marginal():
     g = make_work(h, K)
     U = rng.standard_normal((1, 5))
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=np.zeros((1, 1)), h_i=np.zeros(1))
-    cav = cavity(g, s)
+    cav = cavity(g, one(s), 0)
     Kinv = np.linalg.inv(K)
     marg_var = (U @ Kinv @ U.T).item()
     marg_mean = (U @ Kinv @ h).item()
-    assert cav.prec[0, 0] == pytest.approx(1.0 / marg_var, rel=1e-10)
-    assert cav.eta[0] / cav.prec[0, 0] == pytest.approx(marg_mean, rel=1e-10)
+    assert cav.prec == pytest.approx(1.0 / marg_var, rel=1e-10)
+    assert cav.eta / cav.prec == pytest.approx(marg_mean, rel=1e-10)
 
 
 def test_cavity_scalar_example():
     g = make_work([2.0], [[2.0]])
     s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0),
              K_i=np.array([[0.5]]), h_i=np.array([0.3]))
-    cav = cavity(g, s)
-    assert cav.prec[0, 0] == pytest.approx(1.5, rel=1e-12)
-    assert cav.eta[0] / cav.prec[0, 0] == pytest.approx((1.0 - 0.15) / 0.75, rel=1e-12)
+    cav = cavity(g, one(s), 0)
+    assert cav.prec == pytest.approx(1.5, rel=1e-12)
+    assert cav.eta / cav.prec == pytest.approx((1.0 - 0.15) / 0.75, rel=1e-12)
 
 
 def test_cavity_after_multiplying_site_back_in():
@@ -69,10 +71,10 @@ def test_cavity_after_multiplying_site_back_in():
     hi = np.array([0.4])
     g1 = make_work(h0 + U.T @ hi, K0 + U.T @ Ki @ U)
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=Ki, h_i=hi)
-    cav = cavity(g1, s)
+    cav = cavity(g1, one(s), 0)
     K0inv = np.linalg.inv(K0)
-    assert cav.eta[0] / cav.prec[0, 0] == pytest.approx((U @ K0inv @ h0).item(), rel=1e-10)
-    assert 1.0 / cav.prec[0, 0] == pytest.approx((U @ K0inv @ U.T).item(), rel=1e-10)
+    assert cav.eta / cav.prec == pytest.approx((U @ K0inv @ h0).item(), rel=1e-10)
+    assert 1.0 / cav.prec == pytest.approx((U @ K0inv @ U.T).item(), rel=1e-10)
 
 
 def test_cavity_site_global_identity():
@@ -83,19 +85,19 @@ def test_cavity_site_global_identity():
     g = make_work(h, K)
     U = rng.standard_normal((1, 6))
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=np.array([[0.5]]), h_i=np.array([0.2]))
-    cav = cavity(g, s)
+    cav = cavity(g, one(s), 0)
     Kinv = np.linalg.inv(K)
     marg_prec = 1.0 / (U @ Kinv @ U.T).item()
     marg_eta = marg_prec * (U @ Kinv @ h).item()
-    assert cav.prec[0, 0] + s.K_i[0, 0] == pytest.approx(marg_prec, rel=1e-12)
-    assert cav.eta[0] + s.h_i[0] == pytest.approx(marg_eta, rel=1e-12, abs=1e-12)
+    assert cav.prec + s.K_i[0, 0] == pytest.approx(marg_prec, rel=1e-12)
+    assert cav.eta + s.h_i[0] == pytest.approx(marg_eta, rel=1e-12, abs=1e-12)
 
 
 def test_cavity_of_null_projection_is_invalid():
     g = make_work([1.0, 2.0], [[3.0, 0.5], [0.5, 2.0]])
     s = Site(np.zeros((1, 2)), LaplacePositivityFactor(1.0, 0.0))
     with pytest.raises(CavityInvalid):
-        cavity(g, s)
+        cavity(g, one(s), 0)
 
 
 def test_cavity_flat_within_rtol():
@@ -103,12 +105,12 @@ def test_cavity_flat_within_rtol():
     g = make_work([2.0], [[2.0]])
     s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0),
              K_i=np.array([[2.0 * (1.0 - 1e-13)]]), h_i=np.array([0.5]))
-    cav = cavity(g, s)
-    assert cav.is_flat and cav.prec[0, 0] == 0.0
-    assert cav.eta[0] == pytest.approx(1.5, rel=1e-12)
+    cav = cavity(g, one(s), 0)
+    assert cav.is_flat and cav.prec == 0.0
+    assert cav.eta == pytest.approx(1.5, rel=1e-12)
     s.K_i = np.array([[2.0 * (1.0 + 1e-11)]])
     with pytest.raises(CavityInvalid):
-        cavity(g, s)
+        cavity(g, one(s), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +131,28 @@ def test_site_rejects_more_than_one_row():
 
 
 # ---------------------------------------------------------------------------
+# SiteSet
+# ---------------------------------------------------------------------------
+
+def test_site_set_stacks_rows_and_finds_coordinates():
+    lap, gauss = LaplacePositivityFactor(1.0, 0.0), GaussianFactor1D(0.0, 1.0)
+    unit = [Site(np.eye(1, 4, c), f, K_i=[[0.5 + c]], h_i=[-c]) for c, f in zip([2, 0, 2], [lap, gauss, lap])]
+    site_set = SiteSet(unit, 4)
+    assert site_set.coords.tolist() == [2, 0, 2] and np.array_equal(site_set.U, np.eye(4)[[2, 0, 2]])
+    assert site_set.tau.tolist() == [2.5, 0.5, 2.5] and site_set.nu.tolist() == [-2.0, 0.0, -2.0]
+    assert site_set.family == [lap, gauss, lap]
+    groups = {id(f): idx.tolist() for f, idx in site_set.groups}
+    assert groups == {id(lap): [0, 2], id(gauss): [1]}
+    # an equal but distinct family falls in the same group
+    assert len(SiteSet(unit + [Site(np.eye(1, 4, 3), LaplacePositivityFactor(1.0, 0.0))], 4).groups) == 2
+
+    rows = np.array([[0.0, 2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.6, 0.0, -0.8, 0.0]])
+    for U in (rows, rows[:2]):  # a scaled unit row is not a coordinate row either
+        dense = SiteSet([Site(u, lap) for u in U], 4)
+        assert dense.coords is None and np.array_equal(dense.U, U)
+
+
+# ---------------------------------------------------------------------------
 # update_site
 # ---------------------------------------------------------------------------
 
@@ -136,11 +160,11 @@ def test_update_site_identity_factor_gives_zero():
     g = make_work([1.0, 0.0], [[2.0, 0.3], [0.3, 1.5]])
     U = np.array([[1.0, 0.0]])
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=np.array([[0.4]]), h_i=np.array([0.1]))
-    cav = cavity(g, s)
-    tm = TiltedMoments(0.0, cav.eta[0] / cav.prec[0, 0], 1.0 / cav.prec[0, 0])
-    K_new, h_new = update_site(s, cav, tm)
-    assert abs(K_new[0, 0]) <= 1e-12
-    assert abs(h_new[0]) <= 1e-12
+    cav = cavity(g, one(s), 0)
+    tm = TiltedMoments(0.0, cav.eta / cav.prec, 1.0 / cav.prec)
+    K_new, h_new = update_site(0, cav, tm)
+    assert abs(K_new) <= 1e-12
+    assert abs(h_new) <= 1e-12
 
 
 def test_update_site_gaussian_factor_recovers_its_naturals():
@@ -148,11 +172,11 @@ def test_update_site_gaussian_factor_recovers_its_naturals():
     U = np.array([[0.6, -0.8]])
     fam = GaussianFactor1D(0.7, 0.5)
     s = Site(U, fam)
-    cav = cavity(g, s)
-    tm = site_moments(s, cav)
-    K_new, h_new = update_site(s, cav, tm)
-    assert K_new[0, 0] == pytest.approx(1.0 / fam.t_var, rel=1e-10)
-    assert h_new[0] == pytest.approx(fam.t_mean / fam.t_var, rel=1e-10)
+    cav = cavity(g, one(s), 0)
+    tm = site_moments(fam, cav)
+    K_new, h_new = update_site(0, cav, tm)
+    assert K_new == pytest.approx(1.0 / fam.t_var, rel=1e-10)
+    assert h_new == pytest.approx(fam.t_mean / fam.t_var, rel=1e-10)
 
 
 def test_update_site_log_concave_psd_grid():
@@ -187,7 +211,7 @@ def test_refresh_noop_is_bit_identical():
     g = make_work([1.0, 2.0], [[3.0, 0.5], [0.5, 2.0]])
     mu, C = g.mu.copy(), g.C.copy()
     s = Site(np.array([[1.0, 0.0]]), LaplacePositivityFactor(1.0, 0.0))
-    refresh_global(g, s, (s.K_i, s.h_i), (s.K_i.copy(), s.h_i.copy()))
+    refresh_global(g, one(s), 0, (1.0, 0.0), (1.0, 0.0))
     assert np.array_equal(g.mu, mu) and np.array_equal(g.C, C)
 
 
@@ -199,15 +223,15 @@ def test_refresh_matches_full_reassembly():
         Site(rng.standard_normal((1, 6)), LaplacePositivityFactor(1.0, 0.0))
         for _ in range(4)
     ]
-    work = moment_from_natural(assemble_global(base, sites))
+    site_set = SiteSet(sites, 6)
+    work = moment_from_natural(assemble_global(base, site_set))
     mu_buf, C_buf = work.mu, work.C
-    s = sites[2]
-    new = (np.array([[2.3]]), np.array([-0.7]))
-    refresh_global(work, s, (s.K_i, s.h_i), new)
+    new = (2.3, -0.7)
+    refresh_global(work, site_set, 2, (site_set.tau[2], site_set.nu[2]), new)
     # the work state is moved in place
     assert work.mu is mu_buf and work.C is C_buf
-    s.K_i, s.h_i = new
-    scratch = moment_from_natural(assemble_global(base, sites))
+    site_set.tau[2], site_set.nu[2] = new
+    scratch = moment_from_natural(assemble_global(base, site_set))
     assert np.linalg.norm(work.mu - scratch.mu) <= 1e-12 * np.linalg.norm(scratch.mu)
     assert np.linalg.norm(work.C - scratch.C) <= 1e-12 * np.linalg.norm(scratch.C)
 
@@ -217,12 +241,11 @@ def test_refresh_apply_then_revert():
     M = rng.standard_normal((5, 5))
     base = NaturalGaussian(rng.standard_normal(5), M.T @ M + np.eye(5))
     s = Site(rng.standard_normal((1, 5)), LaplacePositivityFactor(1.0, 0.0))
-    work = moment_from_natural(assemble_global(base, [s]))
+    work = moment_from_natural(assemble_global(base, one(s)))
     mu0, C0 = work.mu.copy(), work.C.copy()
-    old = (s.K_i.copy(), s.h_i.copy())
-    new = (np.array([[0.2]]), np.array([1.1]))
-    refresh_global(work, s, old, new)
-    refresh_global(work, s, new, old)
+    old, new = (1.0, 0.0), (0.2, 1.1)
+    refresh_global(work, one(s), 0, old, new)
+    refresh_global(work, one(s), 0, new, old)
     assert np.linalg.norm(work.C - C0) / np.linalg.norm(C0) <= 1e-12
     assert np.linalg.norm(work.mu - mu0) <= 1e-12 * max(np.linalg.norm(mu0), 1.0)
 
@@ -413,7 +436,7 @@ def test_run_ep_ledger_consistency():
         sites.append(Site(U, LaplacePositivityFactor(0.8, 0.1, -2.0)))
     res = run_ep(base, sites, EPOptions(max_sweeps=10, site_tol=1e-9))
     # after the run, the sites' parameters fully determine the global state
-    scratch = assemble_global(base, sites)
+    scratch = assemble_global(base, SiteSet(sites, n))
     mu = np.linalg.solve(scratch.K, scratch.h)
     assert np.linalg.norm(mu - res.mean) / np.linalg.norm(res.mean) <= 1e-10
 
@@ -497,6 +520,37 @@ def test_run_ep_global_not_pd():
     sites = [Site(np.eye(2)[i : i + 1], LaplacePositivityFactor(1.0, 0.0)) for i in range(2)]
     with pytest.raises(GlobalNotPD):
         run_ep(base, sites, EPOptions(max_sweeps=1))
+
+
+def test_run_ep_global_not_pd_after_a_sweep_leaves_the_assembled_parameters():
+    from epinverse import GlobalNotPD
+
+    # the parallel refit takes the whole precision 0.5 + 1 down to ~1e-20
+    base = NaturalGaussian(np.zeros(1), np.array([[0.5]]))
+    s = Site(np.array([[1.0]]), BlowupFactor(0.0, 1.0))
+    with pytest.raises(GlobalNotPD):
+        run_ep(base, [s], EPOptions(max_sweeps=3, sweep_mode="parallel"))
+    assert s.K_i[0, 0] == 1e-20 - 0.5 and s.h_i[0] == 0.0
+
+
+@pytest.mark.parametrize("mode", ["serial", "parallel"])
+def test_run_ep_writes_the_sites_when_it_returns(monkeypatch, mode):
+    base = _spd_base(4, 17)
+    sites = [Site(np.eye(1, 4, i), LaplacePositivityFactor(1.0, 0.0, -1.0)) for i in range(4)]
+    seen = []
+    assemble = ep.assemble_global
+
+    def recording_assemble(base, site_set):
+        seen.append([(s.K_i[0, 0], s.h_i[0]) for s in sites])
+        return assemble(base, site_set)
+
+    monkeypatch.setattr(ep, "assemble_global", recording_assemble)
+    res = run_ep(base, sites, EPOptions(max_sweeps=4, site_tol=1e-300, sweep_mode=mode))
+    assert res.sweeps_used == 4 and len(seen) == 5
+    assert all(params == [(1.0, 0.0)] * 4 for params in seen)
+    # the sites hold the parameters of the last assembled global
+    scratch = moment_from_natural(assemble(base, SiteSet(sites, 4)))
+    assert np.array_equal(scratch.mu, res.mean) and np.array_equal(scratch.C, res.cov)
 
 
 def test_run_ep_cavity_invalid_skips():
@@ -604,9 +658,9 @@ def test_serial_sweeps_match_textbook_ep_with_downdates(monkeypatch):
 
     in_loop, dKs = [], []
 
-    def recording_refresh(work, s, old, new):
-        refresh_global(work, s, old, new)
-        dKs.append(new[0][0, 0] - old[0][0, 0])
+    def recording_refresh(work, site_set, i, old, new):
+        refresh_global(work, site_set, i, old, new)
+        dKs.append(new[0] - old[0])
         in_loop.append((work.mu.copy(), work.C.copy()))
 
     monkeypatch.setattr(ep, "refresh_global", recording_refresh)
@@ -642,9 +696,8 @@ def test_downdate_guard_at_pivot_tolerance(monkeypatch, policy, above):
 
     base = NaturalGaussian(np.zeros(2), 0.5 * np.eye(2))
     sites = [Site(np.eye(1, 2, i), LaplacePositivityFactor(1.0, 0.0), K_i=[[0.5]]) for i in range(2)]
-    refits = {id(sites[0]): (np.array([[0.3]]), np.array([0.1])),
-              id(sites[1]): (np.array([[0.5 + dK]]), np.array([0.2]))}
-    monkeypatch.setattr(ep, "update_site", lambda s, cav, tm: refits[id(s)])
+    refits = {0: (0.3, 0.1), 1: (0.5 + dK, 0.2)}
+    monkeypatch.setattr(ep, "update_site", lambda i, cav, tm: refits[i])
     opts = EPOptions(max_sweeps=1, on_downdate_failure=policy)
 
     if not above and policy == "abort":
@@ -694,34 +747,38 @@ class ZeroVarianceFactor(GaussianFactor1D):
 def per_site_parallel_ep(base, sites, max_sweeps, site_tol):
     """Parallel EP one site at a time: every refit comes from the
     start-of-sweep snapshot through ep.cavity, site_moments and update_site.
-    Returns the (mean, covariance) after each sweep, the skipped sites and
-    whether the run converged."""
-    snap = moment_from_natural(assemble_global(base, sites))
-    history, skipped = [], []
+    Writes the final parameters into the sites and returns the
+    (mean, covariance) after each sweep, the skipped sites and whether the
+    run converged."""
+    site_set = SiteSet(sites, base.n)
+    snap = moment_from_natural(assemble_global(base, site_set))
+    history, skipped, converged = [], [], False
     for sweep in range(1, max_sweeps + 1):
-        refits = []
-        for i, s in enumerate(sites):
+        refits = {}
+        for i in range(len(sites)):
             try:
-                cav = ep.cavity(snap, s)
-                new = ep.update_site(s, cav, ep.site_moments(s, cav))
+                cav = ep.cavity(snap, site_set, i)
+                refits[i] = ep.update_site(i, cav, ep.site_moments(site_set.family[i], cav))
             except (CavityInvalid, DegenerateSupport, NotPositiveDefinite) as exc:
                 skipped.append(SkippedSite(sweep, i, f"{type(exc).__name__}: {exc}"))
-                continue
-            refits.append((s, new))
+        old = list(zip(site_set.tau.tolist(), site_set.nu.tolist()))
         change = max(
             [0.0]
             + [
-                math.hypot(K[0, 0] - s.K_i[0, 0], h[0] - s.h_i[0]) / max(math.hypot(s.K_i[0, 0], s.h_i[0]), 1e-12)
-                for s, (K, h) in refits
+                math.hypot(K - old[i][0], h - old[i][1]) / max(math.hypot(*old[i]), 1e-12)
+                for i, (K, h) in refits.items()
             ]
         )
-        for s, (K, h) in refits:
-            s.K_i, s.h_i = K, h
-        snap = moment_from_natural(assemble_global(base, sites))
+        for i, (K, h) in refits.items():
+            site_set.tau[i], site_set.nu[i] = K, h
+        snap = moment_from_natural(assemble_global(base, site_set))
         history.append((snap.mu, snap.C))
         if change < site_tol and len(refits) == len(sites):
-            return history, skipped, True
-    return history, skipped, False
+            converged = True
+            break
+    for s, K, h in zip(sites, site_set.tau, site_set.nu):
+        s.K_i, s.h_i = np.array([[K]]), np.array([h])
+    return history, skipped, converged
 
 
 def _site_params(sites):
@@ -783,7 +840,7 @@ def test_parallel_sweep_matches_per_site_oracle(case):
     _, oracle_sites = make()
     sweeps = 4
     if case == "flat_cavity":
-        assert cavity(make_work(base.h, base.K + np.diag([1.0, 1.0, 1.0, 1.0])), sites[0]).is_flat
+        assert cavity(make_work(base.h, base.K + np.diag([1.0, 1.0, 1.0, 1.0])), SiteSet(sites, 4), 0).is_flat
     want, want_skipped, want_converged = per_site_parallel_ep(base, oracle_sites, sweeps, 1e-300)
     res = run_ep(base, sites, EPOptions(max_sweeps=sweeps, site_tol=1e-300, sweep_mode="parallel"))
     assert res.skipped_sites == want_skipped
@@ -823,10 +880,13 @@ def test_sum_sites_adds_sites_on_one_coordinate():
     coords = [0, 2, 2, 3, 0]
     sites = [Site(np.eye(1, 4, c), LaplacePositivityFactor(1.0, 0.0), K_i=[[rng.uniform(-0.5, 2.0)]],
                   h_i=[rng.normal()]) for c in coords]
-    K, h = ep._sum_sites(base, sites)
+    site_set = SiteSet(sites, 4)
+    g = assemble_global(base, site_set)
+    K, h = g.K, g.h
     U = np.vstack([s.U for s in sites])
     tau, nu = _site_params(sites).T
     assert ep._coordinates(U).tolist() == coords
+    assert site_set.coords.tolist() == coords
     np.testing.assert_allclose(K, base.K + U.T @ (tau[:, None] * U), rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(h, base.h + U.T @ nu, rtol=1e-14, atol=0.0)
     assert K[2, 2] == pytest.approx(base.K[2, 2] + tau[1] + tau[2], rel=1e-15)

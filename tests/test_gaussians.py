@@ -6,11 +6,9 @@ from epinverse import (
     LaplacePositivityFactor,
     NaturalGaussian,
     Site,
-    assemble_global,
-    cavity,
     moment_from_natural,
-    refresh_global,
 )
+from epinverse.ep import SiteSet, assemble_global, cavity, refresh_global
 
 
 def random_natural(n, rng):
@@ -55,28 +53,30 @@ def test_moment_natural_roundtrip():
 # refresh_global multiply sites in
 # ---------------------------------------------------------------------------
 
+def _one_site(u, K_i, h_i):
+    """The SiteSet of one site on the row u with parameters (K_i, h_i)."""
+    return SiteSet([Site(u, LaplacePositivityFactor(1.0, 0.0), K_i=[[K_i]], h_i=[h_i])], np.size(u))
+
+
 def _with_site(g, u, K_i, h_i):
     """The global g times a rank-one site (h_i u, K_i u u^T), and the site."""
-    s = Site(u[None, :], LaplacePositivityFactor(1.0, 0.0), K_i=[[K_i]], h_i=[h_i])
     g1 = NaturalGaussian(g.h + h_i * u, g.K + K_i * np.outer(u, u))
-    return g1, s
+    return g1, _one_site(u, K_i, h_i)
 
 
 def test_quotient_zero_contribution_is_identity():
     rng = np.random.default_rng(3)
     g = random_natural(4, rng)
-    s = Site(np.eye(1, 4, 2), LaplacePositivityFactor(1.0, 0.0), K_i=[[0.0]], h_i=[0.0])
-    cav = cavity(moment_from_natural(g), s)
+    cav = cavity(moment_from_natural(g), _one_site(np.eye(1, 4, 2), 0.0, 0.0), 0)
     C = np.linalg.inv(g.K)
-    assert cav.prec[0, 0] == pytest.approx(1.0 / C[2, 2], rel=1e-12)
-    assert cav.eta[0] == pytest.approx((C @ g.h)[2] / C[2, 2], rel=1e-12)
+    assert cav.prec == pytest.approx(1.0 / C[2, 2], rel=1e-12)
+    assert cav.eta == pytest.approx((C @ g.h)[2] / C[2, 2], rel=1e-12)
 
 
 def test_quotient_scalar_arithmetic():
     g = NaturalGaussian(np.array([3.0]), np.array([[2.0]]))
-    s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0), K_i=[[0.5]], h_i=[1.0])
-    cav = cavity(moment_from_natural(g), s)
-    assert cav.eta[0] == pytest.approx(2.0) and cav.prec[0, 0] == pytest.approx(1.5)
+    cav = cavity(moment_from_natural(g), _one_site(np.array([[1.0]]), 0.5, 1.0), 0)
+    assert cav.eta == pytest.approx(2.0) and cav.prec == pytest.approx(1.5)
 
 
 def test_quotient_then_product_restores():
@@ -87,19 +87,18 @@ def test_quotient_then_product_restores():
     u = rng.standard_normal(5)
     g1, s = _with_site(g0, u, 0.7, -0.4)
     m0, m1 = moment_from_natural(g0), moment_from_natural(g1)
-    zero = (np.zeros((1, 1)), np.zeros(1))
+    zero, held = (0.0, 0.0), (0.7, -0.4)
     w = moment_from_natural(g1)
-    cav_held = cavity(w, s)
-    refresh_global(w, s, (s.K_i, s.h_i), zero)
+    cav_held = cavity(w, s, 0)
+    refresh_global(w, s, 0, held, zero)
     assert np.linalg.norm(w.mu - m0.mu) <= 1e-12 * np.linalg.norm(m0.mu)
     assert np.linalg.norm(w.C - m0.C) <= 1e-12 * np.linalg.norm(m0.C)
-    bare = Site(s.U, s.family, K_i=zero[0], h_i=zero[1])
-    cav_out = cavity(w, bare)
-    refresh_global(w, s, zero, (s.K_i, s.h_i))
+    cav_out = cavity(w, _one_site(u, *zero), 0)
+    refresh_global(w, s, 0, zero, held)
     assert np.linalg.norm(w.mu - m1.mu) <= 1e-12 * np.linalg.norm(m1.mu)
     assert np.linalg.norm(w.C - m1.C) <= 1e-12 * np.linalg.norm(m1.C)
-    assert cav_held.prec[0, 0] == pytest.approx(cav_out.prec[0, 0], rel=1e-10)
-    assert cav_held.eta[0] == pytest.approx(cav_out.eta[0], rel=1e-10, abs=1e-12)
+    assert cav_held.prec == pytest.approx(cav_out.prec, rel=1e-10)
+    assert cav_held.eta == pytest.approx(cav_out.eta, rel=1e-10, abs=1e-12)
 
 
 def test_product_adds_parameters():
@@ -110,7 +109,7 @@ def test_product_adds_parameters():
              K_i=[[rng.uniform(0.1, 2.0)]], h_i=[rng.standard_normal()])
         for _ in range(4)
     ]
-    g = assemble_global(base, sites)
+    g = assemble_global(base, SiteSet(sites, 3))
     K = base.K + sum(s.K_i[0, 0] * np.outer(s.U[0], s.U[0]) for s in sites)
     h = base.h + sum(s.h_i[0] * s.U[0] for s in sites)
     assert np.allclose(g.h, h, rtol=1e-14, atol=0.0)
@@ -134,7 +133,7 @@ def test_product_matches_grid_density_1d():
         Site(np.array([[1.0]]), GaussianFactor1D(mu, var), K_i=[[1.0 / var]], h_i=[mu / var])
         for mu, var in gaussians
     ]
-    mg = moment_from_natural(assemble_global(base, sites))
+    mg = moment_from_natural(assemble_global(base, SiteSet(sites, 1)))
     grid = np.linspace(-8, 8, 400001)
     brute = _grid_density_product(gaussians, grid)
     ours = np.exp(-0.5 * (grid - mg.mu[0]) ** 2 / mg.C[0, 0])
@@ -186,12 +185,13 @@ def test_quotient_product_roundtrip_property():
         rng = np.random.default_rng(seed)
         g0 = random_natural(n, rng)
         u = rng.standard_normal(n)
-        g1, s = _with_site(g0, u, rng.uniform(0.0, 2.0), rng.standard_normal())
-        cav = cavity(moment_from_natural(g1), s)
+        K_i, h_i = rng.uniform(0.0, 2.0), rng.standard_normal()
+        g1, s = _with_site(g0, u, K_i, h_i)
+        cav = cavity(moment_from_natural(g1), s, 0)
         C = np.linalg.inv(g1.K)
         marg_prec = 1.0 / (u @ C @ u)
         marg_eta = marg_prec * (u @ C @ g1.h)
-        assert abs(cav.prec[0, 0] + s.K_i[0, 0] - marg_prec) <= 1e-9 * marg_prec
-        assert abs(cav.eta[0] + s.h_i[0] - marg_eta) <= 1e-9 * max(abs(marg_eta), marg_prec, 1.0)
+        assert abs(cav.prec + K_i - marg_prec) <= 1e-9 * marg_prec
+        assert abs(cav.eta + h_i - marg_eta) <= 1e-9 * max(abs(marg_eta), marg_prec, 1.0)
 
     inner()

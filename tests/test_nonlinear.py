@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,13 @@ def test_floor_projection_invariant():
 def test_nonlinear_options_reject_fewer_than_one_outer(max_outer):
     with pytest.raises(ValueError, match="max_outer"):
         NonlinearOptions(alpha=1.0, max_outer=max_outer)
+
+
+@pytest.mark.parametrize("outer_tol", [0.0, -1.0, math.nan])
+def test_nonlinear_options_reject_a_non_positive_outer_tol(outer_tol):
+    # these ran every outer iteration without a word
+    with pytest.raises(ValueError, match="outer_tol"):
+        NonlinearOptions(alpha=1.0, outer_tol=outer_tol)
 
 
 def test_skipped_sites_cover_every_outer_iteration():
