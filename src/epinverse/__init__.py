@@ -6,7 +6,7 @@ electrode model (EIT) forward solver, and a random-walk Metropolis-Hastings
 baseline with multi-chain diagnostics.
 """
 
-from .chol import CholeskyFactor, cholesky, rank1_update, solve
+from .chol import CholeskyFactor, cholesky, solve
 from .errors import (
     AdaptFailed,
     CavityInvalid,
@@ -79,7 +79,6 @@ __all__ = [
     "moment_from_natural",
     "moments_laplace_positivity",
     "moments_quadrature",
-    "rank1_update",
     "solve",
 ]
 

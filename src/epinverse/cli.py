@@ -26,7 +26,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigKeyError
-from .ep import DOWNDATE_POLICIES, FULL_COV_MAX_N, SWEEP_MODES, EPOptions, Site
+from .ep import FULL_COV_MAX_N, SWEEP_MODES, EPOptions, Site
 from .errors import ElectrodeCountMismatch, EpinverseError, MeshFileError
 from .factors import LaplacePositivityFactor
 from .mcmc import (
@@ -188,6 +188,13 @@ def _read_mesh_key(cfg: dict[str, str], key: str):
         raise ConfigKeyError(f"key {key!r}: {exc}", f"bad_{key}") from exc
 
 
+def _get_floor(cfg: dict[str, str], default: float) -> float:
+    """The ``floor`` key: a finite number, or -inf for no floor."""
+    if cfgmod.get_str(cfg, "floor", "").lower() in ("-inf", "-infinity"):
+        return -math.inf
+    return cfgmod.get_float(cfg, "floor", default)
+
+
 def _build_linear_problem(cfg: dict[str, str], seed: int):
     """Deterministic synthetic linear problem shared by ep and mcmc."""
     m = _check_positive(cfgmod.get_int(cfg, "linear_m", 20), "linear_m")
@@ -197,7 +204,7 @@ def _build_linear_problem(cfg: dict[str, str], seed: int):
     amp = cfgmod.get_float(cfg, "linear_amplitude", 1.0)
     alpha = _check_positive(cfgmod.get_float(cfg, "alpha", 400.0), "alpha")
     lam = _check_positive(cfgmod.get_float(cfg, "lambda", 2.0), "lambda")
-    floor = cfgmod.get_float(cfg, "floor", 0.0)
+    floor = _get_floor(cfg, 0.0)
     bg = cfgmod.get_float(cfg, "sigma_bg", 0.0)
     rng = np.random.default_rng(seed)
     if cfgmod.get_bool(cfg, "linear_diagonal", False):
@@ -245,7 +252,7 @@ def _build_problem(cfg: dict[str, str], seed: int) -> _Problem:
         data = _read_data_csv(cfgmod.get_existing_path(cfg, "data", "data_not_found"), cem_cfg)
         alpha = _check_positive(cfgmod.get_float(cfg, "alpha", cem.ALPHA_DEFAULT), "alpha")
         lam = _check_positive(cfgmod.get_float(cfg, "lambda", cem.LAMBDA_DEFAULT), "lambda")
-        floor = cfgmod.get_float(cfg, "floor", cem.SIGMA_FLOOR)
+        floor = _get_floor(cfg, cem.SIGMA_FLOOR)
         bg = cfgmod.get_float(cfg, "sigma_bg", cem.SIGMA_BG)
         model = cem.EITForwardModel(mesh, cem_cfg, bg, floor)
         center = np.full(model.n, bg)
@@ -258,7 +265,6 @@ def _ep_options(cfg: dict[str, str]) -> EPOptions:
         max_sweeps=_check_positive(cfgmod.get_int(cfg, "ep_max_sweeps", 5), "ep_max_sweeps"),
         site_tol=_check_positive(cfgmod.get_float(cfg, "ep_site_tol", 1e-4), "ep_site_tol"),
         sweep_mode=cfgmod.get_choice(cfg, "ep_sweep_mode", SWEEP_MODES),
-        on_downdate_failure=cfgmod.get_choice(cfg, "ep_on_downdate_failure", DOWNDATE_POLICIES),
     )
 
 
@@ -284,7 +290,7 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
         max_outer=_check_positive(cfgmod.get_int(cfg, "ep_max_outer", 10), "ep_max_outer"),
         outer_tol=_check_positive(cfgmod.get_float(cfg, "ep_outer_tol", 1e-3), "ep_outer_tol"),
         inner=inner,
-        floor=p.floor if math.isfinite(p.floor) else None,
+        floor=p.floor,
     )
     res = run_nonlinear(p.model, p.data, sites, opts, np.full(n, p.bg))
 

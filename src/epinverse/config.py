@@ -55,16 +55,15 @@ def get_str(cfg: dict[str, str], key: str, default=_MISSING) -> str:
 
 
 def get_float(cfg: dict[str, str], key: str, default=_MISSING) -> float:
+    """A finite number; nan and +-inf are ``bad_<key>``."""
     raw = get_str(cfg, key, default)
-    if isinstance(raw, (int, float)):
-        return float(raw)
     try:
-        low = raw.strip().lower()
-        if low in ("-inf", "inf"):
-            return -math.inf if low == "-inf" else math.inf
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigKeyError(f"key {key!r}: {raw!r} is not a number", f"bad_{key}") from exc
+    if not math.isfinite(value):
+        raise ConfigKeyError(f"key {key!r}: {raw!r} is not finite", f"bad_{key}")
+    return value
 
 
 def get_int(cfg: dict[str, str], key: str, default=_MISSING) -> int:
@@ -106,10 +105,15 @@ def get_existing_path(cfg: dict[str, str], key: str, code: str) -> Path:
 
 
 def get_float_list(cfg: dict[str, str], key: str, default=_MISSING) -> list[float]:
+    """Finite numbers separated by spaces or commas; nan and +-inf are
+    ``bad_<key>``."""
     raw = get_str(cfg, key, default)
     if not isinstance(raw, str):
         return raw
     try:
-        return [float(v) for v in raw.replace(",", " ").split()]
+        values = [float(v) for v in raw.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigKeyError(f"key {key!r}: {raw!r} is not a number list", f"bad_{key}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigKeyError(f"key {key!r}: {raw!r} has a non-finite number", f"bad_{key}")
+    return values

@@ -2,11 +2,10 @@
 projection type  t0(x) * prod_i t_i(u_i^T x).
 
 Every site acts on one projection row u_i and carries scalar natural
-parameters (tau_i, nu_i), held as the site's K_i (1 x 1) and h_i (1,).  A
-run reads the sites once into a SiteSet, which holds tau and nu as arrays,
-and writes them back when it ends.  Inside a run the global Gaussian
-approximation is held in moment form, as one covariance work buffer Sigma
-and its mean mu.
+parameters (tau_i, nu_i).  A run reads the sites once into a SiteSet, which
+holds tau and nu as arrays, and writes them back when it ends.  Inside a run
+the global Gaussian approximation is held in moment form, as one covariance
+work buffer Sigma and its mean mu.
 
 A serial sweep visits the sites in turn: with z = Sigma u the cavity reads
 the marginal u^T z, u^T mu, and a site refresh is one in-place rank-one
@@ -53,15 +52,14 @@ FULL_COV_MAX_N = 1000
 
 # The first mode is the CLI's default; the engine's default is serial.
 SWEEP_MODES = ("parallel", "serial")
-DOWNDATE_POLICIES = ("skip_site", "abort")
 
 
 @dataclass
 class Site:
     """One factor approximation on the projection u^T x: the row U (1 x n)
-    and natural parameters K_i (1 x 1) and h_i (1,), initialized to
-    K_i = 1, h_i = 0.  The site keeps its own copies of all three; run_ep
-    writes its parameters into K_i and h_i in place when it ends.
+    and the scalar natural parameters tau and nu, initialized to tau = 1,
+    nu = 0.  The site keeps its own copy of U; run_ep writes its parameters
+    into tau and nu when it ends.
 
     Raises
     ------
@@ -71,15 +69,13 @@ class Site:
 
     U: np.ndarray
     family: FactorFamily
-    K_i: np.ndarray | None = None
-    h_i: np.ndarray | None = None
+    tau: float = 1.0
+    nu: float = 0.0
 
     def __post_init__(self) -> None:
         self.U = np.array(self.U, dtype=float, ndmin=2)
         if self.U.ndim != 2 or self.U.shape[0] != 1:
             raise ValueError(f"a site acts on one projection row, got U of shape {self.U.shape}")
-        self.K_i = np.eye(1) if self.K_i is None else np.array(self.K_i, dtype=float, ndmin=2)
-        self.h_i = np.zeros(1) if self.h_i is None else np.array(self.h_i, dtype=float, ndmin=1)
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,6 @@ class EPOptions:
     max_sweeps: int = 50
     site_tol: float = 1e-4
     sweep_mode: str = "serial"  # or "parallel"
-    on_downdate_failure: str = "skip_site"  # or "abort"
 
     def __post_init__(self) -> None:
         if self.max_sweeps < 1:
@@ -107,8 +102,6 @@ class EPOptions:
             raise ValueError("site_tol must be > 0")
         if self.sweep_mode not in SWEEP_MODES:
             raise ValueError(f"sweep_mode must be one of {SWEEP_MODES}")
-        if self.on_downdate_failure not in DOWNDATE_POLICIES:
-            raise ValueError(f"on_downdate_failure must be one of {DOWNDATE_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -146,8 +139,8 @@ class SiteSet:
         self.U = np.array([s.U[0] for s in sites]).reshape(len(sites), n)
         self.coords = _coordinates(self.U)
         self.family = [s.family for s in sites]
-        self.tau = np.array([s.K_i[0, 0] for s in sites], dtype=float)
-        self.nu = np.array([s.h_i[0] for s in sites], dtype=float)
+        self.tau = np.array([s.tau for s in sites], dtype=float)
+        self.nu = np.array([s.nu for s in sites], dtype=float)
         groups: dict = {}
         for i, f in enumerate(self.family):
             try:
@@ -329,9 +322,7 @@ def project_moments(
     return MomentGaussian(mu_star, 0.5 * (C_star + C_star.T))
 
 
-def _serial_sweep(
-    work: MomentGaussian, sites: SiteSet, on_downdate_failure: str
-) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+def _serial_sweep(work: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Refit the sites in turn, refreshing the work state after each.  The
     SiteSet keeps its start-of-sweep parameters: a cavity reads only its own
     site's.  Returns the refit (tau, nu) and the skipped sites' errors."""
@@ -343,8 +334,6 @@ def _serial_sweep(
             new = update_site(i, cav, site_moments(sites.family[i], cav))
             refresh_global(work, sites, i, (sites.tau[i], sites.nu[i]), new)
         except (CavityInvalid, DegenerateSupport, NotPositiveDefinite, DowndateFailed) as exc:
-            if isinstance(exc, DowndateFailed) and on_downdate_failure == "abort":
-                raise
             errors[i] = exc
             continue
         tau[i], nu[i] = new
@@ -422,9 +411,11 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     refit from the start-of-sweep state, in array form.  Either mode then
     reassembles the global from the refit parameters and inverts it once;
     that snapshot is the sweep's history entry and the next sweep's work
-    state.  A sweep converges when no refit site moved by ``site_tol`` or
-    more and no site was skipped.  The sweeps read a SiteSet built on entry;
-    its parameters are written into the sites when the run returns or raises
+    state.  A site whose cavity, moments or (serial) downdate fails is
+    skipped: it keeps its parameters and is listed in ``skipped_sites``.  A
+    sweep converges when no refit site moved by ``site_tol`` or more and no
+    site was skipped.  The sweeps read a SiteSet built on entry; its
+    parameters are written into the sites when the run returns or raises
     (callers wanting a cold start should pass fresh sites).
 
     Raises
@@ -432,9 +423,6 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     GlobalNotPD
         If the assembled precision is not positive definite; the sites then
         hold the parameters that were assembled.
-    DowndateFailed
-        Under ``on_downdate_failure="abort"``; the sites then keep their
-        start-of-sweep parameters.
     """
     opts = opts or EPOptions()
     site_set = SiteSet(sites, base.n)
@@ -451,7 +439,7 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
 
         for sweep in range(1, opts.max_sweeps + 1):
             if opts.sweep_mode == "serial":
-                tau, nu, errors = _serial_sweep(work, site_set, opts.on_downdate_failure)
+                tau, nu, errors = _serial_sweep(work, site_set)
             else:
                 tau, nu, errors = _parallel_sweep(work, site_set)
             skipped += [SkippedSite(sweep, i, f"{type(errors[i]).__name__}: {errors[i]}") for i in sorted(errors)]
@@ -472,9 +460,8 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
                 converged = True
                 break
     finally:
-        for s, K_i, h_i in zip(sites, site_set.tau.tolist(), site_set.nu.tolist()):
-            s.K_i[0, 0] = K_i
-            s.h_i[0] = h_i
+        for s, tau_i, nu_i in zip(sites, site_set.tau.tolist(), site_set.nu.tolist()):
+            s.tau, s.nu = tau_i, nu_i
 
     return EPResult(
         mean=snap.mu,

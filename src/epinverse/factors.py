@@ -6,7 +6,7 @@ at the background value into two exponentially tilted truncated-Gaussian
 pieces, using e^{+-lam*s} N(s; m, v) = e^{lam^2 v/2 +- lam*m} N(s; m +- lam*v, v)
 and log-domain tail evaluation.  A purely numerical quadrature of the same
 integrand suffers cancellation and underflow once lam*sqrt(v) is large; it is
-kept only as an oracle and as a fallback for unsupported families.
+kept only as an oracle that the tests check the kernels against.
 """
 
 from __future__ import annotations

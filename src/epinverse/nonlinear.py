@@ -9,6 +9,7 @@ Sites are warm-started across outer iterations.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -54,7 +55,7 @@ class NonlinearOptions:
     max_outer: int = 10
     outer_tol: float = 1e-3
     inner: EPOptions = field(default_factory=lambda: EPOptions(max_sweeps=5))
-    floor: float | None = None  # componentwise admissibility floor for iterates
+    floor: float = -math.inf  # componentwise admissibility floor for iterates
 
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
@@ -149,9 +150,7 @@ def run_nonlinear(
     NonFiniteIterate
         If the mean leaves the admissible set irrecoverably (non-finite).
     """
-    mu = np.asarray(mu0, dtype=float).copy()
-    if opts.floor is not None:
-        mu = np.maximum(mu, opts.floor)
+    mu = np.maximum(np.asarray(mu0, dtype=float), opts.floor)
 
     prev_mu = None
     prev_d = None
@@ -183,8 +182,7 @@ def run_nonlinear(
         mu_new = mu + tau * d
         if not np.all(np.isfinite(mu_new)):
             raise NonFiniteIterate(f"outer iterate {k} is not finite")
-        if opts.floor is not None:
-            mu_new = np.maximum(mu_new, opts.floor)
+        mu_new = np.maximum(mu_new, opts.floor)
         rel_change = float(np.linalg.norm(mu_new - mu)) / max(float(np.linalg.norm(mu)), 1e-300)
         residual = float(np.linalg.norm(model.evaluate(mu_new) - data))
         mu = mu_new

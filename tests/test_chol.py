@@ -7,10 +7,9 @@ from epinverse import (
     DowndateFailed,
     NotPositiveDefinite,
     cholesky,
-    rank1_update,
     solve,
 )
-from epinverse.chol import inverse
+from epinverse.chol import inverse, rank1_update
 
 
 def random_spd(n, rng, jitter=1.0):

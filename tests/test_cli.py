@@ -307,12 +307,6 @@ def test_ep_bad_sweep_mode_is_a_config_error(tmp_path):
     assert main(["ep", "--config", cfg]) == 2
     s = load_summary(out)
     assert s["ok"] is False and s["error"] == "bad_ep_sweep_mode"
-    cfg = write_cfg(
-        tmp_path / "bogus2.cfg", problem="linear", linear_m=6, linear_n=4,
-        ep_on_downdate_failure="retry", out=out,
-    )
-    assert main(["ep", "--config", cfg]) == 2
-    assert load_summary(out)["error"] == "bad_ep_on_downdate_failure"
 
 
 def test_ep_truncated_mesh_is_a_config_error(workspace, tmp_path):
@@ -380,6 +374,17 @@ def _data_with_cell(data_path, tmp_path, edit):
         ("synth", {"noise_std": -1}, "bad_noise_std"),
         ("synth", {"noise_std": "nan"}, "bad_noise_std"),
         ("synth", {"noise_std": "inf"}, "bad_noise_std"),
+        # non-finite numbers; floor alone may be -inf
+        ("ep", {**LINEAR_6x4, "linear_amplitude": "nan"}, "bad_linear_amplitude"),
+        ("ep", {**LINEAR_6x4, "sigma_bg": "nan"}, "bad_sigma_bg"),
+        ("ep", {**LINEAR_6x4, "sigma_bg": "inf"}, "bad_sigma_bg"),
+        ("ep", {**LINEAR_6x4, "floor": "nan"}, "bad_floor"),
+        ("ep", {**LINEAR_6x4, "floor": "inf"}, "bad_floor"),
+        ("ep", {**LINEAR_6x4, "lambda": "inf"}, "bad_lambda"),
+        ("ep", {**LINEAR_6x4, "alpha": "inf"}, "bad_alpha"),
+        ("synth", {"amplitude": "nan"}, "bad_amplitude"),
+        ("synth", {"radius": "nan"}, "bad_radius"),
+        ("synth", {"impedances": "inf " + "1e-4 " * 15}, "bad_impedances"),
     ],
 )
 def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, code):

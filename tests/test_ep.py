@@ -17,8 +17,8 @@ from epinverse import (
     update_site,
 )
 from epinverse import chol, ep
-from epinverse.ep import DOWNDATE_POLICIES, SiteSet, SkippedSite, assemble_global, cavity, refresh_global, site_moments
-from epinverse.errors import CavityInvalid, DegenerateSupport, DowndateFailed, NotPositiveDefinite
+from epinverse.ep import SiteSet, SkippedSite, assemble_global, cavity, refresh_global, site_moments
+from epinverse.errors import CavityInvalid, DegenerateSupport, NotPositiveDefinite
 from epinverse.factors import FactorFamily, TiltedMoments
 
 
@@ -43,7 +43,7 @@ def test_cavity_empty_site_is_full_marginal():
     h = rng.standard_normal(5)
     g = make_work(h, K)
     U = rng.standard_normal((1, 5))
-    s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=np.zeros((1, 1)), h_i=np.zeros(1))
+    s = Site(U, LaplacePositivityFactor(1.0, 0.0), tau=0.0, nu=0.0)
     cav = cavity(g, one(s), 0)
     Kinv = np.linalg.inv(K)
     marg_var = (U @ Kinv @ U.T).item()
@@ -54,8 +54,7 @@ def test_cavity_empty_site_is_full_marginal():
 
 def test_cavity_scalar_example():
     g = make_work([2.0], [[2.0]])
-    s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0),
-             K_i=np.array([[0.5]]), h_i=np.array([0.3]))
+    s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0), tau=0.5, nu=0.3)
     cav = cavity(g, one(s), 0)
     assert cav.prec == pytest.approx(1.5, rel=1e-12)
     assert cav.eta / cav.prec == pytest.approx((1.0 - 0.15) / 0.75, rel=1e-12)
@@ -67,10 +66,9 @@ def test_cavity_after_multiplying_site_back_in():
     K0 = M.T @ M + np.eye(4)
     h0 = rng.standard_normal(4)
     U = rng.standard_normal((1, 4))
-    Ki = np.array([[0.8]])
-    hi = np.array([0.4])
-    g1 = make_work(h0 + U.T @ hi, K0 + U.T @ Ki @ U)
-    s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=Ki, h_i=hi)
+    tau, nu = 0.8, 0.4
+    g1 = make_work(h0 + nu * U[0], K0 + tau * U.T @ U)
+    s = Site(U, LaplacePositivityFactor(1.0, 0.0), tau=tau, nu=nu)
     cav = cavity(g1, one(s), 0)
     K0inv = np.linalg.inv(K0)
     assert cav.eta / cav.prec == pytest.approx((U @ K0inv @ h0).item(), rel=1e-10)
@@ -84,13 +82,13 @@ def test_cavity_site_global_identity():
     h, K = rng.standard_normal(6), M.T @ M + 2 * np.eye(6)
     g = make_work(h, K)
     U = rng.standard_normal((1, 6))
-    s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=np.array([[0.5]]), h_i=np.array([0.2]))
+    s = Site(U, LaplacePositivityFactor(1.0, 0.0), tau=0.5, nu=0.2)
     cav = cavity(g, one(s), 0)
     Kinv = np.linalg.inv(K)
     marg_prec = 1.0 / (U @ Kinv @ U.T).item()
     marg_eta = marg_prec * (U @ Kinv @ h).item()
-    assert cav.prec + s.K_i[0, 0] == pytest.approx(marg_prec, rel=1e-12)
-    assert cav.eta + s.h_i[0] == pytest.approx(marg_eta, rel=1e-12, abs=1e-12)
+    assert cav.prec + s.tau == pytest.approx(marg_prec, rel=1e-12)
+    assert cav.eta + s.nu == pytest.approx(marg_eta, rel=1e-12, abs=1e-12)
 
 
 def test_cavity_of_null_projection_is_invalid():
@@ -103,12 +101,11 @@ def test_cavity_of_null_projection_is_invalid():
 def test_cavity_flat_within_rtol():
     # the site holds the whole marginal precision: the cavity is exactly flat
     g = make_work([2.0], [[2.0]])
-    s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0),
-             K_i=np.array([[2.0 * (1.0 - 1e-13)]]), h_i=np.array([0.5]))
+    s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0), tau=2.0 * (1.0 - 1e-13), nu=0.5)
     cav = cavity(g, one(s), 0)
     assert cav.is_flat and cav.prec == 0.0
     assert cav.eta == pytest.approx(1.5, rel=1e-12)
-    s.K_i = np.array([[2.0 * (1.0 + 1e-11)]])
+    s.tau = 2.0 * (1.0 + 1e-11)
     with pytest.raises(CavityInvalid):
         cavity(g, one(s), 0)
 
@@ -121,7 +118,7 @@ def test_site_holds_its_own_row():
     eye = np.eye(3)
     s = Site(eye[1:2], LaplacePositivityFactor(1.0, 0.0))
     assert s.U.shape == (1, 3) and not np.shares_memory(s.U, eye)
-    assert s.K_i.shape == (1, 1) and s.h_i.shape == (1,)
+    assert s.tau == 1.0 and s.nu == 0.0
     assert Site(np.array([0.0, 2.0]), LaplacePositivityFactor(1.0, 0.0)).U.shape == (1, 2)
 
 
@@ -136,7 +133,7 @@ def test_site_rejects_more_than_one_row():
 
 def test_site_set_stacks_rows_and_finds_coordinates():
     lap, gauss = LaplacePositivityFactor(1.0, 0.0), GaussianFactor1D(0.0, 1.0)
-    unit = [Site(np.eye(1, 4, c), f, K_i=[[0.5 + c]], h_i=[-c]) for c, f in zip([2, 0, 2], [lap, gauss, lap])]
+    unit = [Site(np.eye(1, 4, c), f, tau=0.5 + c, nu=-c) for c, f in zip([2, 0, 2], [lap, gauss, lap])]
     site_set = SiteSet(unit, 4)
     assert site_set.coords.tolist() == [2, 0, 2] and np.array_equal(site_set.U, np.eye(4)[[2, 0, 2]])
     assert site_set.tau.tolist() == [2.5, 0.5, 2.5] and site_set.nu.tolist() == [-2.0, 0.0, -2.0]
@@ -159,7 +156,7 @@ def test_site_set_stacks_rows_and_finds_coordinates():
 def test_update_site_identity_factor_gives_zero():
     g = make_work([1.0, 0.0], [[2.0, 0.3], [0.3, 1.5]])
     U = np.array([[1.0, 0.0]])
-    s = Site(U, LaplacePositivityFactor(1.0, 0.0), K_i=np.array([[0.4]]), h_i=np.array([0.1]))
+    s = Site(U, LaplacePositivityFactor(1.0, 0.0), tau=0.4, nu=0.1)
     cav = cavity(g, one(s), 0)
     tm = TiltedMoments(0.0, cav.eta / cav.prec, 1.0 / cav.prec)
     K_new, h_new = update_site(0, cav, tm)
@@ -486,31 +483,9 @@ def test_run_ep_downdate_failure_skips_and_reverts():
     res = run_ep(base, [s], EPOptions(max_sweeps=1, site_tol=1e-8))
     assert any("DowndateFailed" in sk.reason for sk in res.skipped_sites)
     # site parameters reverted to their initial values
-    assert s.K_i[0, 0] == 1.0 and s.h_i[0] == 0.0
+    assert s.tau == 1.0 and s.nu == 0.0
     # global state still the assembled initial one
     assert res.cov[0, 0] == pytest.approx(1.0 / 1.5, rel=1e-12)
-
-
-def test_run_ep_downdate_failure_abort():
-    from epinverse import DowndateFailed
-
-    base = NaturalGaussian(np.zeros(1), np.array([[0.5]]))
-    s = Site(np.array([[1.0]]), BlowupFactor(0.0, 1.0))
-    with pytest.raises(DowndateFailed):
-        run_ep(base, [s], EPOptions(max_sweeps=1, site_tol=1e-8, on_downdate_failure="abort"))
-
-
-def test_run_ep_abort_keeps_start_of_sweep_parameters():
-    from epinverse import DowndateFailed
-
-    # site 0 refits first; site 1 then fails its downdate and aborts the sweep
-    base = NaturalGaussian(np.zeros(2), 0.5 * np.eye(2))
-    good = Site(np.eye(1, 2, 0), LaplacePositivityFactor(1.0, 0.0))
-    bad = Site(np.eye(1, 2, 1), BlowupFactor(0.0, 1.0))
-    with pytest.raises(DowndateFailed):
-        run_ep(base, [good, bad], EPOptions(max_sweeps=1, on_downdate_failure="abort"))
-    for s in (good, bad):
-        assert s.K_i[0, 0] == 1.0 and s.h_i[0] == 0.0
 
 
 def test_run_ep_global_not_pd():
@@ -530,7 +505,7 @@ def test_run_ep_global_not_pd_after_a_sweep_leaves_the_assembled_parameters():
     s = Site(np.array([[1.0]]), BlowupFactor(0.0, 1.0))
     with pytest.raises(GlobalNotPD):
         run_ep(base, [s], EPOptions(max_sweeps=3, sweep_mode="parallel"))
-    assert s.K_i[0, 0] == 1e-20 - 0.5 and s.h_i[0] == 0.0
+    assert s.tau == 1e-20 - 0.5 and s.nu == 0.0
 
 
 @pytest.mark.parametrize("mode", ["serial", "parallel"])
@@ -541,7 +516,7 @@ def test_run_ep_writes_the_sites_when_it_returns(monkeypatch, mode):
     assemble = ep.assemble_global
 
     def recording_assemble(base, site_set):
-        seen.append([(s.K_i[0, 0], s.h_i[0]) for s in sites])
+        seen.append([(s.tau, s.nu) for s in sites])
         return assemble(base, site_set)
 
     monkeypatch.setattr(ep, "assemble_global", recording_assemble)
@@ -556,8 +531,8 @@ def test_run_ep_writes_the_sites_when_it_returns(monkeypatch, mode):
 def test_run_ep_cavity_invalid_skips():
     # a negative-precision companion site drives the cavity indefinite
     base = NaturalGaussian(np.zeros(1), np.array([[1.0]]))
-    good = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0), K_i=np.array([[3.0]]))
-    bad = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0), K_i=np.array([[-2.0]]))
+    good = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0), tau=3.0)
+    bad = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0), tau=-2.0)
     res = run_ep(base, [good, bad], EPOptions(max_sweeps=1, site_tol=1e-8))
     assert any("CavityInvalid" in sk.reason for sk in res.skipped_sites)
 
@@ -667,7 +642,7 @@ def test_serial_sweeps_match_textbook_ep_with_downdates(monkeypatch):
     res = run_ep(base, sites, EPOptions(max_sweeps=sweeps, site_tol=1e-300))
     assert res.sweeps_used == sweeps and not res.skipped_sites
     assert min(dKs) < 0.0 < max(dKs)  # downdates and updates
-    assert min(s.K_i[0, 0] for s in sites) < 0.0 < max(s.K_i[0, 0] for s in sites)
+    assert min(s.tau for s in sites) < 0.0 < max(s.tau for s in sites)
 
     want = textbook_serial_ep(base, rows, family, sweeps)
     for k, (mu, C) in enumerate(want, start=1):
@@ -679,9 +654,8 @@ def test_serial_sweeps_match_textbook_ep_with_downdates(monkeypatch):
         assert _rel(C_loop, res.cov_history[k]) <= 1e-10
 
 
-@pytest.mark.parametrize("policy", DOWNDATE_POLICIES)
 @pytest.mark.parametrize("above", [False, True], ids=["at_tolerance", "just_above"])
-def test_downdate_guard_at_pivot_tolerance(monkeypatch, policy, above):
+def test_downdate_guard_at_pivot_tolerance(monkeypatch, above):
     # Sigma = I exactly, so site 1's marginal variance is v = 1 and its
     # refit's denominator is 1 + dK, exact in floating point for dK near -1;
     # dK is chosen so that it is the nearest value 1 + dK can take at or
@@ -695,24 +669,21 @@ def test_downdate_guard_at_pivot_tolerance(monkeypatch, policy, above):
     assert (1.0 + dK > tol) == above and abs(1.0 + dK - tol) <= 2.0**-52
 
     base = NaturalGaussian(np.zeros(2), 0.5 * np.eye(2))
-    sites = [Site(np.eye(1, 2, i), LaplacePositivityFactor(1.0, 0.0), K_i=[[0.5]]) for i in range(2)]
+    sites = [Site(np.eye(1, 2, i), LaplacePositivityFactor(1.0, 0.0), tau=0.5) for i in range(2)]
     refits = {0: (0.3, 0.1), 1: (0.5 + dK, 0.2)}
     monkeypatch.setattr(ep, "update_site", lambda i, cav, tm: refits[i])
-    opts = EPOptions(max_sweeps=1, on_downdate_failure=policy)
 
-    if not above and policy == "abort":
-        with pytest.raises(DowndateFailed):
-            run_ep(base, sites, opts)
-        assert all(s.K_i[0, 0] == 0.5 and s.h_i[0] == 0.0 for s in sites)
-        return
-    res = run_ep(base, sites, opts)
-    assert sites[0].K_i[0, 0] == 0.3
+    res = run_ep(base, sites, EPOptions(max_sweeps=1))
+    assert sites[0].tau == 0.3
     if above:
         assert not res.skipped_sites
-        assert sites[1].K_i[0, 0] == 0.5 + dK
+        assert sites[1].tau == 0.5 + dK
     else:
+        # the failed downdate skips its site: it keeps its parameters, and
+        # the sweep does not converge
         assert [(sk.index, sk.reason.split(":")[0]) for sk in res.skipped_sites] == [(1, "DowndateFailed")]
-        assert sites[1].K_i[0, 0] == 0.5 and sites[1].h_i[0] == 0.0
+        assert sites[1].tau == 0.5 and sites[1].nu == 0.0
+        assert not res.converged
 
 
 @pytest.mark.parametrize("mode", ["serial", "parallel"])
@@ -777,12 +748,12 @@ def per_site_parallel_ep(base, sites, max_sweeps, site_tol):
             converged = True
             break
     for s, K, h in zip(sites, site_set.tau, site_set.nu):
-        s.K_i, s.h_i = np.array([[K]]), np.array([h])
+        s.tau, s.nu = K, h
     return history, skipped, converged
 
 
 def _site_params(sites):
-    return np.array([[s.K_i[0, 0], s.h_i[0]] for s in sites])
+    return np.array([[s.tau, s.nu] for s in sites])
 
 
 def _spd_base(n, seed, scale=1.0):
@@ -792,7 +763,7 @@ def _spd_base(n, seed, scale=1.0):
 
 
 def _zero_block_base(n, seed):
-    # coordinate 0 is decoupled and has no base precision: with K_i = 1 the
+    # coordinate 0 is decoupled and has no base precision: with tau = 1 the
     # site holds its whole marginal precision, so its cavity is flat
     g = _spd_base(n, seed)
     K = g.K.copy()
@@ -823,8 +794,8 @@ def _parallel_cases():
         "skips": lambda: (
             NaturalGaussian(np.array([0.0, 0.3, 0.0, 0.1]), np.diag([1.0, 1.0, 1.0, 2.0])),
             [
-                Site(np.eye(1, 4, 0), lap, K_i=[[3.0]]),  # with the next site: CavityInvalid
-                Site(np.eye(1, 4, 0), lap, K_i=[[-2.0]]),
+                Site(np.eye(1, 4, 0), lap, tau=3.0),  # with the next site: CavityInvalid
+                Site(np.eye(1, 4, 0), lap, tau=-2.0),
                 Site(np.eye(1, 4, 1), LaplacePositivityFactor(1.0, 0.0, floor=60.0)),  # DegenerateSupport
                 Site(np.eye(1, 4, 2), ZeroVarianceFactor(0.0, 1.0)),  # NotPositiveDefinite
                 Site(np.eye(1, 4, 3), lap),
@@ -859,7 +830,7 @@ def test_parallel_sweep_with_a_skip_does_not_converge():
     reasons = {sk.reason.split(":")[0] for sk in res.skipped_sites}
     assert reasons == {"CavityInvalid", "DegenerateSupport", "NotPositiveDefinite"}
     # the skipped sites keep their parameters
-    assert sites[2].K_i[0, 0] == 1.0 and sites[3].K_i[0, 0] == 1.0
+    assert sites[2].tau == 1.0 and sites[3].tau == 1.0
 
 
 def test_parallel_sweep_uses_no_per_site_kernel(monkeypatch):
@@ -878,8 +849,8 @@ def test_sum_sites_adds_sites_on_one_coordinate():
     rng = np.random.default_rng(12)
     base = _spd_base(4, 12)
     coords = [0, 2, 2, 3, 0]
-    sites = [Site(np.eye(1, 4, c), LaplacePositivityFactor(1.0, 0.0), K_i=[[rng.uniform(-0.5, 2.0)]],
-                  h_i=[rng.normal()]) for c in coords]
+    sites = [Site(np.eye(1, 4, c), LaplacePositivityFactor(1.0, 0.0), tau=rng.uniform(-0.5, 2.0), nu=rng.normal())
+             for c in coords]
     site_set = SiteSet(sites, 4)
     g = assemble_global(base, site_set)
     K, h = g.K, g.h

@@ -53,15 +53,15 @@ def test_moment_natural_roundtrip():
 # refresh_global multiply sites in
 # ---------------------------------------------------------------------------
 
-def _one_site(u, K_i, h_i):
-    """The SiteSet of one site on the row u with parameters (K_i, h_i)."""
-    return SiteSet([Site(u, LaplacePositivityFactor(1.0, 0.0), K_i=[[K_i]], h_i=[h_i])], np.size(u))
+def _one_site(u, tau, nu):
+    """The SiteSet of one site on the row u with parameters (tau, nu)."""
+    return SiteSet([Site(u, LaplacePositivityFactor(1.0, 0.0), tau=tau, nu=nu)], np.size(u))
 
 
-def _with_site(g, u, K_i, h_i):
-    """The global g times a rank-one site (h_i u, K_i u u^T), and the site."""
-    g1 = NaturalGaussian(g.h + h_i * u, g.K + K_i * np.outer(u, u))
-    return g1, _one_site(u, K_i, h_i)
+def _with_site(g, u, tau, nu):
+    """The global g times a rank-one site (nu u, tau u u^T), and the site."""
+    g1 = NaturalGaussian(g.h + nu * u, g.K + tau * np.outer(u, u))
+    return g1, _one_site(u, tau, nu)
 
 
 def test_quotient_zero_contribution_is_identity():
@@ -106,12 +106,12 @@ def test_product_adds_parameters():
     base = random_natural(3, rng)
     sites = [
         Site(rng.standard_normal((1, 3)), LaplacePositivityFactor(1.0, 0.0),
-             K_i=[[rng.uniform(0.1, 2.0)]], h_i=[rng.standard_normal()])
+             tau=rng.uniform(0.1, 2.0), nu=rng.standard_normal())
         for _ in range(4)
     ]
     g = assemble_global(base, SiteSet(sites, 3))
-    K = base.K + sum(s.K_i[0, 0] * np.outer(s.U[0], s.U[0]) for s in sites)
-    h = base.h + sum(s.h_i[0] * s.U[0] for s in sites)
+    K = base.K + sum(s.tau * np.outer(s.U[0], s.U[0]) for s in sites)
+    h = base.h + sum(s.nu * s.U[0] for s in sites)
     assert np.allclose(g.h, h, rtol=1e-14, atol=0.0)
     assert np.allclose(g.K, K, rtol=1e-13, atol=1e-14)
     assert np.allclose(g.factor.L @ g.factor.L.T, K, rtol=1e-12, atol=1e-12)
@@ -130,7 +130,7 @@ def test_product_matches_grid_density_1d():
     gaussians = [(0.3, 1.2), (-0.5, 0.7), (1.1, 2.5)]
     base = NaturalGaussian(np.zeros(1), np.zeros((1, 1)))
     sites = [
-        Site(np.array([[1.0]]), GaussianFactor1D(mu, var), K_i=[[1.0 / var]], h_i=[mu / var])
+        Site(np.array([[1.0]]), GaussianFactor1D(mu, var), tau=1.0 / var, nu=mu / var)
         for mu, var in gaussians
     ]
     mg = moment_from_natural(assemble_global(base, SiteSet(sites, 1)))
@@ -185,13 +185,13 @@ def test_quotient_product_roundtrip_property():
         rng = np.random.default_rng(seed)
         g0 = random_natural(n, rng)
         u = rng.standard_normal(n)
-        K_i, h_i = rng.uniform(0.0, 2.0), rng.standard_normal()
-        g1, s = _with_site(g0, u, K_i, h_i)
+        tau, nu = rng.uniform(0.0, 2.0), rng.standard_normal()
+        g1, s = _with_site(g0, u, tau, nu)
         cav = cavity(moment_from_natural(g1), s, 0)
         C = np.linalg.inv(g1.K)
         marg_prec = 1.0 / (u @ C @ u)
         marg_eta = marg_prec * (u @ C @ g1.h)
-        assert abs(cav.prec + K_i - marg_prec) <= 1e-9 * marg_prec
-        assert abs(cav.eta + h_i - marg_eta) <= 1e-9 * max(abs(marg_eta), marg_prec, 1.0)
+        assert abs(cav.prec + tau - marg_prec) <= 1e-9 * marg_prec
+        assert abs(cav.eta + nu - marg_eta) <= 1e-9 * max(abs(marg_eta), marg_prec, 1.0)
 
     inner()

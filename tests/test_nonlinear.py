@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from epinverse import EPOptions, GaussianFactor1D, LaplacePositivityFactor, Site
+from epinverse import EPOptions, GaussianFactor1D, LaplacePositivityFactor, NonFiniteIterate, Site
 from epinverse.nonlinear import (
     ForwardModel,
     LinearModel,
@@ -165,6 +165,23 @@ def test_floor_projection_invariant():
     res = run_nonlinear(model, np.array([8.0]), sites, opts, np.array([0.6]))
     assert np.all(res.mean >= 0.5)
     assert all(0.0 <= r.tau <= 1.0 for r in res.outer_records)
+
+
+def test_default_floor_is_minus_inf_and_projects_nothing():
+    # the default floor, -inf, leaves a negative posterior mean alone
+    assert NonlinearOptions(alpha=1.0).floor == -math.inf
+    sites = [Site(np.eye(1, 2, i), GaussianFactor1D(0.0, 100.0)) for i in range(2)]
+    res = run_nonlinear(LinearModel(np.eye(2)), np.array([-3.0, 2.0]), sites,
+                        NonlinearOptions(alpha=1.0, max_outer=3), np.zeros(2))
+    assert res.mean[0] < -2.0 and res.mean[1] > 1.0
+
+
+@pytest.mark.parametrize("floor", [-math.inf, 0.0])
+def test_non_finite_iterate_is_caught_before_the_floor(floor):
+    sites = [Site(np.eye(1, 2, i), GaussianFactor1D(0.0, 1.0)) for i in range(2)]
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIterate):
+        run_nonlinear(LinearModel(np.eye(2)), np.array([np.inf, 0.0]), sites,
+                      NonlinearOptions(alpha=1.0, floor=floor), np.zeros(2))
 
 
 @pytest.mark.parametrize("max_outer", [0, -1])
