@@ -417,12 +417,7 @@ def cmd_synth(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     if mesh_key:
         mesh = _read_mesh_key(cfg, "fine_mesh")
     else:
-        mesh = gen_disk_mesh(
-            cfgmod.get_float(cfg, "radius", cem.TANK_RADIUS),
-            cfgmod.get_int(cfg, "electrodes", cem.N_ELECTRODES),
-            cfgmod.get_float(cfg, "electrode_coverage", cem.ELECTRODE_COVERAGE),
-            cfgmod.get_int(cfg, "fine_target_nodes", 1200),
-        )
+        mesh = _disk_mesh(cfg, "fine_target_nodes", 1200)
         write_mesh(mesh, out / "fine_mesh.txt")
     cem_cfg = _cem_config_from(cfg)
     bg = cfgmod.get_float(cfg, "sigma_bg", cem.SIGMA_BG)
@@ -453,13 +448,23 @@ def cmd_synth(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     return {"n_measurements": int(data.shape[0]), "noise_std": noise_std, "fine_nodes": mesh.n_nodes}
 
 
-def cmd_mesh(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
-    mesh = gen_disk_mesh(
-        cfgmod.get_float(cfg, "radius", cem.TANK_RADIUS),
-        cfgmod.get_int(cfg, "electrodes", cem.N_ELECTRODES),
+def _disk_mesh(cfg: dict[str, str], nodes_key: str, nodes_default: int):
+    """The disk mesh of the geometry keys; a radius that is not > 0 or fewer
+    than two electrodes is ``bad_<key>``."""
+    radius = cfgmod.get_float(cfg, "radius", cem.TANK_RADIUS)
+    _check_positive(radius, "radius")
+    L = cfgmod.get_int(cfg, "electrodes", cem.N_ELECTRODES)
+    _check(L, L >= 2, "electrodes", "be >= 2")
+    return gen_disk_mesh(
+        radius,
+        L,
         cfgmod.get_float(cfg, "electrode_coverage", cem.ELECTRODE_COVERAGE),
-        cfgmod.get_int(cfg, "target_nodes", 424),
+        cfgmod.get_int(cfg, nodes_key, nodes_default),
     )
+
+
+def cmd_mesh(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
+    mesh = _disk_mesh(cfg, "target_nodes", 424)
     name = cfgmod.get_str(cfg, "mesh_file", "mesh.txt")
     write_mesh(mesh, out / name)
     return {

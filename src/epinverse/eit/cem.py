@@ -9,11 +9,17 @@ adjoint solves.  Conductivity lives in the same nodal P1 space as the
 potential and is interpolated at element centroids (1-point rule) for the
 stiffness entries.
 
-Everything that does not depend on the conductivity (element geometry, the
-scatter positions in the reduced system, the reduced electrode terms, the
-node-element incidence) is built once per mesh (``MeshOperator``); a solve
-scatters the conductivity-weighted terms into the reduced system, factors it
-and reads the voltages off the trailing block of the factor.
+Everything that does not depend on the conductivity (element geometry, a
+reverse Cuthill-McKee order of the nodes and its half-bandwidth, the scatter
+positions in the reduced system, the reduced electrode terms, the
+node-element incidence) is built once per mesh (``MeshOperator``).  A solve
+scatters the conductivity-weighted terms into three blocks: the node block
+as a lower band, the electrode-node coupling and the small electrode block.
+It factors the band (``dpbtrf``), forms the Schur complement onto the
+electrodes and factors that densely; the voltages solve with the Schur
+factor, which is the trailing block of the full factor, and the node
+potentials take one banded back-substitution.  No dense factor of the
+whole reduced system is ever formed.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import lapack
 
 from ..errors import ElectrodeCountMismatch, SingularSystem
 from ..nonlinear import ForwardModel
@@ -132,7 +138,17 @@ class MeshOperator:
     times a fixed weight at a fixed position: the coefficient of element t's
     stiffness is the sum of its three nodal conductivities (the centroid
     value times 3), that of an electrode edge term is 1/z_l.  Assembly is
-    then one scatter, ``bincount(index, coef[owner] * weight)``.
+    then one scatter, ``bincount(index, coef[owner] * weight)``, into one
+    flat buffer of three blocks, with the nodes in reverse Cuthill-McKee
+    order (mesh node q at band position ``rank[q]``):
+
+    - the lower band of the (N, N) node block in LAPACK ``(kd+1, N)``
+      storage, Fortran order;
+    - the (L-1, N) electrode-node coupling;
+    - the (L-1, L-1) electrode block.
+
+    The upper-triangle node terms and the node-electrode duplicates of the
+    coupling are dropped when the operator is built.
     """
 
     n_nodes: int
@@ -141,20 +157,18 @@ class MeshOperator:
     areas: np.ndarray  # (T,) signed
     b: np.ndarray  # (T, 3) gradient coefficients, grad phi_i = (b_i, c_i)/(2A)
     c: np.ndarray  # (T, 3)
-    index: np.ndarray  # flat position of each term in the (M, M) reduced system
+    rank: np.ndarray  # (N,) band position of each mesh node
+    kd: int  # half-bandwidth of the node block in that order
+    index: np.ndarray  # flat position of each term in the block buffer
     owner: np.ndarray  # its coefficient: element t, or T + l for electrode l
     weight: np.ndarray  # its value at unit coefficient
     incidence: sparse.csr_matrix  # (interior nodes, T): 1 where the node is a vertex
 
-    @property
-    def size(self) -> int:
-        """M = N + L - 1, the order of the reduced system."""
-        return self.n_nodes + self.n_electrodes - 1
-
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "MeshOperator":
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
         N, L, T = mesh.n_nodes, mesh.n_electrodes, mesh.n_triangles
-        M = N + L - 1
         tri = mesh.triangles
         p = mesh.nodes[tri]  # (T, 3, 2)
         x, y = p[..., 0], p[..., 1]
@@ -163,7 +177,14 @@ class MeshOperator:
         areas = 0.5 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
         # element stiffness (b_i b_j + c_i c_j)/(4A) at the centroid value sum/3
         unit = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (12.0 * areas[:, None, None])
-        k_index = tri[:, :, None] * M + tri[:, None, :]
+
+        # reverse Cuthill-McKee on the triangle adjacency bounds the node block's band
+        edges = (tri[:, [0, 0, 1, 1, 2, 2]].reshape(-1), tri[:, [1, 2, 0, 2, 0, 1]].reshape(-1))
+        adjacency = sparse.csr_matrix((np.ones(6 * T), edges), shape=(N, N))
+        rank = np.empty(N, dtype=np.int64)
+        rank[reverse_cuthill_mckee(adjacency, symmetric_mode=True)] = np.arange(N)
+        k_row, k_col = rank[tri][:, :, None], rank[tri][:, None, :]
+        kd = int((k_row - k_col).max())
 
         # electrode edges, each mapped to its reduced unknowns (u_a, u_b, v)
         # by V_l = Q[l] . v, so that its term is P^T _EDGE_TERM P
@@ -175,12 +196,25 @@ class MeshOperator:
         P[:, 0, 0] = 1.0
         P[:, 1, 1] = 1.0
         P[:, 2, 2:] = _zero_sum_basis(L)[elec]
-        e_term = d[:, None, None] * np.einsum("eia,ij,ejb->eab", P, _EDGE_TERM, P)
-        dofs = np.hstack([ab, np.broadcast_to(N + np.arange(L - 1), (len(elec), L - 1))])
-        e_index = dofs[:, :, None] * M + dofs[:, None, :]
+        e_term = d[:, None, None] * (P.transpose(0, 2, 1) @ (_EDGE_TERM @ P))
+        # reduced unknowns in block order (band positions, then N + electrode),
+        # keeping the lower node band, the coupling once and E whole
+        dofs = np.hstack([rank[ab], np.broadcast_to(N + np.arange(L - 1), (len(elec), L - 1))])
+        e_row = np.broadcast_to(dofs[:, :, None], e_term.shape)
+        e_col = np.broadcast_to(dofs[:, None, :], e_term.shape)
+        e_keep = ((e_row >= e_col) | (e_row >= N)) & (e_term != 0.0)
         e_owner = np.broadcast_to((T + elec)[:, None, None], e_term.shape)
-        nonzero = e_term != 0.0
-
+        k_keep = k_row >= k_col
+        k_owner = np.broadcast_to(np.arange(T)[:, None, None], unit.shape)
+        row = np.concatenate([np.broadcast_to(k_row, unit.shape)[k_keep], e_row[e_keep]])
+        col = np.concatenate([np.broadcast_to(k_col, unit.shape)[k_keep], e_col[e_keep]])
+        index = np.where(
+            col < N,
+            np.where(row < N, col * (kd + 1) + row - col, (kd + 1) * N + (row - N) * N + col),
+            (kd + 1 + L - 1) * N + (row - N) * (L - 1) + col - N,
+        )
+        owner = np.concatenate([k_owner[k_keep], e_owner[e_keep]])
+        weight = np.concatenate([unit[k_keep], e_term[e_keep]])
         interior = np.asarray(mesh.interior_node_ids)
         incidence = sparse.csr_matrix(
             (np.ones(3 * T), (tri.reshape(-1), np.repeat(np.arange(T), 3))), shape=(N, T)
@@ -192,9 +226,11 @@ class MeshOperator:
             areas=areas,
             b=b,
             c=c,
-            index=np.concatenate([k_index.reshape(-1), e_index[nonzero]]),
-            owner=np.concatenate([np.repeat(np.arange(T), 9), e_owner[nonzero]]),
-            weight=np.concatenate([unit.reshape(-1), e_term[nonzero]]),
+            rank=rank,
+            kd=kd,
+            index=index,
+            owner=owner,
+            weight=weight,
             incidence=incidence,
         )
 
@@ -214,46 +250,90 @@ def _operator(mesh: Mesh, cfg: CEMConfig) -> MeshOperator:
     return mesh.cem_operator
 
 
-def _assemble(op: MeshOperator, cfg: CEMConfig, sigma: np.ndarray) -> np.ndarray:
-    """The reduced SPD system at nodal conductivity sigma, in one scatter.
-
-    The array is Fortran-ordered (the transpose of the scatter's row-major
-    result, equal to it by symmetry) so that LAPACK factors it in place.
-    """
+def _assemble(op: MeshOperator, cfg: CEMConfig, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The three blocks of the reduced SPD system at nodal conductivity
+    sigma, in one scatter: the (kd+1, N) node band (Fortran order, so that
+    LAPACK factors it in place), the (L-1, N) coupling and the (L-1, L-1)
+    electrode block."""
     coef = np.concatenate([sigma[op.triangles].sum(axis=1), 1.0 / cfg.z])
-    M = op.size
-    return np.bincount(op.index, coef[op.owner] * op.weight, minlength=M * M).reshape(M, M).T
+    N, E, kd = op.n_nodes, op.n_electrodes - 1, op.kd
+    flat = np.bincount(op.index, coef[op.owner] * op.weight, minlength=(kd + 1 + E) * N + E * E)
+    split = (kd + 1) * N
+    return (
+        flat[:split].reshape(N, kd + 1).T,
+        flat[split : split + E * N].reshape(E, N),
+        flat[split + E * N :].reshape(E, E),
+    )
 
 
-def _solve_nodes(factor: tuple, electrode_rhs: np.ndarray) -> np.ndarray:
-    """Node rows of the reduced solve for right-hand sides that vanish on the
-    node rows and equal ``electrode_rhs`` (L-1, k) on the electrode rows."""
-    M = factor[0].shape[0]
-    N = M - electrode_rhs.shape[0]
-    rhs = np.zeros((M, electrode_rhs.shape[1]))
-    rhs[N:] = electrode_rhs
-    return cho_solve(factor, rhs, check_finite=False)[:N]
+@dataclass(frozen=True)
+class CEMFactor:
+    """Block Cholesky factor of the reduced system [[A, B], [B^T, E]], nodes
+    in the operator's band order: A = L L^T, W = L^-1 B, and the Cholesky
+    factor of the Schur complement S = E - W^T W, which is the trailing
+    (L-1) x (L-1) block of the full factor."""
+
+    band: np.ndarray  # (kd+1, N) lower band of L, LAPACK storage
+    coupling: np.ndarray  # (N, L-1) W
+    schur: np.ndarray  # (L-1, L-1) lower Cholesky factor of S
+    rank: np.ndarray  # (N,) band position of each mesh node
+
+
+def cho_factor(blocks: tuple[np.ndarray, np.ndarray, np.ndarray], rank: np.ndarray) -> CEMFactor:
+    """Factor the assembled blocks: ``dpbtrf`` on the node band (in place),
+    ``dtbtrs`` for W, and a dense Cholesky of the Schur complement.
+
+    Raises
+    ------
+    SingularSystem
+        If the node block or the Schur complement is not positive definite.
+    """
+    band, coupling, electrode = blocks
+    band, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise SingularSystem(f"reduced CEM system not SPD: node block minor {info} is not positive")
+    W, _ = lapack.dtbtrs(band, coupling.T, uplo="L", overwrite_b=1)
+    schur, info = lapack.dpotrf(electrode - W.T @ W, lower=1, clean=0)
+    if info != 0:
+        raise SingularSystem(f"reduced CEM system not SPD: Schur complement minor {info} is not positive")
+    return CEMFactor(band, W, schur, rank)
+
+
+def cho_solve(factor: CEMFactor, electrode_rhs: np.ndarray, nodes: bool = False) -> np.ndarray:
+    """Solve the reduced system for right-hand sides that vanish on the node
+    rows and equal ``electrode_rhs`` (L-1, k) on the electrode rows.
+
+    The electrode rows are x = S^-1 rhs.  With ``nodes`` the node rows
+    -L^-T (W x) are returned instead, in mesh order, C-contiguous (N, k).
+    """
+    x, _ = lapack.dpotrs(factor.schur, electrode_rhs, lower=1)
+    if not nodes:
+        return x
+    # -(W x) as the transpose of a C-ordered product: Fortran order, as dtbtrs wants
+    y = (x.T @ factor.coupling.T).T
+    np.negative(y, out=y)
+    u, _ = lapack.dtbtrs(factor.band, y, uplo="L", trans="T", overwrite_b=1)
+    return u[factor.rank]
 
 
 @dataclass
 class ForwardSolution:
     voltages: np.ndarray  # (P, L) electrode voltages, sum_l V = 0 per pattern
-    factor: tuple  # cho_factor of the reduced system
+    factor: CEMFactor  # block factor of the reduced system
     currents: np.ndarray  # (L-1, P) injected currents in the zero-sum basis, Q^T I
 
     @cached_property
     def node_potentials(self) -> np.ndarray:
         """(N, P) node potentials, solved on first access."""
-        return _solve_nodes(self.factor, self.currents)
+        return cho_solve(self.factor, self.currents, nodes=True)
 
 
 def solve_forward(mesh: Mesh, cfg: CEMConfig, sigma: np.ndarray) -> ForwardSolution:
     """Solve the CEM for all patterns off one factorization.
 
-    The right-hand side vanishes on the node rows, so the forward
-    substitution is zero there and the electrode unknowns solve with the
-    trailing (L-1) x (L-1) block of the Cholesky factor alone; the node
-    potentials are solved only when read.
+    The right-hand side vanishes on the node rows, so the electrode unknowns
+    solve with the Schur complement's factor alone; the node potentials are
+    solved only when read.
 
     Raises
     ------
@@ -269,16 +349,10 @@ def solve_forward(mesh: Mesh, cfg: CEMConfig, sigma: np.ndarray) -> ForwardSolut
     if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
         raise SingularSystem("conductivity must be strictly positive and finite")
     op = _operator(mesh, cfg)
-    A = _assemble(op, cfg, sigma)
-    try:
-        factor = cho_factor(A, lower=True, check_finite=False, overwrite_a=True)
-    except LinAlgError as exc:
-        raise SingularSystem(f"reduced CEM system not SPD: {exc}") from exc
-
+    factor = cho_factor(_assemble(op, cfg, sigma), op.rank)
     I = cfg.current_matrix()
     currents = I[:-1] - I[-1]  # Q^T I
-    N = mesh.n_nodes
-    v = cho_solve((factor[0][N:, N:], True), currents, check_finite=False)
+    v = cho_solve(factor, currents)
     voltages = np.vstack([v, -v.sum(axis=0)]).T  # (Q v)^T
     return ForwardSolution(voltages, factor, currents)
 
@@ -309,7 +383,7 @@ def jacobian(
     op = _operator(mesh, cfg)
     P, L = cfg.n_patterns, cfg.L
     # [Q^T I | Q^T]: the injected currents and the functionals V_l
-    uw = _solve_nodes(fs.factor, np.hstack([fs.currents, _zero_sum_basis(L).T]))[op.triangles]
+    uw = cho_solve(fs.factor, np.hstack([fs.currents, _zero_sum_basis(L).T]), nodes=True)[op.triangles]
     B = np.einsum("ti,tik->tk", op.b, uw)  # (T, P + L)
     C = np.einsum("ti,tik->tk", op.c, uw)
     T1 = (B[:, :P, None] * B[:, None, P:] + C[:, :P, None] * C[:, None, P:]) / (

@@ -385,6 +385,15 @@ def _data_with_cell(data_path, tmp_path, edit):
         ("synth", {"amplitude": "nan"}, "bad_amplitude"),
         ("synth", {"radius": "nan"}, "bad_radius"),
         ("synth", {"impedances": "inf " + "1e-4 " * 15}, "bad_impedances"),
+        # disk geometry: radius > 0 and at least two electrodes
+        ("mesh", {"radius": 0}, "bad_radius"),
+        ("mesh", {"radius": -1}, "bad_radius"),
+        ("mesh", {"radius": "inf"}, "bad_radius"),
+        ("mesh", {"electrodes": 1}, "bad_electrodes"),
+        ("mesh", {"electrodes": 0}, "bad_electrodes"),
+        ("synth", {"radius": 0}, "bad_radius"),
+        ("synth", {"radius": -1}, "bad_radius"),
+        ("synth", {"electrodes": 1}, "bad_electrodes"),
     ],
 )
 def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, code):

@@ -255,11 +255,24 @@ def oracle_case(request):
 
 
 def test_operator_assembly_matches_loop_assembly(oracle_case):
+    # the scatter fills the three blocks of the loop-assembled system, nodes
+    # in the operator's band order, and the band holds every node coupling
     m, cfg, sigma = oracle_case
     R_ref, _ = loop_reduced_system(m, cfg, sigma)
-    R = np.asarray(cem._assemble(m.cem_operator, cfg, sigma))
-    assert R.shape == R_ref.shape
-    assert np.abs(R - R_ref).max() <= 1e-14 * np.abs(R_ref).max()
+    op = m.cem_operator
+    N, kd = m.n_nodes, op.kd
+    order = np.argsort(op.rank)
+    A_ref = R_ref[:N, :N][np.ix_(order, order)]
+    i, j = np.nonzero(A_ref)
+    assert np.abs(i - j).max() <= kd
+    band_ref = np.zeros((kd + 1, N))
+    for r in range(kd + 1):
+        band_ref[r, : N - r] = np.diagonal(A_ref, -r)
+    blocks = cem._assemble(op, cfg, sigma)
+    refs = (band_ref, R_ref[N:, :N][:, order], R_ref[N:, N:])
+    for got, ref in zip(blocks, refs):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_trailing_block_voltages_match_full_solve(oracle_case):
@@ -291,6 +304,56 @@ def test_solve_guards(mesh, cfg):
     flipped = Mesh(mesh.nodes, mesh.triangles[:, [0, 2, 1]], mesh.electrode_edges, mesh.interior_node_ids)
     with pytest.raises(SingularSystem, match="not SPD"):
         solve_forward(flipped, cfg, sigma)
+
+
+def test_node_potentials_are_c_ordered_and_match_the_dense_solve(oracle_case):
+    m, cfg, sigma = oracle_case
+    R_ref, Q = loop_reduced_system(m, cfg, sigma)
+    N = m.n_nodes
+    rhs = np.zeros((R_ref.shape[0], cfg.n_patterns))
+    rhs[N:] = Q.T @ cfg.current_matrix()
+    u_ref = cho_solve(cho_factor(R_ref, lower=True), rhs)[:N]
+    u = solve_forward(m, cfg, sigma).node_potentials
+    assert u.flags.c_contiguous and u.shape == (N, cfg.n_patterns)
+    assert np.abs(u - u_ref).max() <= 1e-9 * np.abs(u_ref).max()
+
+
+# contact impedances and inclusion contrast of the extreme inputs
+EXTREME_INPUTS = {
+    "z=1e-7": (np.full(16, 1e-7), 1.0),
+    "z=1e-1": (np.full(16, 1e-1), 1.0),
+    "mixed z, contrast 1e3": (np.random.default_rng(7).permutation(np.logspace(-7, -1, 16)), 1e3),
+    "contrast 1e4": (np.random.default_rng(7).uniform(1e-4, 5e-4, 16), 1e4),
+}
+
+
+@pytest.mark.parametrize("case", list(EXTREME_INPUTS))
+def test_block_solve_is_backward_stable_at_extreme_inputs(oracle_case, case):
+    # normwise backward error of [u; v] against the loop-assembled system
+    m = oracle_case[0]
+    z, contrast = EXTREME_INPUTS[case]
+    cfg = CEMConfig(z=z, patterns=CUSTOM_PATTERNS)
+    sigma = paint_disk_inclusion(m, SIGMA_BG, (0.05, 0.02), 0.035, contrast * SIGMA_BG)
+    R, Q = loop_reduced_system(m, cfg, sigma)
+    N = m.n_nodes
+    rhs = np.zeros((R.shape[0], cfg.n_patterns))
+    rhs[N:] = Q.T @ cfg.current_matrix()
+    fs = solve_forward(m, cfg, sigma)
+    x = np.vstack([fs.node_potentials, fs.voltages[:, :-1].T])
+    for k in range(cfg.n_patterns):
+        r = R @ x[:, k] - rhs[:, k]
+        eta = np.abs(r).max() / (np.abs(R).sum(axis=1).max() * np.abs(x[:, k]).max() + np.abs(rhs[:, k]).max())
+        assert eta <= 1e-14, (case, k, eta)
+
+
+def test_block_factor_rejects_an_indefinite_schur_complement():
+    # a positive definite node block with an indefinite electrode block
+    N, E, kd = 6, 3, 2
+    band = np.zeros((kd + 1, N), order="F")
+    band[0] = 2.0
+    coupling = np.zeros((E, N))
+    with pytest.raises(SingularSystem, match="not SPD"):
+        cem.cho_factor((band, coupling, -np.eye(E)), np.arange(N))
 
 
 def test_electrode_count_mismatch_is_a_typed_error(mesh):
