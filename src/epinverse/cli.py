@@ -150,8 +150,15 @@ def _read_data_csv(path: Path, cfg: cem.CEMConfig) -> np.ndarray:
     return vals
 
 
-def _cem_config_from(cfg: dict[str, str]) -> cem.CEMConfig:
+def _electrode_count(cfg: dict[str, str]) -> int:
+    """The ``electrodes`` key.  Each pattern drives two electrodes and is
+    measured on the others, so fewer than three is ``bad_electrodes``."""
     L = cfgmod.get_int(cfg, "electrodes", cem.N_ELECTRODES)
+    return _check(L, L >= 3, "electrodes", "be >= 3")
+
+
+def _cem_config_from(cfg: dict[str, str]) -> cem.CEMConfig:
+    L = _electrode_count(cfg)
     z_raw = cfgmod.get_str(cfg, "impedances", "default")
     if z_raw == "default":
         z = cem.default_config(L).z
@@ -321,12 +328,10 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     post = Posterior(p.model.evaluate, p.data, p.alpha, prior)
 
     n_chains = cfgmod.get_int(cfg, "mcmc_chains", 8)
-    if n_chains < 2:
-        raise ConfigKeyError(f"key 'mcmc_chains' must be >= 2, got {n_chains}", "bad_mcmc_chains")
+    _check(n_chains, n_chains >= 2, "mcmc_chains", "be >= 2")
     steps = _check_positive(cfgmod.get_int(cfg, "mcmc_steps", 1_000_000), "mcmc_steps")
     burn_in = cfgmod.get_int(cfg, "mcmc_burn_in", steps // 10)
-    if not 0 <= burn_in < steps:
-        raise ConfigKeyError(f"key 'mcmc_burn_in' must lie in [0, {steps}), got {burn_in}", "bad_mcmc_burn_in")
+    _check(burn_in, 0 <= burn_in < steps, "mcmc_burn_in", f"lie in [0, {steps})")
     thin = _check_positive(cfgmod.get_int(cfg, "mcmc_thin", 10), "mcmc_thin")
     pilot_steps = _check_positive(cfgmod.get_int(cfg, "mcmc_pilot_steps", 4000), "mcmc_pilot_steps")
     init_spread = cfgmod.get_float(cfg, "mcmc_init_spread", 0.0)
@@ -450,14 +455,12 @@ def cmd_synth(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
 
 def _disk_mesh(cfg: dict[str, str], nodes_key: str, nodes_default: int):
     """The disk mesh of the geometry keys; a radius that is not > 0 or fewer
-    than two electrodes is ``bad_<key>``."""
+    than three electrodes is ``bad_<key>``."""
     radius = cfgmod.get_float(cfg, "radius", cem.TANK_RADIUS)
     _check_positive(radius, "radius")
-    L = cfgmod.get_int(cfg, "electrodes", cem.N_ELECTRODES)
-    _check(L, L >= 2, "electrodes", "be >= 2")
     return gen_disk_mesh(
         radius,
-        L,
+        _electrode_count(cfg),
         cfgmod.get_float(cfg, "electrode_coverage", cem.ELECTRODE_COVERAGE),
         cfgmod.get_int(cfg, nodes_key, nodes_default),
     )

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from epinverse.cli import main
+from epinverse.eit import cem
+from epinverse.eit.mesh import gen_disk_mesh, write_mesh
 
 
 def write_cfg(path, **kv):
@@ -340,6 +342,19 @@ def _data_with_cell(data_path, tmp_path, edit):
     return edited
 
 
+TWO_ELECTRODE_MESH = "two-electrode mesh"
+
+
+def _two_electrode_inputs(tmp_path):
+    """A 2-electrode mesh written through the library, which the ``mesh``
+    command refuses to write, and a data file with no rows."""
+    mesh = tmp_path / "mesh2.txt"
+    write_mesh(gen_disk_mesh(cem.TANK_RADIUS, 2, cem.ELECTRODE_COVERAGE, 100), mesh)
+    data = tmp_path / "data2.csv"
+    data.write_text("pattern_id,electrode_id,voltage\n")
+    return {"mesh": mesh, "data": data}
+
+
 @pytest.mark.parametrize(
     "command, keys, code",
     [
@@ -385,7 +400,7 @@ def _data_with_cell(data_path, tmp_path, edit):
         ("synth", {"amplitude": "nan"}, "bad_amplitude"),
         ("synth", {"radius": "nan"}, "bad_radius"),
         ("synth", {"impedances": "inf " + "1e-4 " * 15}, "bad_impedances"),
-        # disk geometry: radius > 0 and at least two electrodes
+        # disk geometry: radius > 0 and at least three electrodes
         ("mesh", {"radius": 0}, "bad_radius"),
         ("mesh", {"radius": -1}, "bad_radius"),
         ("mesh", {"radius": "inf"}, "bad_radius"),
@@ -394,17 +409,37 @@ def _data_with_cell(data_path, tmp_path, edit):
         ("synth", {"radius": 0}, "bad_radius"),
         ("synth", {"radius": -1}, "bad_radius"),
         ("synth", {"electrodes": 1}, "bad_electrodes"),
+        # two electrodes leave no measurement: each pattern drives both
+        ("mesh", {"electrodes": 2}, "bad_electrodes"),
+        ("synth", {"electrodes": 2}, "bad_electrodes"),
+        ("ep", {"problem": "eit", "electrodes": 2, "mesh": TWO_ELECTRODE_MESH}, "bad_electrodes"),
     ],
 )
 def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, code):
     _, mesh_path, data_path = workspace
-    if keys.get("problem") == "eit":
+    if keys.get("mesh") == TWO_ELECTRODE_MESH:
+        keys = {**keys, **_two_electrode_inputs(tmp_path)}
+    elif keys.get("problem") == "eit":
         keys = {**keys, "mesh": mesh_path, "data": _data_with_cell(data_path, tmp_path, keys.get("data"))}
     out = tmp_path / "out"
     assert main([command, "--config", write_cfg(tmp_path / "c.cfg", **keys, out=out)]) == 2
     s = load_summary(out)
     assert s["ok"] is False and s["error"] == code
     assert s["schema_version"] == 3
+
+
+@pytest.mark.parametrize(
+    "keys, detail",
+    [
+        ({"mcmc_chains": 1}, "key 'mcmc_chains' must be >= 2, got 1"),
+        ({"mcmc_steps": 100, "mcmc_burn_in": 100}, "key 'mcmc_burn_in' must lie in [0, 100), got 100"),
+        ({"mcmc_steps": 100, "mcmc_burn_in": -1}, "key 'mcmc_burn_in' must lie in [0, 100), got -1"),
+    ],
+)
+def test_mcmc_range_errors_name_the_rule(tmp_path, keys, detail):
+    out = tmp_path / "out"
+    assert main(["mcmc", "--config", write_cfg(tmp_path / "c.cfg", **LINEAR_6x4, **keys, out=out)]) == 2
+    assert load_summary(out)["error_detail"] == detail
 
 
 @pytest.fixture(scope="module")

@@ -129,6 +129,36 @@ def test_laplace_positivity_flat_pure_exponential():
     assert tm.var == pytest.approx(1.0 / 9.0, rel=1e-13)
 
 
+def test_laplace_positivity_flat_unreachable_mass_is_degenerate():
+    # one shifted-exponential piece with logZ = -1000 - log(1000)
+    f = LaplacePositivityFactor(lam=1e3, sigma_bg=0.0, floor=1.0)
+    with pytest.raises(DegenerateSupport, match=r"no numerically reachable mass \(logZ = -1006.9\)"):
+        f.moments_flat(0.0)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e3])
+@pytest.mark.parametrize("eta", [0.0, 0.5, -3.0])
+def test_laplace_positivity_flat_floor_one_subnormal_below_bg(lam, eta):
+    # the lower piece has width 5e-324: its weight underflows in the mixture
+    # and must leave the moments of a floor at the background, with no NaN
+    tm = LaplacePositivityFactor(lam, 0.0, -5e-324).moments_flat(eta)
+    ref = LaplacePositivityFactor(lam, 0.0, 0.0).moments_flat(eta)
+    assert np.isfinite([tm.logZ, tm.mean, tm.var]).all()
+    assert tm.logZ == pytest.approx(ref.logZ, rel=1e-15, abs=1e-300)
+    assert tm.mean == pytest.approx(ref.mean, rel=1e-15)
+    assert tm.var == pytest.approx(ref.var, rel=1e-15)
+
+
+def test_laplace_positivity_looks_up_the_scalar_kernel_at_call_time(monkeypatch):
+    # the tracer wraps factors.trunc_gauss_std; a kernel bound at import time
+    # would hide the scalar calls from it
+    calls = []
+    kernel = factors.trunc_gauss_std
+    monkeypatch.setattr(factors, "trunc_gauss_std", lambda a, b: calls.append((a, b)) or kernel(a, b))
+    moments_laplace_positivity(LaplacePositivityFactor(2.0, 0.5, 0.0), 0.3, 1.0)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # Gaussian factor closed form
 # ---------------------------------------------------------------------------
@@ -296,6 +326,17 @@ def test_trunc_std_many_matches_scalar_on_every_branch():
                 assert got[k] == want, (ak, bk, name)
             else:
                 assert rel(got[k], want, scale=1e-300) <= 1e-12, (ak, bk, name, got[k], want)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_trunc_std_many_broadcasts_an_infinite_bound(side):
+    x = np.array([-300.0, -12.0, -3.0, 0.0, 0.5, 9.999, 10.5, 40.0, 300.0])
+    a, b = (-math.inf, x) if side == "lower" else (x, math.inf)
+    many = trunc_gauss_std_many(a, b)
+    for k, xk in enumerate(x.tolist()):
+        ref = trunc_gauss_std(*((-math.inf, xk) if side == "lower" else (xk, math.inf)))
+        for want, got in zip(ref, many):
+            assert got[k] == want or rel(got[k], want, scale=1e-300) <= 1e-12, (xk, got[k], want)
 
 
 def test_trunc_std_many_rejects_an_empty_interval():
