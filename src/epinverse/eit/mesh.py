@@ -22,7 +22,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from ..errors import MeshFileError, MeshGenFailed
 
@@ -165,6 +164,8 @@ def gen_disk_mesh(radius: float, L: int, electrode_coverage: float, target_nodes
     MeshGenFailed
         If the coverage is infeasible or the calibrated count misses target.
     """
+    from scipy.spatial import Delaunay  # deferred: only mesh generation uses it
+
     if not 0.0 < electrode_coverage * L < 1.0:
         raise MeshGenFailed(f"coverage {electrode_coverage} with L={L} is infeasible")
     if target_nodes < 8 * L:

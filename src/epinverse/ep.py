@@ -3,24 +3,23 @@ projection type  t0(x) * prod_i t_i(u_i^T x).
 
 Every site acts on one projection row u_i and carries scalar natural
 parameters (tau_i, nu_i).  A run reads the sites once into a SiteSet, which
-holds tau and nu as arrays, and writes them back when it ends.  Inside a run
-the global Gaussian approximation is held in moment form, as one covariance
-work buffer Sigma and its mean mu.
+holds tau and nu as arrays, and writes them back when it ends.
 
-A serial sweep visits the sites in turn: with z = Sigma u the cavity reads
-the marginal u^T z, u^T mu, and a site refresh is one in-place rank-one
-(Sherman-Morrison) update of Sigma plus an update of mu along z.  A parallel
-sweep refits every site from the start-of-sweep state in array form: one
-read of the marginals (diag Sigma and mu at the sites' coordinates when every
-row is a unit vector, else the stacked-row products), one moment call per
-factor family and one vectorized site update.
+The run's one global state is the sweep snapshot: the global assembled afresh
+from the site parameters in natural form, K = K0 + U^T diag(tau) U, factored
+and inverted once into moment form (mu, Sigma).  _snapshot makes it, on entry
+and after every sweep; it is the sweep's history entry and the next sweep's
+start, so rounding drift is bounded by one sweep.
 
-After every sweep of either mode the global is assembled afresh from the
-site parameters in natural form, K = K0 + U^T diag(tau) U, and inverted
-once; that snapshot feeds the histories and resets the work buffer, so
-rounding drift is bounded by one sweep.  Cavities are formed in natural
-parameters so that exactly-flat cavities (decoupled factors) stay well
-defined.
+A parallel sweep refits every site from the snapshot in array form: one read
+of the marginals (diag Sigma and mu at the sites' coordinates when every row
+is a unit vector, else the stacked-row products), one moment call per factor
+family and one vectorized site update.  A serial sweep visits the sites in
+turn on its own copy of the snapshot: with z = Sigma u the cavity reads the
+marginal u^T z, u^T mu, and a site refresh is one in-place rank-one
+(Sherman-Morrison) update of Sigma plus an update of mu along z.  Cavities
+are formed in natural parameters so that exactly-flat cavities (decoupled
+factors) stay well defined.
 """
 
 from __future__ import annotations
@@ -162,13 +161,7 @@ def _coordinates(U: np.ndarray) -> np.ndarray | None:
 
 
 def assemble_global(base: NaturalGaussian, sites: SiteSet) -> NaturalGaussian:
-    """K = K0 + U^T diag(tau) U and h = h0 + U^T nu, freshly factored.
-
-    Raises
-    ------
-    GlobalNotPD
-        If K is not positive definite.
-    """
+    """K = K0 + U^T diag(tau) U and h = h0 + U^T nu."""
     if sites.coords is not None:
         # K0 + diag(tau) without the n^3 product; add.at sums repeated coordinates
         K, h = base.K.copy(), base.h.copy()
@@ -178,17 +171,27 @@ def assemble_global(base: NaturalGaussian, sites: SiteSet) -> NaturalGaussian:
         K = sites.U.T @ (sites.tau[:, None] * sites.U)
         K += base.K
         h = base.h + sites.U.T @ sites.nu
-    K = 0.5 * (K + K.T)
+    return NaturalGaussian(h, 0.5 * (K + K.T))
+
+
+def _snapshot(base: NaturalGaussian, sites: SiteSet) -> MomentGaussian:
+    """The global in moment form: assembled from the site parameters,
+    factored, solved and inverted.
+
+    Raises
+    ------
+    GlobalNotPD
+        If the assembled precision is not positive definite.
+    """
     try:
-        factor = chol.cholesky(K)
+        return moment_from_natural(assemble_global(base, sites))
     except NotPositiveDefinite as exc:
         raise GlobalNotPD(str(exc)) from exc
-    return NaturalGaussian(h, K, factor)
 
 
-def cavity(work: MomentGaussian, sites: SiteSet, i: int) -> CavityResult:
-    """Cavity natural parameters for site i against the moment-form work
-    state (mu, Sigma).
+def cavity(state: MomentGaussian, sites: SiteSet, i: int) -> CavityResult:
+    """Cavity natural parameters for site i against the moment-form global
+    (mu, Sigma).
 
     The marginal of u^T x has variance v = u^T Sigma u and mean u^T mu; the
     cavity precision is 1/v - tau_i and the cavity shift is (u^T mu)/v - nu_i.
@@ -200,7 +203,7 @@ def cavity(work: MomentGaussian, sites: SiteSet, i: int) -> CavityResult:
         negative beyond roundoff.
     """
     u = sites.U[i]
-    v, m = float(u @ (work.C @ u)), float(u @ work.mu)
+    v, m = float(u @ (state.C @ u)), float(u @ state.mu)
     if not v > 0.0:
         raise _variance_not_positive(v)
     # formed as (1/sd)^2, as update_site forms the tilted precision
@@ -256,13 +259,13 @@ def _tilted_variance_not_pd(var: float) -> NotPositiveDefinite:
 
 
 def refresh_global(
-    work: MomentGaussian,
+    state: MomentGaussian,
     sites: SiteSet,
     i: int,
     old: tuple[float, float],
     new: tuple[float, float],
 ) -> None:
-    """Move the moment-form work state (mu, Sigma) from the old to the new
+    """Move the moment-form global (mu, Sigma) from the old to the new
     parameters (tau_i, nu_i) of site i, in place.
 
     With z = Sigma u, v = u^T z, m = u^T mu and the deltas dK, dh of the site
@@ -280,22 +283,22 @@ def refresh_global(
     ------
     DowndateFailed
         If 1 + dK v <= chol.PIVOT_RTOL, i.e. the downdate would lose positive
-        definiteness; the work state is then untouched (caller recovers).
+        definiteness; the state is then untouched (caller recovers).
     """
     dK = float(new[0] - old[0])
     dh = float(new[1] - old[1])
     if dK == 0.0 and dh == 0.0:
         return
     u = sites.U[i]
-    z = work.C @ u
-    v, m = float(u @ z), float(u @ work.mu)
+    z = state.C @ u
+    v, m = float(u @ z), float(u @ state.mu)
     denom = 1.0 + dK * v
     if denom <= chol.PIVOT_RTOL:
         raise DowndateFailed(f"downdate loses positive definiteness: 1 + dK v = {denom:.3e}")
     step = (dh - dK * m) / denom
     if dK != 0.0:
-        dger(-dK / denom, z, z, a=work.C.T, overwrite_a=1)
-    work.mu += step * z
+        dger(-dK / denom, z, z, a=state.C.T, overwrite_a=1)
+    state.mu += step * z
 
 
 def project_moments(
@@ -322,17 +325,19 @@ def project_moments(
     return MomentGaussian(mu_star, 0.5 * (C_star + C_star.T))
 
 
-def _serial_sweep(work: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-    """Refit the sites in turn, refreshing the work state after each.  The
-    SiteSet keeps its start-of-sweep parameters: a cavity reads only its own
-    site's.  Returns the refit (tau, nu) and the skipped sites' errors."""
+def _serial_sweep(snap: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Refit the sites in turn, refreshing a copy of the snapshot after each;
+    the snapshot itself is not touched.  The SiteSet keeps its start-of-sweep
+    parameters: a cavity reads only its own site's.  Returns the refit
+    (tau, nu) and the skipped sites' errors."""
+    state = MomentGaussian(snap.mu.copy(), snap.C.copy())
     tau, nu = sites.tau.copy(), sites.nu.copy()
     errors: dict[int, Exception] = {}
     for i in range(tau.size):
         try:
-            cav = cavity(work, sites, i)
+            cav = cavity(state, sites, i)
             new = update_site(i, cav, site_moments(sites.family[i], cav))
-            refresh_global(work, sites, i, (sites.tau[i], sites.nu[i]), new)
+            refresh_global(state, sites, i, (sites.tau[i], sites.nu[i]), new)
         except (CavityInvalid, DegenerateSupport, NotPositiveDefinite, DowndateFailed) as exc:
             errors[i] = exc
             continue
@@ -340,16 +345,16 @@ def _serial_sweep(work: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, np.
     return tau, nu, errors
 
 
-def _parallel_sweep(work: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-    """Refit every site from the work state in array form, with the rules of
+def _parallel_sweep(snap: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Refit every site from the snapshot in array form, with the rules of
     cavity, site_moments and update_site applied elementwise.  Returns the
     refit (tau, nu) and the skipped sites' errors."""
     if sites.coords is not None:
-        v = np.diagonal(work.C)[sites.coords]
-        m = work.mu[sites.coords]
+        v = np.diagonal(snap.C)[sites.coords]
+        m = snap.mu[sites.coords]
     else:
-        v = np.sum(sites.U @ work.C * sites.U, axis=1)
-        m = sites.U @ work.mu
+        v = np.sum(sites.U @ snap.C * sites.U, axis=1)
+        m = sites.U @ snap.mu
     errors: dict[int, Exception] = {}
 
     # cavities: invalid, flat or proper, as in cavity()
@@ -406,15 +411,15 @@ def _parallel_sweep(work: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, n
 def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = None) -> EPResult:
     """Sweep all sites until their parameters stop moving.
 
-    Each sweep refits every site from its cavity.  Serial mode refreshes the
-    moment-form work state after every site; parallel mode computes every
-    refit from the start-of-sweep state, in array form.  Either mode then
-    reassembles the global from the refit parameters and inverts it once;
-    that snapshot is the sweep's history entry and the next sweep's work
-    state.  A site whose cavity, moments or (serial) downdate fails is
-    skipped: it keeps its parameters and is listed in ``skipped_sites``.  A
-    sweep converges when no refit site moved by ``site_tol`` or more and no
-    site was skipped.  The sweeps read a SiteSet built on entry; its
+    Each sweep refits every site from its cavity against the snapshot of
+    the previous sweep.  Serial mode refreshes its own copy of the snapshot
+    after every site; parallel mode computes every refit from the snapshot
+    itself, in array form.  Either mode then makes the next snapshot from
+    the refit parameters (_snapshot); it is the sweep's history entry.  A
+    site whose cavity, moments or (serial) downdate fails is skipped: it
+    keeps its parameters and is listed in ``skipped_sites``.  A sweep
+    converges when no refit site moved by ``site_tol`` or more and no site
+    was skipped.  The sweeps read a SiteSet built on entry; its
     parameters are written into the sites when the run returns or raises
     (callers wanting a cold start should pass fresh sites).
 
@@ -427,21 +432,19 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     opts = opts or EPOptions()
     site_set = SiteSet(sites, base.n)
     try:
-        snap = moment_from_natural(assemble_global(base, site_set))
+        snap = _snapshot(base, site_set)
         keep_full_cov = snap.n <= FULL_COV_MAX_N
         mean_history = [snap.mu]
         cov_history = [snap.C if keep_full_cov else np.diag(snap.C).copy()]
-        # the work state: one buffer for the whole run, reset from every snapshot
-        work = MomentGaussian(snap.mu.copy(), snap.C.copy())
         metrics: list[SweepMetrics] = []
         skipped: list[SkippedSite] = []
         converged = False
 
         for sweep in range(1, opts.max_sweeps + 1):
             if opts.sweep_mode == "serial":
-                tau, nu, errors = _serial_sweep(work, site_set)
+                tau, nu, errors = _serial_sweep(snap, site_set)
             else:
-                tau, nu, errors = _parallel_sweep(work, site_set)
+                tau, nu, errors = _parallel_sweep(snap, site_set)
             skipped += [SkippedSite(sweep, i, f"{type(errors[i]).__name__}: {errors[i]}") for i in sorted(errors)]
             old_tau, old_nu = site_set.tau, site_set.nu
             change = np.hypot(tau - old_tau, nu - old_nu) / np.maximum(np.hypot(old_tau, old_nu), 1e-12)
@@ -449,9 +452,7 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
             max_change = float(np.max(change, initial=0.0))
             site_set.tau, site_set.nu = tau, nu
 
-            snap = moment_from_natural(assemble_global(base, site_set))
-            np.copyto(work.mu, snap.mu)
-            np.copyto(work.C, snap.C)
+            snap = _snapshot(base, site_set)
             mean_history.append(snap.mu)
             cov_history.append(snap.C if keep_full_cov else np.diag(snap.C).copy())
             metrics.append(SweepMetrics(sweep, max_change))

@@ -26,7 +26,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erfcx, log_ndtr
 
 from .errors import DegenerateSupport, QuadratureNotConverged
@@ -453,10 +452,15 @@ def _reachable(logz, mean, var) -> TiltedMoments:
     return TiltedMoments(logz, float(mean), float(var))
 
 
-def _laplace_pieces(f: LaplacePositivityFactor, m, v, trunc):
+def _pick(cond: bool, x, y):
+    """np.where for one element."""
+    return x if cond else y
+
+
+def _laplace_pieces(f: LaplacePositivityFactor, m, v, trunc, where):
     """(logZ, mean, var) of Z^{-1} e^{-lam|s-bg|} 1[s>=floor] N(s; m, v), for
-    floats or 1-D arrays (m, v); ``trunc`` is the truncated-normal kernel of
-    the same form.
+    floats or 1-D arrays (m, v); ``trunc`` is the truncated-normal kernel and
+    ``where`` the elementwise selection (_pick or np.where) of the same form.
 
     Split at the background value into two exponentially tilted truncated
     Gaussians.  Each piece's mean is taken as an offset from m, anchored at
@@ -472,11 +476,17 @@ def _laplace_pieces(f: LaplacePositivityFactor, m, v, trunc):
     logz = half + lam * (b - m) + logz1
     off, var = (a1 - m) + sd * mma1, v * var1
     if lo < b:
-        # lower piece on [floor, bg), centered at m + lam*v
+        # lower piece on [floor, bg), centered at m + lam*v; dropped (weight 0,
+        # finite offsets) where its interval is empty in floating point, as
+        # when floor is within rounding of bg, or its log mass is not finite
         alpha2 = (lo - m - lam * v) / sd if lo != -math.inf else -math.inf
-        logz2, _, var2, _, mmb2 = trunc(alpha2, (b - m - lam * v) / sd)
-        logw2 = half + lam * (m - b) + logz2
-        logz, off, var = _mix(logz, off, var, logw2, (b - m) + sd * mmb2, v * var2)
+        beta2 = (b - m - lam * v) / sd
+        live = alpha2 < beta2
+        logz2, _, var2, _, mmb2 = trunc(where(live, alpha2, -math.inf), beta2)
+        live = live & (abs(logz2) < math.inf)
+        logw2 = where(live, half + lam * (m - b) + logz2, -math.inf)
+        off2 = where(live, (b - m) + sd * mmb2, 0.0)
+        logz, off, var = _mix(logz, off, var, logw2, off2, where(live, v * var2, 0.0))
     return logz, m + off, var
 
 
@@ -493,7 +503,10 @@ def moments_laplace_positivity(f: LaplacePositivityFactor, m: float, v: float) -
         raise ValueError("cavity variance must be positive")
     if f.lam == 0.0 and f.floor == -math.inf:
         return TiltedMoments(0.0, m, v)
-    return _reachable(*_laplace_pieces(f, float(m), float(v), trunc_gauss_std))
+    # a dropped lower piece may pass through inf - inf on its way out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pieces = _laplace_pieces(f, float(m), float(v), trunc_gauss_std, _pick)
+    return _reachable(*pieces)
 
 
 def moments_laplace_positivity_many(
@@ -510,9 +523,9 @@ def moments_laplace_positivity_many(
     if f.lam == 0.0 and f.floor == -math.inf:
         return TiltedMomentsMany(np.zeros_like(m), m.copy(), v.copy(), {})
     # elements without reachable mass may pass through inf - inf on their way
-    # to the flag below
-    with np.errstate(invalid="ignore", over="ignore"):
-        logz, mean, var = _laplace_pieces(f, m, v, trunc_gauss_std_many)
+    # to the flag below, and a dropped lower piece on its way out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logz, mean, var = _laplace_pieces(f, m, v, trunc_gauss_std_many, np.where)
     bad = ~np.isfinite(logz) | (logz < LOGZ_FLOOR)
     errors = {k: _unreachable(float(logz[k])) for k in np.flatnonzero(bad).tolist()}
     if errors:
@@ -542,6 +555,8 @@ def moments_quadrature(
     DegenerateSupport
         If the integration window carries no numerically reachable mass.
     """
+    from scipy import integrate  # deferred: only this oracle uses it
+
     if v <= 0.0:
         raise ValueError("cavity variance must be positive")
     sd = math.sqrt(v)

@@ -1,17 +1,17 @@
 """Gaussian representations in moment and natural parameters.
 
-The natural form (h, K) = (C^{-1} mu, C^{-1}) is the internal source of truth;
-moment-form values handed to callers are always fresh copies.
+The natural form (h, K) = (C^{-1} mu, C^{-1}) is what EP assembles from its
+sites; moment_from_natural factors K afresh each time it turns that into the
+moment form the sweeps read.  Neither form caches a factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import chol
-from .chol import CholeskyFactor
 
 
 @dataclass
@@ -33,16 +33,12 @@ class MomentGaussian:
 
 @dataclass
 class NaturalGaussian:
-    """Gaussian in natural parameters h = C^{-1} mu, K = C^{-1}.
-
-    A Cholesky factor of K is cached.  The factor may be absent while K is
+    """Gaussian in natural parameters h = C^{-1} mu, K = C^{-1}.  K may be
     only positive semidefinite (e.g. a linearized likelihood base before
-    sites are multiplied in).
-    """
+    sites are multiplied in)."""
 
     h: np.ndarray
     K: np.ndarray
-    factor: CholeskyFactor | None = field(default=None)
 
     def __post_init__(self) -> None:
         self.h = np.asarray(self.h, dtype=float)
@@ -52,19 +48,12 @@ class NaturalGaussian:
     def n(self) -> int:
         return self.h.shape[0]
 
-    def ensure_factor(self) -> CholeskyFactor:
-        """Factor K if not already cached; raises NotPositiveDefinite otherwise."""
-        if self.factor is None:
-            self.factor = chol.cholesky(self.K)
-        return self.factor
-
 
 def moment_from_natural(g: NaturalGaussian) -> MomentGaussian:
-    """mu = K^{-1} h and C = K^{-1}, via the cached factor."""
-    F = g.ensure_factor()
-    mu = chol.solve(F, g.h)
-    C = chol.inverse(F)
-    return MomentGaussian(mu, C)
+    """mu = K^{-1} h and C = K^{-1}, through a fresh Cholesky factor of K;
+    raises NotPositiveDefinite if K is not positive definite."""
+    F = chol.cholesky(g.K)
+    return MomentGaussian(chol.solve(F, g.h), chol.inverse(F))
 
 
 def log_density_1d(x: np.ndarray, mu: float, var: float) -> np.ndarray:

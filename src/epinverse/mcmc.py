@@ -9,7 +9,6 @@ are compared across seeds through the potential-scale-reduction statistic.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,6 +191,8 @@ def run_chains(
         raise ValueError("one init per chain config required")
     if workers <= 1 or len(configs) == 1:
         return [mh_chain(cfg, x0, log_post) for cfg, x0 in zip(configs, inits)]
+    from concurrent.futures import ProcessPoolExecutor  # deferred: only this branch uses it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(mh_chain, cfg, x0, log_post) for cfg, x0 in zip(configs, inits)]
         return [f.result() for f in futures]

@@ -105,8 +105,7 @@ def linearize(model: ForwardModel, mu_k: np.ndarray, data: np.ndarray, alpha: fl
     """
     J = model.jacobian(mu_k)
     r = data - model.evaluate(mu_k) + J @ mu_k
-    K0 = alpha * (J.T @ J)
-    return NaturalGaussian(alpha * (J.T @ r), 0.5 * (K0 + K0.T))
+    return NaturalGaussian(alpha * (J.T @ r), alpha * (J.T @ J))
 
 
 def _effective_tau(mu_k, mu_km1, d_k, d_km1) -> float:
@@ -156,9 +155,9 @@ def run_nonlinear(
     prev_d = None
     outer_records: list[OuterRecord] = []
     skipped: list[tuple[int, SkippedSite]] = []
-    mean_chain: list[np.ndarray] = []
-    cov_chain: list[np.ndarray] = []
-    chain_tags: list[tuple[int, int]] = []  # (outer, inner)
+    # (outer, inner, mean, cov) of the run's EP snapshots, in order: the
+    # first outer iteration's initial snapshot (1, 0), then every sweep's
+    snapshots: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     converged = False
     outer_iters = 0
 
@@ -166,13 +165,8 @@ def run_nonlinear(
         outer_iters = k
         base = linearize(model, mu, data, opts.alpha)
         ep_result = run_ep(base, sites, opts.inner)
-        if k == 1:
-            mean_chain.append(ep_result.mean_history[0])
-            cov_chain.append(ep_result.cov_history[0])
-            chain_tags.append((1, 0))
-        mean_chain.extend(ep_result.mean_history[1:])
-        cov_chain.extend(ep_result.cov_history[1:])
-        chain_tags.extend((k, j) for j in range(1, ep_result.sweeps_used + 1))
+        history = enumerate(zip(ep_result.mean_history, ep_result.cov_history))
+        snapshots += [(k, j, mean, cov) for j, (mean, cov) in history if j or not snapshots]
         skipped.extend((k, s) for s in ep_result.skipped_sites)
 
         mu_star = ep_result.mean
@@ -195,18 +189,13 @@ def run_nonlinear(
             converged = True
             break
 
-    # Table-4 style trace: e_p against the previous iterate in the global
-    # chain and e_f against the final iterate of the whole run.
-    mu_fin = mean_chain[-1]
-    C_fin = cov_chain[-1]
-    trace = []
-    for idx in range(1, len(mean_chain)):
-        outer, inner = chain_tags[idx]
-        e_p_mu = _rel(mean_chain[idx], mean_chain[idx - 1])
-        e_f_mu = _rel(mean_chain[idx], mu_fin)
-        e_p_C = _rel(cov_chain[idx], cov_chain[idx - 1])
-        e_f_C = _rel(cov_chain[idx], C_fin)
-        trace.append(TraceRow(outer, inner, e_p_mu, e_f_mu, e_p_C, e_f_C))
+    # Table-4 style trace: e_p against the previous snapshot of the run and
+    # e_f against the final one.
+    *_, mu_fin, C_fin = snapshots[-1]
+    trace = [
+        TraceRow(outer, inner, _rel(mu, mu_p), _rel(mu, mu_fin), _rel(C, C_p), _rel(C, C_fin))
+        for (*_, mu_p, C_p), (outer, inner, mu, C) in zip(snapshots, snapshots[1:])
+    ]
 
     return NonlinearResult(
         mean=mu,

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epinverse
 from epinverse.cli import main
 from epinverse.eit import cem
 from epinverse.eit.mesh import gen_disk_mesh, write_mesh
@@ -496,6 +501,35 @@ def test_ep_skipped_sites_are_tagged_by_outer(tmp_path):
         (k, j) for k in (1, 2) for j in (1, 2) for _ in range(4)
     ]
     assert all(e["reason"].startswith("DegenerateSupport") for e in s["skipped_sites"])
+
+
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+def test_ep_floor_within_rounding_of_sigma_bg_runs(tmp_path, mode):
+    # the lower Laplace piece [floor, sigma_bg) is empty in floating point at
+    # most cavities; it is dropped rather than ending the run
+    out = tmp_path / mode
+    cfg = write_cfg(
+        tmp_path / f"{mode}.cfg", **LINEAR_6x4, sigma_bg=0.3, floor=0.29999999999999993,
+        ep_sweep_mode=mode, seed=1, out=out,
+    )
+    assert main(["ep", "--config", cfg]) == 0
+    s = load_summary(out)
+    assert s["ok"] and s["ep_sweep_mode"] == mode
+    _, mean = read_vec(out / "mean.csv")
+    assert np.all(np.isfinite(mean))
+
+
+def test_importing_the_cli_leaves_the_unused_modules_unloaded():
+    # scipy.integrate (the quadrature oracle), scipy.spatial (mesh
+    # generation) and the process pool (parallel chains) load on first use
+    src = str(Path(epinverse.__file__).parents[1])
+    code = (
+        "import sys, epinverse.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.spatial', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_unexpected_failure_writes_internal_error(tmp_path, monkeypatch):

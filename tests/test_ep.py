@@ -8,6 +8,7 @@ from epinverse import (
     EPOptions,
     GaussianFactor1D,
     LaplacePositivityFactor,
+    MomentGaussian,
     NaturalGaussian,
     Site,
     moment_from_natural,
@@ -684,6 +685,48 @@ def test_downdate_guard_at_pivot_tolerance(monkeypatch, above):
         assert [(sk.index, sk.reason.split(":")[0]) for sk in res.skipped_sites] == [(1, "DowndateFailed")]
         assert sites[1].tau == 0.5 and sites[1].nu == 0.0
         assert not res.converged
+
+
+class MarkedFactor(GaussianFactor1D):
+    """Tells a flat-cavity refit (tilted variance 1) from a proper one (1/4)
+    by the site precision it leaves: 1 - 0, or 4 - the cavity precision."""
+
+    def moments(self, m, v):
+        return TiltedMoments(0.0, 0.0, 0.25)
+
+    def moments_flat(self, eta=0.0):
+        return TiltedMoments(0.0, 0.0, 1.0)
+
+
+def test_cavity_tolerance_boundaries_classify_alike_in_both_forms():
+    # Sigma = I exactly, so the marginal precision is 1 and the cavity
+    # precision 1 - tau is exact for tau near 1; the taus are the nearest on
+    # either side of -CAVITY_RTOL and of +CAVITY_RTOL
+    tol = ep.CAVITY_RTOL
+    flat_low = 1.0  # the largest tau with 1 - tau >= -tol
+    while 1.0 - np.nextafter(flat_low, 2.0) >= -tol:
+        flat_low = np.nextafter(flat_low, 2.0)
+    flat_high = 1.0  # the smallest tau with 1 - tau <= tol
+    while 1.0 - np.nextafter(flat_high, 0.0) <= tol:
+        flat_high = np.nextafter(flat_high, 0.0)
+    taus = [float(t) for t in (np.nextafter(flat_low, 2.0), flat_low, flat_high, np.nextafter(flat_high, 0.0))]
+    assert [1.0 - t < -tol for t in taus] == [True, False, False, False]
+    assert [1.0 - t > tol for t in taus] == [False, False, False, True]
+
+    n = len(taus)
+    sites = [Site(np.eye(1, n, i), MarkedFactor(0.0, 1.0), tau=t) for i, t in enumerate(taus)]
+    # the scalar rule: negative, flat, flat, proper
+    state, site_set = MomentGaussian(np.zeros(n), np.eye(n)), SiteSet(sites, n)
+    with pytest.raises(CavityInvalid):
+        cavity(state, site_set, 0)
+    assert [cavity(state, site_set, i).is_flat for i in (1, 2, 3)] == [True, True, False]
+
+    # the array rule, in one parallel sweep from K0 + diag(tau) = I
+    base = NaturalGaussian(np.zeros(n), np.diag([1.0 - t for t in taus]))
+    res = run_ep(base, sites, EPOptions(max_sweeps=1, sweep_mode="parallel"))
+    assert np.array_equal(res.cov_history[0], np.eye(n))
+    assert [(sk.index, sk.reason.split(":")[0]) for sk in res.skipped_sites] == [(0, "CavityInvalid")]
+    assert [s.tau for s in sites] == [taus[0], 1.0, 1.0, 4.0 - (1.0 - taus[3])]
 
 
 @pytest.mark.parametrize("mode", ["serial", "parallel"])

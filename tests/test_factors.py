@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,44 @@ def test_laplace_positivity_flat_floor_one_subnormal_below_bg(lam, eta):
     assert tm.logZ == pytest.approx(ref.logZ, rel=1e-15, abs=1e-300)
     assert tm.mean == pytest.approx(ref.mean, rel=1e-15)
     assert tm.var == pytest.approx(ref.var, rel=1e-15)
+
+
+def _scalar_moments_or_nan(f, m, v):
+    """(logZ, mean, var) of the scalar kernel at every (m[k], v[k]), NaN where
+    it raises DegenerateSupport."""
+    out = np.full((3, len(m)), np.nan)
+    for k, (mk, vk) in enumerate(zip(m.tolist(), v.tolist())):
+        try:
+            tm = moments_laplace_positivity(f, mk, vk)
+        except DegenerateSupport:
+            continue
+        out[:, k] = tm.logZ, tm.mean, tm.var
+    return out
+
+
+def test_laplace_positivity_floor_within_rounding_of_bg_drops_the_lower_piece():
+    # floor one ulp below bg: at most of these points the lower piece's
+    # standardized interval is empty in floating point or carries no finite
+    # log mass.  It is dropped, and the moments are those of floor = bg.
+    bg = 0.3
+    near = LaplacePositivityFactor(2.0, bg, 0.29999999999999993)
+    at = LaplacePositivityFactor(2.0, bg, bg)
+    assert near.floor == np.nextafter(bg, 0.0)
+    m, v = (x.ravel() for x in np.meshgrid(np.linspace(-3.0, 3.0, 61), [1e-4, 1e-2, 0.1, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _scalar_moments_or_nan(at, m, v)
+        scalar = _scalar_moments_or_nan(near, m, v)
+        many = near.moments_many(m, v)
+    assert sorted(many.errors) == np.flatnonzero(np.isnan(want[0])).tolist()
+    # where the lower piece survives, its sliver of standardized width ~1e-15
+    # leaves the two-sided core's variance only to about 1e-10
+    for got in (scalar, np.array([many.logZ, many.mean, many.var])):
+        np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12, equal_nan=True)
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-10, equal_nan=True)
+    flat, flat_at = near.moments_flat(0.0), at.moments_flat(0.0)
+    assert flat_at.mean == 0.8
+    np.testing.assert_allclose([flat.logZ, flat.mean, flat.var], [flat_at.logZ, flat_at.mean, flat_at.var], rtol=1e-12)
 
 
 def test_laplace_positivity_looks_up_the_scalar_kernel_at_call_time(monkeypatch):
