@@ -15,16 +15,16 @@ A parallel sweep refits every site from the snapshot in array form: one read
 of the marginals (diag Sigma and mu at the sites' coordinates when every row
 is a unit vector, else the stacked-row products), one moment call per factor
 family and one vectorized site update.  A serial sweep visits the sites in
-turn on its own copy of the snapshot: with z = Sigma u the cavity reads the
-marginal u^T z, u^T mu, and a site refresh is one in-place rank-one
-(Sherman-Morrison) update of Sigma plus an update of mu along z.  Cavities
-are formed in natural parameters so that exactly-flat cavities (decoupled
+turn on its own copy of the snapshot and forms z = Sigma u once per site: the
+cavity reads the marginal u^T z, u^T mu, and a site refresh is one in-place
+rank-one (Sherman-Morrison) update of Sigma plus an update of mu along z.
+Both sweeps share one cavity and one site-update formula.  Cavities are
+formed in natural parameters so that exactly-flat cavities (decoupled
 factors) stay well defined.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,12 +189,17 @@ def _snapshot(base: NaturalGaussian, sites: SiteSet) -> MomentGaussian:
         raise GlobalNotPD(str(exc)) from exc
 
 
-def cavity(state: MomentGaussian, sites: SiteSet, i: int) -> CavityResult:
-    """Cavity natural parameters for site i against the moment-form global
-    (mu, Sigma).
+def _cavity_rule(v, m, tau, nu):
+    """(prec, eta) = (1/v - tau, m/v - nu) and the roundoff tolerance on prec,
+    for floats and arrays; 1/v is formed as (1/sd)^2, as in _site_rule."""
+    inv_sd = 1.0 / np.sqrt(v)
+    marg_prec = inv_sd * inv_sd
+    return marg_prec - tau, marg_prec * m - nu, CAVITY_RTOL * marg_prec
 
-    The marginal of u^T x has variance v = u^T Sigma u and mean u^T mu; the
-    cavity precision is 1/v - tau_i and the cavity shift is (u^T mu)/v - nu_i.
+
+def cavity(v, m, tau, nu) -> CavityResult:
+    """Cavity natural parameters of a site (tau, nu) against the marginal of
+    its projection u^T x, with variance v = u^T Sigma u and mean m = u^T mu.
 
     Raises
     ------
@@ -202,16 +207,9 @@ def cavity(state: MomentGaussian, sites: SiteSet, i: int) -> CavityResult:
         If the marginal variance is not positive, or the cavity precision is
         negative beyond roundoff.
     """
-    u = sites.U[i]
-    v, m = float(u @ (state.C @ u)), float(u @ state.mu)
     if not v > 0.0:
         raise _variance_not_positive(v)
-    # formed as (1/sd)^2, as update_site forms the tilted precision
-    inv_sd = 1.0 / math.sqrt(v)
-    marg_prec = inv_sd * inv_sd
-    prec = marg_prec - float(sites.tau[i])
-    eta = marg_prec * m - float(sites.nu[i])
-    tol = CAVITY_RTOL * marg_prec
+    prec, eta, tol = _cavity_rule(v, m, tau, nu)
     if prec < -tol:
         raise _negative_cavity(prec)
     is_flat = abs(prec) <= tol
@@ -234,6 +232,14 @@ def site_moments(family: FactorFamily, cav: CavityResult) -> TiltedMoments:
     return family.moments(cav.eta * v_hat, v_hat)
 
 
+def _site_rule(var, mean, prec, eta):
+    """(tau, nu) = (1/var - prec, mean/var - eta), for floats and arrays;
+    1/var is formed as (1/sd)^2, as in _cavity_rule."""
+    inv_sd = 1.0 / np.sqrt(var)
+    prec_new = inv_sd * inv_sd
+    return prec_new - prec, prec_new * mean - eta
+
+
 def update_site(s, cav: CavityResult, tm: TiltedMoments) -> tuple[float, float]:
     """Moment-matched site parameters (tau_i, nu_i): tau_i = 1/var - 1/v_hat
     and nu_i = mean/var - mu_hat/v_hat.  The sign of tau_i may be negative;
@@ -247,29 +253,21 @@ def update_site(s, cav: CavityResult, tm: TiltedMoments) -> tuple[float, float]:
         If the tilted variance is not positive and finite.
     """
     var = float(tm.var)
-    if not 0.0 < var < math.inf:
+    if not 0.0 < var < np.inf:
         raise _tilted_variance_not_pd(var)
-    inv_sd = 1.0 / math.sqrt(var)  # rounds as in cavity
-    prec_new = inv_sd * inv_sd
-    return prec_new - cav.prec, prec_new * float(tm.mean) - cav.eta
+    return _site_rule(var, float(tm.mean), cav.prec, cav.eta)
 
 
 def _tilted_variance_not_pd(var: float) -> NotPositiveDefinite:
     return NotPositiveDefinite(f"tilted variance {var:.3e} is not positive and finite")
 
 
-def refresh_global(
-    state: MomentGaussian,
-    sites: SiteSet,
-    i: int,
-    old: tuple[float, float],
-    new: tuple[float, float],
-) -> None:
-    """Move the moment-form global (mu, Sigma) from the old to the new
-    parameters (tau_i, nu_i) of site i, in place.
+def refresh_global(state: MomentGaussian, z: np.ndarray, v, m, dK, dh) -> None:
+    """Move the moment-form global (mu, Sigma) in place by the change (dK, dh)
+    of one site's parameters (tau, nu).
 
-    With z = Sigma u, v = u^T z, m = u^T mu and the deltas dK, dh of the site
-    parameters, Sherman-Morrison gives
+    With z = Sigma u, v = u^T z and m = u^T mu for the site's row u, read
+    before the change, Sherman-Morrison gives
 
         Sigma <- Sigma - dK / (1 + dK v) z z^T
         mu    <- mu + z (dh - dK m) / (1 + dK v),
@@ -285,13 +283,8 @@ def refresh_global(
         If 1 + dK v <= chol.PIVOT_RTOL, i.e. the downdate would lose positive
         definiteness; the state is then untouched (caller recovers).
     """
-    dK = float(new[0] - old[0])
-    dh = float(new[1] - old[1])
     if dK == 0.0 and dh == 0.0:
         return
-    u = sites.U[i]
-    z = state.C @ u
-    v, m = float(u @ z), float(u @ state.mu)
     denom = 1.0 + dK * v
     if denom <= chol.PIVOT_RTOL:
         raise DowndateFailed(f"downdate loses positive definiteness: 1 + dK v = {denom:.3e}")
@@ -328,16 +321,19 @@ def project_moments(
 def _serial_sweep(snap: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Refit the sites in turn, refreshing a copy of the snapshot after each;
     the snapshot itself is not touched.  The SiteSet keeps its start-of-sweep
-    parameters: a cavity reads only its own site's.  Returns the refit
-    (tau, nu) and the skipped sites' errors."""
+    parameters: a cavity reads only its own site's.  Each site's marginal is
+    read here, once.  Returns the refit (tau, nu) and the skipped sites' errors."""
     state = MomentGaussian(snap.mu.copy(), snap.C.copy())
     tau, nu = sites.tau.copy(), sites.nu.copy()
     errors: dict[int, Exception] = {}
     for i in range(tau.size):
+        u = sites.U[i]
+        z = state.C @ u
+        v, m = u @ z, u @ state.mu
         try:
-            cav = cavity(state, sites, i)
+            cav = cavity(v, m, sites.tau[i], sites.nu[i])
             new = update_site(i, cav, site_moments(sites.family[i], cav))
-            refresh_global(state, sites, i, (sites.tau[i], sites.nu[i]), new)
+            refresh_global(state, z, v, m, new[0] - sites.tau[i], new[1] - sites.nu[i])
         except (CavityInvalid, DegenerateSupport, NotPositiveDefinite, DowndateFailed) as exc:
             errors[i] = exc
             continue
@@ -360,13 +356,9 @@ def _parallel_sweep(snap: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, n
     # cavities: invalid, flat or proper, as in cavity()
     valid = v > 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_sd = 1.0 / np.sqrt(np.where(valid, v, 1.0))
-        marg_prec = inv_sd * inv_sd
-        prec = marg_prec - sites.tau
-        eta = marg_prec * m - sites.nu
-        tol = CAVITY_RTOL * marg_prec
-        negative = valid & (prec < -tol)
-        flat = valid & ~negative & (np.abs(prec) <= tol)
+        prec, eta, tol = _cavity_rule(np.where(valid, v, 1.0), m, sites.tau, sites.nu)
+    negative = valid & (prec < -tol)
+    flat = valid & (np.abs(prec) <= tol)
     proper = valid & ~negative & ~flat
     for i in np.flatnonzero(~valid).tolist():
         errors[i] = _variance_not_positive(float(v[i]))
@@ -396,15 +388,12 @@ def _parallel_sweep(snap: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, n
     # site update, as in update_site
     fitted = flat | proper
     fitted[list(errors)] = False
-    bad = fitted & ~((var > 0.0) & (var < math.inf))
+    bad = fitted & ~((var > 0.0) & (var < np.inf))
     for i in np.flatnonzero(bad).tolist():
         errors[i] = _tilted_variance_not_pd(float(var[i]))
     fit = np.flatnonzero(fitted & ~bad)
-    inv_sd = 1.0 / np.sqrt(var[fit])  # rounds as in cavity
-    prec_new = inv_sd * inv_sd
     tau, nu = sites.tau.copy(), sites.nu.copy()
-    tau[fit] = prec_new - cav_prec[fit]
-    nu[fit] = prec_new * mean[fit] - eta[fit]
+    tau[fit], nu[fit] = _site_rule(var[fit], mean[fit], cav_prec[fit], eta[fit])
     return tau, nu, errors
 
 

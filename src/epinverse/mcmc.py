@@ -193,7 +193,8 @@ def run_chains(
         return [mh_chain(cfg, x0, log_post) for cfg, x0 in zip(configs, inits)]
     from concurrent.futures import ProcessPoolExecutor  # deferred: only this branch uses it
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool starts all its workers at the first submit: no more than chains
+    with ProcessPoolExecutor(max_workers=min(workers, len(configs))) as pool:
         futures = [pool.submit(mh_chain, cfg, x0, log_post) for cfg, x0 in zip(configs, inits)]
         return [f.result() for f in futures]
 

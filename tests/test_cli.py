@@ -222,6 +222,48 @@ def test_compare_shape_mismatch(tmp_path):
     assert load_summary(out)["error"] == "shape_mismatch"
 
 
+def _compare_inputs(tmp_path, files):
+    """ep and mcmc output directories holding the named files (file name ->
+    text; mean.csv and std.csv go to the ep directory, the others to the
+    mcmc one), and a compare config that reads them; returns the config and
+    its output directory."""
+    ep_dir, mcmc_dir, out = tmp_path / "ep", tmp_path / "mcmc", tmp_path / "cmp"
+    ep_dir.mkdir()
+    mcmc_dir.mkdir()
+    for name, text in files.items():
+        ((ep_dir if name in ("mean.csv", "std.csv") else mcmc_dir) / name).write_text(text)
+    return write_cfg(tmp_path / "c.cfg", ep_dir=ep_dir, mcmc_dir=mcmc_dir, out=out), out
+
+
+ONE_NODE = "node,v\n0,1.0\n"
+COMPARE_FILES = {"mean.csv": ONE_NODE, "std.csv": ONE_NODE, "grand_mean.csv": ONE_NODE, "grand_std.csv": ONE_NODE}
+
+
+@pytest.mark.parametrize(
+    "edit, code",
+    [
+        ({"std.csv": None}, "ep_outputs_not_found"),
+        ({"grand_std.csv": None}, "mcmc_outputs_not_found"),
+        ({"mean.csv": "node,v\n0,abc\n"}, "bad_ep_dir"),
+        ({"std.csv": "node,v\n0\n"}, "bad_ep_dir"),
+        ({"grand_mean.csv": "node,v\nx,1.0\n"}, "bad_mcmc_dir"),
+        ({"grand_std.csv": "node,v\n0,1.0.0\n"}, "bad_mcmc_dir"),
+        # a non-finite cell would make the summary's norms NaN
+        ({"mean.csv": "node,v\n0,nan\n"}, "bad_ep_dir"),
+        ({"grand_mean.csv": "node,v\n0,inf\n"}, "bad_mcmc_dir"),
+        # two std rows beside one mean row: the std vectors must not broadcast
+        ({"std.csv": "node,v\n0,1.0\n1,2.0\n"}, "shape_mismatch"),
+        ({"grand_std.csv": "node,v\n1,1.0\n"}, "shape_mismatch"),
+    ],
+)
+def test_compare_checks_its_inputs(tmp_path, edit, code):
+    files = {k: v for k, v in {**COMPARE_FILES, **edit}.items() if v is not None}
+    cfg, out = _compare_inputs(tmp_path, files)
+    assert main(["compare", "--config", cfg]) == 2
+    s = load_summary(out)
+    assert s["ok"] is False and s["error"] == code
+
+
 def test_ep_matches_analytic_gaussian_posterior_via_compare(tmp_path):
     # nearly-Gaussian linear problem: EP equals the analytic posterior; the
     # analytic result is written in mcmc layout and diffed with cmd_compare
@@ -247,7 +289,8 @@ def test_ep_matches_analytic_gaussian_posterior_via_compare(tmp_path):
     from epinverse.cli import _build_linear_problem
     from epinverse.config import load_config
 
-    model, data, alpha, lam, bg, floor, _ = _build_linear_problem(load_config(tmp_path / "lin.cfg"), seed)
+    p = _build_linear_problem(load_config(tmp_path / "lin.cfg"), seed)
+    model, data, alpha = p.model, p.data, p.alpha
     K = alpha * model.A.T @ model.A + np.eye(model.n) * 0.0
     # the Laplace factor with lam ~ 0 contributes nothing; the EP sites still
     # regularize through their converged parameters, so build the exact
@@ -530,6 +573,75 @@ def test_importing_the_cli_leaves_the_unused_modules_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, where, detail",
+    [
+        (["ep", "--out", "o1"], "o1", "the following arguments are required: --config"),
+        (["ep", "--config", "x.cfg", "--out", "o2", "--seed", "abc"], "o2", "argument --seed: invalid int value: 'abc'"),
+        (["mcmc", "--out=o3", "--bogus"], "o3", "the following arguments are required: --config"),
+        (["frob"], ".", "argument command: invalid choice: 'frob'"),
+        ([], ".", "the following arguments are required: command"),
+    ],
+)
+def test_usage_error_writes_bad_arguments(tmp_path, monkeypatch, argv, where, detail):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    s = load_summary(tmp_path / where)
+    assert s["ok"] is False and s["error"] == "bad_arguments"
+    assert s["error_detail"].startswith(detail)
+    assert s["command"] == (argv[0] if argv and argv[0] in ("ep", "mcmc") else None)
+
+
+def test_help_exits_zero_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["-h"], ["ep", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_mcmc_threads_below_one_is_bad_threads(tmp_path, threads):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "c.cfg", **LINEAR_6x4, mcmc_steps=100, out=out)
+    assert main(["mcmc", "--config", cfg, "--threads", str(threads)]) == 2
+    s = load_summary(out)
+    assert s["error"] == "bad_threads" and not (out / "table3.csv").exists()
+
+
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+def test_ep_above_full_cov_max_n_keeps_only_diagonals(tmp_path, monkeypatch, mode):
+    import epinverse.cli as cli
+    from epinverse import ep, nonlinear
+
+    cfg = write_cfg(tmp_path / "c.cfg", **LINEAR_6x4, ep_sweep_mode=mode)
+    full, diag = tmp_path / "full", tmp_path / "diag"
+    assert main(["ep", "--config", cfg, "--out", str(full)]) == 0
+
+    # cli imports the bound by name, so both copies move below n = 4
+    monkeypatch.setattr(ep, "FULL_COV_MAX_N", 3)
+    monkeypatch.setattr(cli, "FULL_COV_MAX_N", 3)
+    results = []
+
+    def recording_run_ep(*args, **kwargs):
+        results.append(ep.run_ep(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(nonlinear, "run_ep", recording_run_ep)
+    assert main(["ep", "--config", cfg, "--out", str(diag)]) == 0
+
+    assert (full / "cov.csv").is_file() and not (diag / "cov.csv").exists()
+    for name in ("mean.csv", "std.csv"):
+        assert (diag / name).read_bytes() == (full / name).read_bytes()
+    assert results and all(c.shape == (4,) for r in results for c in r.cov_history)
+    trace_full = np.loadtxt(full / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+    trace_diag = np.loadtxt(diag / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.all(np.isfinite(trace_diag)) and trace_diag.shape == trace_full.shape
+    assert np.array_equal(trace_diag[:, :4], trace_full[:, :4])  # outer, inner and the two mu columns
 
 
 def test_unexpected_failure_writes_internal_error(tmp_path, monkeypatch):

@@ -33,6 +33,25 @@ def one(s):
     return SiteSet([s], s.U.shape[1])
 
 
+def marginal(state, u):
+    """z = Sigma u and the marginal variance and mean of u^T x, as the serial
+    sweep forms them."""
+    z = state.C @ u
+    return z, u @ z, u @ state.mu
+
+
+def site_cavity(state, site_set, i):
+    """ep.cavity of site i against the marginal of its row."""
+    _, v, m = marginal(state, site_set.U[i])
+    return cavity(v, m, site_set.tau[i], site_set.nu[i])
+
+
+def site_refresh(state, site_set, i, old, new):
+    """ep.refresh_global for site i moving from old to new (tau, nu)."""
+    z, v, m = marginal(state, site_set.U[i])
+    refresh_global(state, z, v, m, new[0] - old[0], new[1] - old[1])
+
+
 # ---------------------------------------------------------------------------
 # cavity
 # ---------------------------------------------------------------------------
@@ -45,7 +64,7 @@ def test_cavity_empty_site_is_full_marginal():
     g = make_work(h, K)
     U = rng.standard_normal((1, 5))
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), tau=0.0, nu=0.0)
-    cav = cavity(g, one(s), 0)
+    cav = site_cavity(g, one(s), 0)
     Kinv = np.linalg.inv(K)
     marg_var = (U @ Kinv @ U.T).item()
     marg_mean = (U @ Kinv @ h).item()
@@ -56,7 +75,7 @@ def test_cavity_empty_site_is_full_marginal():
 def test_cavity_scalar_example():
     g = make_work([2.0], [[2.0]])
     s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0), tau=0.5, nu=0.3)
-    cav = cavity(g, one(s), 0)
+    cav = site_cavity(g, one(s), 0)
     assert cav.prec == pytest.approx(1.5, rel=1e-12)
     assert cav.eta / cav.prec == pytest.approx((1.0 - 0.15) / 0.75, rel=1e-12)
 
@@ -70,7 +89,7 @@ def test_cavity_after_multiplying_site_back_in():
     tau, nu = 0.8, 0.4
     g1 = make_work(h0 + nu * U[0], K0 + tau * U.T @ U)
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), tau=tau, nu=nu)
-    cav = cavity(g1, one(s), 0)
+    cav = site_cavity(g1, one(s), 0)
     K0inv = np.linalg.inv(K0)
     assert cav.eta / cav.prec == pytest.approx((U @ K0inv @ h0).item(), rel=1e-10)
     assert 1.0 / cav.prec == pytest.approx((U @ K0inv @ U.T).item(), rel=1e-10)
@@ -84,7 +103,7 @@ def test_cavity_site_global_identity():
     g = make_work(h, K)
     U = rng.standard_normal((1, 6))
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), tau=0.5, nu=0.2)
-    cav = cavity(g, one(s), 0)
+    cav = site_cavity(g, one(s), 0)
     Kinv = np.linalg.inv(K)
     marg_prec = 1.0 / (U @ Kinv @ U.T).item()
     marg_eta = marg_prec * (U @ Kinv @ h).item()
@@ -96,19 +115,19 @@ def test_cavity_of_null_projection_is_invalid():
     g = make_work([1.0, 2.0], [[3.0, 0.5], [0.5, 2.0]])
     s = Site(np.zeros((1, 2)), LaplacePositivityFactor(1.0, 0.0))
     with pytest.raises(CavityInvalid):
-        cavity(g, one(s), 0)
+        site_cavity(g, one(s), 0)
 
 
 def test_cavity_flat_within_rtol():
     # the site holds the whole marginal precision: the cavity is exactly flat
     g = make_work([2.0], [[2.0]])
     s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0), tau=2.0 * (1.0 - 1e-13), nu=0.5)
-    cav = cavity(g, one(s), 0)
+    cav = site_cavity(g, one(s), 0)
     assert cav.is_flat and cav.prec == 0.0
     assert cav.eta == pytest.approx(1.5, rel=1e-12)
     s.tau = 2.0 * (1.0 + 1e-11)
     with pytest.raises(CavityInvalid):
-        cavity(g, one(s), 0)
+        site_cavity(g, one(s), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +169,29 @@ def test_site_set_stacks_rows_and_finds_coordinates():
         assert dense.coords is None and np.array_equal(dense.U, U)
 
 
+class UnhashableGaussian(GaussianFactor1D):
+    """A factor family that cannot be hashed."""
+
+    __hash__ = None
+
+
+def test_site_set_groups_an_unhashable_family_by_identity():
+    shared, twin = UnhashableGaussian(0.3, 0.5), UnhashableGaussian(0.3, 0.5)
+    assert shared == twin
+    families = [shared, shared, twin, shared]
+    sites, oracle_sites = ([Site(np.eye(1, 4, i), f) for i, f in enumerate(families)] for _ in range(2))
+    groups = [(f, idx.tolist()) for f, idx in SiteSet(sites, 4).groups]
+    assert [idx for _, idx in groups] == [[0, 1, 3], [2]]
+    assert groups[0][0] is shared and groups[1][0] is twin
+
+    base = _spd_base(4, 31)
+    want, want_skipped, _ = per_site_parallel_ep(base, oracle_sites, 3, 1e-300)
+    res = run_ep(base, sites, EPOptions(max_sweeps=3, site_tol=1e-300, sweep_mode="parallel"))
+    assert not res.skipped_sites and not want_skipped and res.sweeps_used == 3
+    assert _rel(_site_params(sites), _site_params(oracle_sites)) <= 1e-12
+    assert _rel(res.mean_history[-1], want[-1][0]) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # update_site
 # ---------------------------------------------------------------------------
@@ -158,7 +200,7 @@ def test_update_site_identity_factor_gives_zero():
     g = make_work([1.0, 0.0], [[2.0, 0.3], [0.3, 1.5]])
     U = np.array([[1.0, 0.0]])
     s = Site(U, LaplacePositivityFactor(1.0, 0.0), tau=0.4, nu=0.1)
-    cav = cavity(g, one(s), 0)
+    cav = site_cavity(g, one(s), 0)
     tm = TiltedMoments(0.0, cav.eta / cav.prec, 1.0 / cav.prec)
     K_new, h_new = update_site(0, cav, tm)
     assert abs(K_new) <= 1e-12
@@ -170,7 +212,7 @@ def test_update_site_gaussian_factor_recovers_its_naturals():
     U = np.array([[0.6, -0.8]])
     fam = GaussianFactor1D(0.7, 0.5)
     s = Site(U, fam)
-    cav = cavity(g, one(s), 0)
+    cav = site_cavity(g, one(s), 0)
     tm = site_moments(fam, cav)
     K_new, h_new = update_site(0, cav, tm)
     assert K_new == pytest.approx(1.0 / fam.t_var, rel=1e-10)
@@ -209,7 +251,7 @@ def test_refresh_noop_is_bit_identical():
     g = make_work([1.0, 2.0], [[3.0, 0.5], [0.5, 2.0]])
     mu, C = g.mu.copy(), g.C.copy()
     s = Site(np.array([[1.0, 0.0]]), LaplacePositivityFactor(1.0, 0.0))
-    refresh_global(g, one(s), 0, (1.0, 0.0), (1.0, 0.0))
+    site_refresh(g, one(s), 0, (1.0, 0.0), (1.0, 0.0))
     assert np.array_equal(g.mu, mu) and np.array_equal(g.C, C)
 
 
@@ -225,7 +267,7 @@ def test_refresh_matches_full_reassembly():
     work = moment_from_natural(assemble_global(base, site_set))
     mu_buf, C_buf = work.mu, work.C
     new = (2.3, -0.7)
-    refresh_global(work, site_set, 2, (site_set.tau[2], site_set.nu[2]), new)
+    site_refresh(work, site_set, 2, (site_set.tau[2], site_set.nu[2]), new)
     # the work state is moved in place
     assert work.mu is mu_buf and work.C is C_buf
     site_set.tau[2], site_set.nu[2] = new
@@ -242,8 +284,8 @@ def test_refresh_apply_then_revert():
     work = moment_from_natural(assemble_global(base, one(s)))
     mu0, C0 = work.mu.copy(), work.C.copy()
     old, new = (1.0, 0.0), (0.2, 1.1)
-    refresh_global(work, one(s), 0, old, new)
-    refresh_global(work, one(s), 0, new, old)
+    site_refresh(work, one(s), 0, old, new)
+    site_refresh(work, one(s), 0, new, old)
     assert np.linalg.norm(work.C - C0) / np.linalg.norm(C0) <= 1e-12
     assert np.linalg.norm(work.mu - mu0) <= 1e-12 * max(np.linalg.norm(mu0), 1.0)
 
@@ -634,9 +676,9 @@ def test_serial_sweeps_match_textbook_ep_with_downdates(monkeypatch):
 
     in_loop, dKs = [], []
 
-    def recording_refresh(work, site_set, i, old, new):
-        refresh_global(work, site_set, i, old, new)
-        dKs.append(new[0] - old[0])
+    def recording_refresh(work, z, v, m, dK, dh):
+        refresh_global(work, z, v, m, dK, dh)
+        dKs.append(dK)
         in_loop.append((work.mu.copy(), work.C.copy()))
 
     monkeypatch.setattr(ep, "refresh_global", recording_refresh)
@@ -718,8 +760,8 @@ def test_cavity_tolerance_boundaries_classify_alike_in_both_forms():
     # the scalar rule: negative, flat, flat, proper
     state, site_set = MomentGaussian(np.zeros(n), np.eye(n)), SiteSet(sites, n)
     with pytest.raises(CavityInvalid):
-        cavity(state, site_set, 0)
-    assert [cavity(state, site_set, i).is_flat for i in (1, 2, 3)] == [True, True, False]
+        site_cavity(state, site_set, 0)
+    assert [site_cavity(state, site_set, i).is_flat for i in (1, 2, 3)] == [True, True, False]
 
     # the array rule, in one parallel sweep from K0 + diag(tau) = I
     base = NaturalGaussian(np.zeros(n), np.diag([1.0 - t for t in taus]))
@@ -771,7 +813,7 @@ def per_site_parallel_ep(base, sites, max_sweeps, site_tol):
         refits = {}
         for i in range(len(sites)):
             try:
-                cav = ep.cavity(snap, site_set, i)
+                cav = site_cavity(snap, site_set, i)
                 refits[i] = ep.update_site(i, cav, ep.site_moments(site_set.family[i], cav))
             except (CavityInvalid, DegenerateSupport, NotPositiveDefinite) as exc:
                 skipped.append(SkippedSite(sweep, i, f"{type(exc).__name__}: {exc}"))
@@ -854,7 +896,7 @@ def test_parallel_sweep_matches_per_site_oracle(case):
     _, oracle_sites = make()
     sweeps = 4
     if case == "flat_cavity":
-        assert cavity(make_work(base.h, base.K + np.diag([1.0, 1.0, 1.0, 1.0])), SiteSet(sites, 4), 0).is_flat
+        assert site_cavity(make_work(base.h, base.K + np.diag([1.0, 1.0, 1.0, 1.0])), SiteSet(sites, 4), 0).is_flat
     want, want_skipped, want_converged = per_site_parallel_ep(base, oracle_sites, sweeps, 1e-300)
     res = run_ep(base, sites, EPOptions(max_sweeps=sweeps, site_tol=1e-300, sweep_mode="parallel"))
     assert res.skipped_sites == want_skipped

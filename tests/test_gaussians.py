@@ -59,6 +59,25 @@ def _one_site(u, tau, nu):
     return SiteSet([Site(u, LaplacePositivityFactor(1.0, 0.0), tau=tau, nu=nu)], np.size(u))
 
 
+def _marginal(state, site_set):
+    """z = Sigma u and the marginal variance and mean of u^T x for the row u
+    of the lone site of site_set, as the serial sweep forms them."""
+    u = site_set.U[0]
+    z = state.C @ u
+    return z, u @ z, u @ state.mu
+
+
+def _cavity(state, site_set):
+    """ep.cavity of the lone site of site_set."""
+    _, v, m = _marginal(state, site_set)
+    return cavity(v, m, site_set.tau[0], site_set.nu[0])
+
+
+def _refresh(state, site_set, old, new):
+    """ep.refresh_global for the lone site of site_set moving from old to new (tau, nu)."""
+    refresh_global(state, *_marginal(state, site_set), new[0] - old[0], new[1] - old[1])
+
+
 def _with_site(g, u, tau, nu):
     """The global g times a rank-one site (nu u, tau u u^T), and the site."""
     g1 = NaturalGaussian(g.h + nu * u, g.K + tau * np.outer(u, u))
@@ -68,7 +87,7 @@ def _with_site(g, u, tau, nu):
 def test_quotient_zero_contribution_is_identity():
     rng = np.random.default_rng(3)
     g = random_natural(4, rng)
-    cav = cavity(moment_from_natural(g), _one_site(np.eye(1, 4, 2), 0.0, 0.0), 0)
+    cav = _cavity(moment_from_natural(g), _one_site(np.eye(1, 4, 2), 0.0, 0.0))
     C = np.linalg.inv(g.K)
     assert cav.prec == pytest.approx(1.0 / C[2, 2], rel=1e-12)
     assert cav.eta == pytest.approx((C @ g.h)[2] / C[2, 2], rel=1e-12)
@@ -76,7 +95,7 @@ def test_quotient_zero_contribution_is_identity():
 
 def test_quotient_scalar_arithmetic():
     g = NaturalGaussian(np.array([3.0]), np.array([[2.0]]))
-    cav = cavity(moment_from_natural(g), _one_site(np.array([[1.0]]), 0.5, 1.0), 0)
+    cav = _cavity(moment_from_natural(g), _one_site(np.array([[1.0]]), 0.5, 1.0))
     assert cav.eta == pytest.approx(2.0) and cav.prec == pytest.approx(1.5)
 
 
@@ -90,12 +109,12 @@ def test_quotient_then_product_restores():
     m0, m1 = moment_from_natural(g0), moment_from_natural(g1)
     zero, held = (0.0, 0.0), (0.7, -0.4)
     w = moment_from_natural(g1)
-    cav_held = cavity(w, s, 0)
-    refresh_global(w, s, 0, held, zero)
+    cav_held = _cavity(w, s)
+    _refresh(w, s, held, zero)
     assert np.linalg.norm(w.mu - m0.mu) <= 1e-12 * np.linalg.norm(m0.mu)
     assert np.linalg.norm(w.C - m0.C) <= 1e-12 * np.linalg.norm(m0.C)
-    cav_out = cavity(w, _one_site(u, *zero), 0)
-    refresh_global(w, s, 0, zero, held)
+    cav_out = _cavity(w, _one_site(u, *zero))
+    _refresh(w, s, zero, held)
     assert np.linalg.norm(w.mu - m1.mu) <= 1e-12 * np.linalg.norm(m1.mu)
     assert np.linalg.norm(w.C - m1.C) <= 1e-12 * np.linalg.norm(m1.C)
     assert cav_held.prec == pytest.approx(cav_out.prec, rel=1e-10)
@@ -189,7 +208,7 @@ def test_quotient_product_roundtrip_property():
         u = rng.standard_normal(n)
         tau, nu = rng.uniform(0.0, 2.0), rng.standard_normal()
         g1, s = _with_site(g0, u, tau, nu)
-        cav = cavity(moment_from_natural(g1), s, 0)
+        cav = _cavity(moment_from_natural(g1), s)
         C = np.linalg.inv(g1.K)
         marg_prec = 1.0 / (u @ C @ u)
         marg_eta = marg_prec * (u @ C @ g1.h)

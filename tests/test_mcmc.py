@@ -252,3 +252,36 @@ def test_run_chains_parallel_workers():
     for a, b in zip(par, seq):
         assert np.array_equal(a.mean, b.mean)
         assert a.acceptance_rate == b.acceptance_rate
+
+
+def test_run_chains_starts_no_more_workers_than_chains(monkeypatch):
+    # a stand-in pool that records its size and runs each chain inline, so
+    # no process is started at the large worker count
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    prior = LaplacePositivityPrior(lam=0.5, bg=0.0, floor=-10.0)
+    post = Posterior(identity_forward, np.zeros(2), 2.0, prior)
+    cfgs = [ChainConfig(steps=400, burn_in=40, thin=2, proposal_std=1.5, seed=s) for s in (3, 4)]
+    inits = [np.zeros(2), np.full(2, 0.5)]
+    pooled = run_chains(cfgs, inits, post, workers=64)
+    assert sizes == [2]
+    for a, b in zip(pooled, run_chains(cfgs, inits, post, workers=1)):
+        assert np.array_equal(a.mean, b.mean) and a.acceptance_rate == b.acceptance_rate
