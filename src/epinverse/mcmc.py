@@ -25,10 +25,15 @@ class ChainConfig:
     thin: int = 10
 
     def __post_init__(self) -> None:
-        if not self.burn_in < self.steps:
-            raise ValueError("burn_in must be smaller than steps")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if not 0 <= self.burn_in < self.steps:
+            raise ValueError("burn_in must lie in [0, steps)")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        std = np.asarray(self.proposal_std, dtype=float)
+        if not np.all(np.isfinite(std) & (std > 0.0)):
+            raise ValueError("proposal_std must be finite and > 0")
 
 
 @dataclass
@@ -54,12 +59,19 @@ class LaplacePositivityPrior:
 def log_posterior(sigma: np.ndarray, forward_fn, data: np.ndarray, alpha: float,
                   prior: LaplacePositivityPrior) -> float:
     """-alpha/2 ||F(sigma) - data||^2 - lam ||sigma - bg||_1 on the admissible
-    set, -inf below the floor (encodes rejection)."""
+    set, -inf below the floor (encodes rejection).
+
+    sigma is rejected when its smallest non-NaN entry lies below the floor,
+    which is ``np.any(sigma < floor)``; a floor of -inf admits every sigma.  A
+    NaN entry is not below the floor, so it is not rejected here and the value
+    returned is NaN, which the accept test of ``mh_chain`` never passes.
+    """
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma < prior.floor):
+    # fmin skips NaN where min would return it
+    if np.fmin.reduce(sigma) < prior.floor:
         return -math.inf
     r = forward_fn(sigma) - data
-    return float(-0.5 * alpha * (r @ r) - prior.lam * np.sum(np.abs(sigma - prior.bg)))
+    return float(-0.5 * alpha * (r @ r) - prior.lam * np.add.reduce(np.abs(sigma - prior.bg)))
 
 
 class Posterior:
@@ -81,6 +93,9 @@ def mh_chain(cfg: ChainConfig, init: np.ndarray, log_post, store_samples: bool =
     Burn-in is discarded and the thinned mean/variance accumulate in a single
     Welford pass.  Returns a ChainSummary, plus the thinned samples when
     store_samples is set.
+
+    The proposal noise is drawn in blocks of up to 8192 steps, and each block
+    is scaled by the proposal std once, in place, when it is drawn.
     """
     x = np.asarray(init, dtype=float).copy()
     n = x.shape[0]
@@ -101,9 +116,10 @@ def mh_chain(cfg: ChainConfig, init: np.ndarray, log_post, store_samples: bool =
     while done < cfg.steps:
         nb = min(block, cfg.steps - done)
         noise = rng.standard_normal((nb, n))
+        noise *= std
         logu = np.log(rng.random(nb))
         for j in range(nb):
-            prop = x + std * noise[j]
+            prop = x + noise[j]
             lp_new = log_post(prop)
             if logu[j] <= lp_new - lp:
                 x = prop
@@ -154,7 +170,9 @@ def adapt_proposal(
     lo, hi = band
 
     def acc(s: float, k: int) -> float:
-        cfg = ChainConfig(steps=pilot_steps, burn_in=pilot_steps // 5, thin=1,
+        # acceptance counts every step: keep only the last, so the pilot
+        # makes one moment update instead of one per step
+        cfg = ChainConfig(steps=pilot_steps, burn_in=pilot_steps - 1, thin=1,
                           proposal_std=s, seed=seed * 1000003 + k)
         return mh_chain(cfg, init, log_post).acceptance_rate
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from epinverse import mcmc
 from epinverse.errors import AdaptFailed
 from epinverse.mcmc import (
     ChainConfig,
@@ -54,6 +56,107 @@ def test_log_posterior_recomputation():
         got = log_posterior(s, lambda x: A @ x, data, 2.5, prior)
         want = -1.25 * np.sum((A @ s - data) ** 2) - 0.7 * np.sum(np.abs(s - 0.2))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _loop_log_posterior(sigma, forward_fn, data, alpha, prior):
+    """The log posterior as first written (np.any floor test, np.sum), kept as
+    the reference the lean one must equal bit for bit."""
+    sigma = np.asarray(sigma, dtype=float)
+    if np.any(sigma < prior.floor):
+        return -math.inf
+    r = forward_fn(sigma) - data
+    return float(-0.5 * alpha * (r @ r) - prior.lam * np.sum(np.abs(sigma - prior.bg)))
+
+
+def test_log_posterior_admits_sigma_at_the_floor():
+    prior = LaplacePositivityPrior(lam=1.0, bg=0.0, floor=0.5)
+    lp = log_posterior(np.array([0.5, 1.0]), lambda s: s, np.zeros(2), 1.0, prior)
+    assert lp == -0.5 * 1.25 - 1.5
+
+
+def test_log_posterior_rejects_one_ulp_below_the_floor():
+    prior = LaplacePositivityPrior(lam=1.0, bg=0.0, floor=0.5)
+    sigma = np.array([1.0, np.nextafter(0.5, -math.inf), 2.0])
+    assert log_posterior(sigma, lambda s: s, np.zeros(3), 1.0, prior) == -math.inf
+
+
+def test_log_posterior_minus_inf_floor_equals_a_floor_far_below():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 3))
+    data = rng.standard_normal(4)
+    open_prior = LaplacePositivityPrior(lam=0.7, bg=0.1, floor=-math.inf)
+    far_prior = LaplacePositivityPrior(lam=0.7, bg=0.1, floor=-1e300)
+    for _ in range(20):
+        s = 5.0 * rng.standard_normal(3)
+        a = log_posterior(s, lambda x: A @ x, data, 2.0, open_prior)
+        b = log_posterior(s, lambda x: A @ x, data, 2.0, far_prior)
+        assert a == b and math.isfinite(a)
+
+
+def test_log_posterior_nan_entry():
+    prior = LaplacePositivityPrior(lam=1.0, bg=0.0, floor=0.0)
+    # a NaN entry is not below the floor: the value is NaN
+    assert math.isnan(log_posterior(np.array([np.nan, 1.0]), lambda s: s, np.zeros(2), 1.0, prior))
+    # another entry below the floor still rejects, as np.any(sigma < floor) does
+    assert log_posterior(np.array([np.nan, -1.0]), lambda s: s, np.zeros(2), 1.0, prior) == -math.inf
+
+
+def test_mh_chain_never_accepts_a_nan_log_posterior():
+    # proposals with a positive entry reach log_posterior with a NaN entry
+    prior = LaplacePositivityPrior(lam=0.5, bg=0.0, floor=-10.0)
+    post = Posterior(lambda s: s, np.full(2, -1.0), 1.0, prior)
+
+    def lp(s):
+        return post(np.where(s > 0.0, np.nan, s))
+
+    cfg = ChainConfig(steps=5000, burn_in=0, thin=1, proposal_std=1.0, seed=4)
+    out, samples = mh_chain(cfg, np.full(2, -1.0), lp, store_samples=True)
+    assert 0.0 < out.acceptance_rate < 1.0
+    assert samples.max() <= 0.0
+
+
+def test_log_posterior_array_background():
+    bg = np.array([0.0, 0.5, 1.0])
+    prior = LaplacePositivityPrior(lam=2.0, bg=bg, floor=0.0)
+    sigma = np.array([0.25, 0.5, 2.0])
+    got = log_posterior(sigma, lambda s: s, sigma, 1.0, prior)
+    assert got == -2.0 * (0.25 + 0.0 + 1.0)
+
+
+@pytest.mark.parametrize("floor", [0.0, -0.5, -math.inf])
+@pytest.mark.parametrize("bg", [0.2, "array"])
+def test_log_posterior_equals_the_loop_formula_bit_for_bit(floor, bg):
+    rng = np.random.default_rng(11)
+    n = 12
+    A = rng.standard_normal((20, n)) / math.sqrt(20)
+    data = rng.standard_normal(20)
+    bg = rng.uniform(0.0, 0.5, n) if bg == "array" else bg
+    prior = LaplacePositivityPrior(lam=2.0, bg=bg, floor=floor)
+    rejected = 0
+    for _ in range(200):
+        s = 0.3 + 0.4 * rng.standard_normal(n)
+        want = _loop_log_posterior(s, lambda x: A @ x, data, 400.0, prior)
+        got = log_posterior(s, lambda x: A @ x, data, 400.0, prior)
+        assert got == want
+        rejected += want == -math.inf
+    assert (rejected > 0) == math.isfinite(floor)
+
+
+def test_chain_config_rejects_no_steps():
+    with pytest.raises(ValueError, match="steps"):
+        ChainConfig(steps=0, burn_in=-1, thin=1, proposal_std=1.0, seed=0)
+
+
+def test_chain_config_rejects_negative_burn_in():
+    with pytest.raises(ValueError, match="burn_in"):
+        ChainConfig(steps=100, burn_in=-1, thin=1, proposal_std=1.0, seed=0)
+
+
+@pytest.mark.parametrize("std", [0.0, -1.0, math.nan, math.inf, np.array([1.0, 0.0]),
+                                 np.array([np.nan, 1.0])])
+def test_chain_config_rejects_degenerate_proposal_std(std):
+    with pytest.raises(ValueError, match="proposal_std"):
+        ChainConfig(steps=100, burn_in=10, thin=1, proposal_std=std, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +223,96 @@ def test_detailed_balance_three_state_analog():
     assert np.abs(emp - target).max() <= 1e-2
 
 
+def _loop_mh_chain(cfg, init, log_post):
+    """The chain loop as first written (per-step ``std * noise[j]``, per-step
+    numpy comparisons), kept as the reference mh_chain must equal bit for
+    bit."""
+    x = np.asarray(init, dtype=float).copy()
+    n = x.shape[0]
+    lp = log_post(x)
+    std = np.broadcast_to(np.asarray(cfg.proposal_std, dtype=float), (n,))
+    rng = np.random.default_rng(cfg.seed)
+    kept = 0
+    mean = np.zeros(n)
+    m2 = np.zeros(n)
+    accepted = 0
+    samples = []
+    block = 8192
+    done = 0
+    while done < cfg.steps:
+        nb = min(block, cfg.steps - done)
+        noise = rng.standard_normal((nb, n))
+        logu = np.log(rng.random(nb))
+        for j in range(nb):
+            prop = x + std * noise[j]
+            lp_new = log_post(prop)
+            if logu[j] <= lp_new - lp:
+                x = prop
+                lp = lp_new
+                accepted += 1
+            step = done + j
+            if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
+                kept += 1
+                delta = x - mean
+                mean += delta / kept
+                m2 += delta * (x - mean)
+                samples.append(x.copy())
+        done += nb
+    var = m2 / (kept - 1) if kept > 1 else np.zeros(n)
+    summary = ChainSummary(mean=mean, std=np.sqrt(var), acceptance_rate=accepted / cfg.steps,
+                           samples_kept=kept, seed=cfg.seed)
+    return summary, np.asarray(samples)
+
+
+def _floored_linear_posterior():
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((8, 5)) / math.sqrt(8)
+    data = A @ np.full(5, 0.4) + 0.1 * rng.standard_normal(8)
+    prior = LaplacePositivityPrior(lam=2.0, bg=0.0, floor=0.0)
+    return Posterior(lambda x: A @ x, data, 100.0, prior)
+
+
+@pytest.mark.parametrize("proposal_std", [0.05, np.linspace(0.02, 0.08, 5)])
+@pytest.mark.parametrize("steps, burn_in, thin", [(3000, 300, 1), (20_000, 1_234, 7)])
+def test_mh_chain_equals_the_loop_reference_bit_for_bit(proposal_std, steps, burn_in, thin):
+    # 20 000 steps cross two noise-block boundaries; the floor makes rejections
+    post = _floored_linear_posterior()
+    cfg = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, proposal_std=proposal_std, seed=17)
+    init = np.full(5, 0.3)
+    want, want_samples = _loop_mh_chain(cfg, init, post)
+    got, got_samples = mh_chain(cfg, init, post, store_samples=True)
+    assert np.array_equal(got.mean, want.mean)
+    assert np.array_equal(got.std, want.std)
+    assert got.acceptance_rate == want.acceptance_rate
+    assert 0.0 < got.acceptance_rate < 1.0
+    assert got.samples_kept == want.samples_kept
+    assert np.array_equal(got_samples, want_samples)
+    plain = mh_chain(cfg, init, post)
+    assert np.array_equal(plain.mean, got.mean) and np.array_equal(plain.std, got.std)
+
+
 # ---------------------------------------------------------------------------
 # adapt_proposal
 # ---------------------------------------------------------------------------
+
+def test_adapt_proposal_scale_is_the_one_of_burned_in_pilots(monkeypatch):
+    # pilots that discard a fifth of their steps, through the loop reference,
+    # reach the same scale: the pilots read only the acceptance
+    post = _floored_linear_posterior()
+    init = np.full(5, 0.3)
+    got = adapt_proposal(post, init, 2.0, pilot_steps=1000, seed=2)
+    pilots = []
+
+    def burned_in_pilot(cfg, x0, log_post):
+        pilots.append(cfg.burn_in)
+        old = dataclasses.replace(cfg, burn_in=cfg.steps // 5)
+        return _loop_mh_chain(old, x0, log_post)[0]
+
+    monkeypatch.setattr(mcmc, "mh_chain", burned_in_pilot)
+    want = adapt_proposal(post, init, 2.0, pilot_steps=1000, seed=2)
+    assert got == want
+    assert len(pilots) > 3 and set(pilots) == {999}
+
 
 def test_adapt_keeps_in_band_scale():
     lp = gaussian_log_post(np.zeros(1), np.eye(1))
