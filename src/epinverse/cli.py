@@ -110,11 +110,40 @@ def _read_vector_csv(path: Path, code: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write_matrix_csv(path: Path, M: np.ndarray) -> None:
-    # one format string per row: the same text as _fmt per cell, in about
-    # 60 % of the time
-    row_fmt = ",".join(["%.17e"] * M.shape[1])
-    lines = [row_fmt % tuple(row.tolist()) for row in M]
-    path.write_text("\n".join(lines) + "\n")
+    """Write the square, bitwise-symmetric matrix ``M`` as CSV, one row per
+    line, each cell ``_fmt``'s text.
+
+    Only the upper triangle ``M[i, i:]`` is formatted: row ``i`` takes its
+    left part from the cells that rows ``0..i-1`` formatted for column ``i``,
+    which is the same text only if ``M[i, j]`` and ``M[j, i]`` have the same
+    bits.  ``res.cov`` has them: ``chol.inverse`` mirrors the lower triangle
+    of the inverse into the upper.  Anything else (non-square, or a mirror
+    pair that differs in a bit, such as ``-0.0`` facing ``+0.0``) is refused
+    with ``ValueError`` before the file is opened.
+
+    Rows are written as they are made.  Each earlier row keeps its pending
+    cells reversed, and every later row pops one, so a cell's text is freed
+    once it has been written twice: at most n^2/4 cells are held (at row
+    n/2), not all n^2 plus the joined text."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"cov.csv needs a square matrix, got shape {M.shape}")
+    bits = M.view(np.uint64)
+    if not np.array_equal(bits, bits.T):
+        raise ValueError("cov.csv needs a bitwise-symmetric matrix")
+    n = M.shape[0]
+    # cells are bytes: the same text as _fmt, and a fifth smaller than str
+    pending: list[list[bytes]] = []
+    with path.open("wb") as f:
+        for i in range(n):
+            # one % per row: the same text as _fmt per cell, in about 60 % of
+            # the time
+            cells = (b",".join([b"%.17e"] * (n - i)) % tuple(M[i, i:].tolist())).split(b",")
+            left = [rest.pop() for rest in pending]
+            f.write(b",".join(left + cells) + b"\n")
+            cells.reverse()
+            cells.pop()  # the diagonal cell: no later row reads it
+            pending.append(cells)
 
 
 def _write_trace_csv(path: Path, rows) -> None:

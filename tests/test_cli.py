@@ -662,21 +662,75 @@ def test_unexpected_failure_writes_internal_error(tmp_path, monkeypatch):
 # output writers, BLAS threads and the default sweep mode
 # ---------------------------------------------------------------------------
 
+def _mirrored(upper):
+    """The square matrix whose row i starts ``upper[i]`` at the diagonal,
+    with each value copied bit for bit to its mirror cell."""
+    n = len(upper)
+    M = np.zeros((n, n))
+    for i, row in enumerate(upper):
+        M[i, i:] = row
+        M[i:, i] = row
+    return M
+
+
+def _random_cov(n):
+    from epinverse import chol
+
+    A = np.random.default_rng(3).standard_normal((n, n))
+    return chol.inverse(chol.cholesky(A @ A.T + n * np.eye(n)))
+
+
 def test_matrix_csv_writer_matches_the_per_cell_format(tmp_path):
+    # the writer formats only the upper triangle; the text must be that of
+    # formatting every cell
     import epinverse.cli as cli
 
-    M = np.array(
-        [
-            [np.nan, np.inf, -np.inf, -0.0],
-            [5e-324, 2.2250738585072014e-308, 1.0 / 3.0, -1e300],
-            [0.0, 1.0, -2.5e-17, 123456789.0],
-        ]
-    )
-    cli._write_matrix_csv(tmp_path / "m.csv", M)
-    want = "\n".join(",".join(f"{v:.17e}" for v in row) for row in M) + "\n"
-    assert (tmp_path / "m.csv").read_bytes() == want.encode()
-    cli._write_matrix_csv(tmp_path / "col.csv", M[:, :1])
-    assert (tmp_path / "col.csv").read_text() == "".join(f"{v:.17e}\n" for v in M[:, 0])
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308, -1e300, 1.0 / 3.0]
+    for M in (
+        _mirrored([[-0.0]]),
+        _mirrored([special[:2], special[2:3]]),
+        _mirrored([special[3:6], special[6:8], [np.nan]]),
+        _random_cov(400),
+    ):
+        cli._write_matrix_csv(tmp_path / "m.csv", M)
+        want = "\n".join(",".join(f"{v:.17e}" for v in row) for row in M) + "\n"
+        assert (tmp_path / "m.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.zeros((3, 4)),
+        np.zeros(3),
+        np.array([[1.0, 2.0], [3.0, 4.0]]),
+        np.array([[1.0, -0.0], [0.0, 1.0]]),
+        np.array([[1.0, np.nan], [-np.nan, 1.0]]),
+    ],
+    ids=["3x4", "vector", "not_symmetric", "signed_zero_pair", "signed_nan_pair"],
+)
+def test_matrix_csv_writer_refuses_a_matrix_that_is_not_bitwise_symmetric(tmp_path, M):
+    import epinverse.cli as cli
+
+    with pytest.raises(ValueError):
+        cli._write_matrix_csv(tmp_path / "m.csv", M)
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_matrix_csv_writer_streams_its_rows(tmp_path):
+    # a writer that held all n^2 cells and the joined text peaked at 11.25 MB
+    # on this matrix
+    import tracemalloc
+
+    import epinverse.cli as cli
+
+    M = _random_cov(400)
+    tracemalloc.start()
+    try:
+        cli._write_matrix_csv(tmp_path / "m.csv", M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_blas_runs_on_one_thread_after_main_when_unset(tmp_path, monkeypatch):

@@ -179,13 +179,48 @@ def test_laplace_positivity_floor_within_rounding_of_bg_drops_the_lower_piece():
         many = near.moments_many(m, v)
     assert sorted(many.errors) == np.flatnonzero(np.isnan(want[0])).tolist()
     # where the lower piece survives, its sliver of standardized width ~1e-15
-    # leaves the two-sided core's variance only to about 1e-10
+    # takes the Gauss-Legendre rule, and its ~1e-14 weight moves no moment
+    # past roundoff
     for got in (scalar, np.array([many.logZ, many.mean, many.var])):
-        np.testing.assert_allclose(got[:2], want[:2], rtol=1e-12, equal_nan=True)
-        np.testing.assert_allclose(got[2], want[2], rtol=1e-10, equal_nan=True)
+        np.testing.assert_allclose(got, want, rtol=1e-12, equal_nan=True)
     flat, flat_at = near.moments_flat(0.0), at.moments_flat(0.0)
     assert flat_at.mean == 0.8
     np.testing.assert_allclose([flat.logZ, flat.mean, flat.var], [flat_at.logZ, flat_at.mean, flat_at.var], rtol=1e-12)
+
+
+def test_laplace_positivity_narrow_lower_piece_vs_quadrature():
+    # the lower piece is [floor, bg) one ulp wide, at x = 9.98 standardized:
+    # just short of the a >= 10 far tail, it must still take the rule that
+    # holds at any width
+    f = LaplacePositivityFactor(2.0, 0.3, 0.29999999999999993)
+    got = moments_laplace_positivity(f, 0.2, 1e-4)
+    many = f.moments_many(np.array([0.2]), np.array([1e-4]))
+    ora = moments_quadrature(f, 0.2, 1e-4)
+    # mean and var of the same density by 40-digit adaptive quadrature (mpmath)
+    ref_mean, ref_var = 0.30097904683023474, 9.409749146785246e-07
+    for lz, mean, var in ((got.logZ, got.mean, got.var), (many.logZ[0], many.mean[0], many.var[0])):
+        assert rel(lz, ora.logZ) <= 1e-10
+        assert rel(mean, ora.mean) <= 1e-10
+        # the oracle's window ends at m + 12 sd, 20 decay lengths above the
+        # mass at bg: the ~2e-9 of mass it cuts off moves its variance by 1e-7
+        assert rel(var, ora.var) <= 2e-7
+        assert rel(mean, ref_mean) <= 1e-14
+        assert rel(var, ref_var) <= 1e-13
+
+
+def test_narrow_two_sided_interval_takes_the_conditioned_rule():
+    # width 1e-6 at lower bounds below 10: on u = s - a in [0, w] the density
+    # is e^{-a u} to first order, so mean - a = w/2 - a w^2/12 and the
+    # variance is w^2/12, both up to relative O(a^2 w^2)
+    w = 1e-6
+    a = np.array([-0.4e-6, 0.0, 1.0, 5.0, 9.98])
+    many = trunc_gauss_std_many(a, a + w)
+    for k, ak in enumerate(a.tolist()):
+        logz, mean, var, mma, mmb = trunc_gauss_std(ak, ak + w)
+        assert (logz, mean, var, mma, mmb) == tuple(x[k] for x in many)
+        wk = (ak + w) - ak
+        assert var == pytest.approx(wk * wk / 12.0, rel=1e-9)
+        assert mma == pytest.approx(0.5 * wk - ak * wk * wk / 12.0, rel=1e-9)
 
 
 def test_laplace_positivity_looks_up_the_scalar_kernel_at_call_time(monkeypatch):
