@@ -3,7 +3,10 @@
 Commands: `ep`, `mcmc`, `compare`, `synth`, `mesh`; each reads a flat
 key-value config (see config.py), writes node-indexed CSV artifacts plus a
 versioned summary.json into the output directory, and is reproducible
-bit-for-bit from (config, seed).  Numeric CSV output uses full-precision
+bit-for-bit from (config, seed, blas_threads), the BLAS thread count that
+summary.json records: another thread count sums in another order, and
+OPENBLAS_NUM_THREADS=2 against 1 moves the desk-scale mean.csv by up to
+9.3e-10 relative.  Numeric CSV output uses full-precision
 scientific notation.  No plots are rendered; the CSVs are the plotting
 contract.
 """

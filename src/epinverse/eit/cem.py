@@ -12,7 +12,9 @@ stiffness entries.
 Everything that does not depend on the conductivity (element geometry, a
 reverse Cuthill-McKee order of the nodes and its half-bandwidth, the scatter
 positions in the reduced system, the reduced electrode terms, the
-node-element incidence) is built once per mesh (``MeshOperator``).  A solve
+node-element incidence) is built once per mesh (``MeshOperator``), and what
+depends only on the electrodes (Q^T I, 1/z, the kept measurements) once per
+``CEMConfig``.  A solve
 scatters the conductivity-weighted terms into three blocks: the node block
 as a lower band, the electrode-node coupling and the small electrode block.
 It factors the band (``dpbtrf``), forms the Schur complement onto the
@@ -24,7 +26,7 @@ whole reduced system is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -55,27 +57,52 @@ def adjacent_patterns(L: int) -> list[tuple[int, int]]:
     return [(l, l + 1) for l in range(L - 1)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CEMConfig:
     """Electrode layer of the CEM: contact impedances, injection patterns and
     amplitude.  Grounding is the zero-sum convention sum_l V_l = 0, enforced
-    structurally by the solver's reduced basis."""
+    structurally by the solver's reduced basis.
+
+    The configuration is frozen, with ``z`` read-only and ``patterns`` a
+    tuple, so the constants every solve reads are built once, here:
+    ``reduced_currents`` (Q^T I), ``inv_z`` (1/z) and ``kept_index`` (the
+    flat positions of ``kept_mask()``)."""
 
     z: np.ndarray  # contact impedances [Ohm*m, 2D-reduced], one per electrode
-    patterns: list[tuple[int, int]]
+    patterns: tuple[tuple[int, int], ...]
     amplitude: float = CURRENT_AMPLITUDE
+    reduced_currents: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_z: np.ndarray = field(init=False, repr=False, compare=False)
+    kept_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.z = np.asarray(self.z, dtype=float)
-        if self.z.ndim != 1:
-            raise ValueError(f"contact impedances must be 1-D, one per electrode; got shape {self.z.shape}")
-        if np.any(self.z <= 0.0):
+        z = np.array(self.z, dtype=float)
+        if z.ndim != 1:
+            raise ValueError(f"contact impedances must be 1-D, one per electrode; got shape {z.shape}")
+        if np.any(z <= 0.0):
             raise ValueError("contact impedances must be positive")
-        for a, b in self.patterns:
-            if not (0 <= a < self.L and 0 <= b < self.L):
-                raise ValueError(f"pattern ({a}, {b}) names an electrode outside 0..{self.L - 1}")
+        patterns = tuple((a, b) for a, b in self.patterns)
+        L = z.shape[0]
+        for a, b in patterns:
+            if not (0 <= a < L and 0 <= b < L):
+                raise ValueError(f"pattern ({a}, {b}) names an electrode outside 0..{L - 1}")
             if a == b:
                 raise ValueError("pattern injects and grounds the same electrode")
+        z.flags.writeable = False
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "patterns", patterns)
+        I = self.current_matrix()
+        for name, value in (
+            ("reduced_currents", I[:-1] - I[-1]),
+            ("inv_z", 1.0 / z),
+            ("kept_index", np.flatnonzero(self.kept_mask())),
+        ):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # copies and unpickled configs are rebuilt through __init__, read-only again
+        return (CEMConfig, (self.z, self.patterns, self.amplitude))
 
     @property
     def L(self) -> int:
@@ -255,7 +282,9 @@ def _assemble(op: MeshOperator, cfg: CEMConfig, sigma: np.ndarray) -> tuple[np.n
     sigma, in one scatter: the (kd+1, N) node band (Fortran order, so that
     LAPACK factors it in place), the (L-1, N) coupling and the (L-1, L-1)
     electrode block."""
-    coef = np.concatenate([sigma[op.triangles].sum(axis=1), 1.0 / cfg.z])
+    # the element sums left to right, as sum(axis=1) adds them
+    s = sigma[op.triangles.T]
+    coef = np.concatenate([s[0] + s[1] + s[2], cfg.inv_z])
     N, E, kd = op.n_nodes, op.n_electrodes - 1, op.kd
     flat = np.bincount(op.index, coef[op.owner] * op.weight, minlength=(kd + 1 + E) * N + E * E)
     split = (kd + 1) * N
@@ -346,20 +375,22 @@ def solve_forward(mesh: Mesh, cfg: CEMConfig, sigma: np.ndarray) -> ForwardSolut
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (mesh.n_nodes,):
         raise ValueError(f"sigma has shape {sigma.shape}, expected ({mesh.n_nodes},)")
-    if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
+    # rejects 0, -0.0, negatives, NaN and +-inf
+    if not (sigma.min() > 0.0 and sigma.max() < np.inf):
         raise SingularSystem("conductivity must be strictly positive and finite")
     op = _operator(mesh, cfg)
     factor = cho_factor(_assemble(op, cfg, sigma), op.rank)
-    I = cfg.current_matrix()
-    currents = I[:-1] - I[-1]  # Q^T I
+    currents = cfg.reduced_currents
     v = cho_solve(factor, currents)
-    voltages = np.vstack([v, -v.sum(axis=0)]).T  # (Q v)^T
+    voltages = np.empty((cfg.n_patterns, cfg.L))  # (Q v)^T
+    voltages[:, :-1] = v.T
+    voltages[:, -1] = -v.sum(axis=0)
     return ForwardSolution(voltages, factor, currents)
 
 
 def measurements(cfg: CEMConfig, voltages: np.ndarray) -> np.ndarray:
     """Stack per-pattern voltages, discarding the current-carrying electrodes."""
-    return voltages[cfg.kept_mask()]
+    return np.take(voltages, cfg.kept_index)
 
 
 def forward(mesh: Mesh, cfg: CEMConfig, sigma: np.ndarray) -> np.ndarray:
@@ -390,7 +421,7 @@ def jacobian(
         4.0 * op.areas[:, None, None]
     )  # (T, P, L) = A_e grad u_p . grad w_l
     sens = op.incidence @ T1.reshape(len(T1), P * L)  # (interior nodes, P L)
-    return sens[:, cfg.kept_mask().reshape(-1)].T * (-1.0 / 3.0)
+    return sens[:, cfg.kept_index].T * (-1.0 / 3.0)
 
 
 def paint_disk_inclusion(
@@ -449,7 +480,8 @@ class EITForwardModel(ForwardModel):
         return sigma
 
     def _solution(self, x: np.ndarray) -> ForwardSolution:
-        if np.any(x < self.floor):
+        # fmin skips NaN, as any(x < floor) does
+        if np.fmin.reduce(x) < self.floor:
             raise SingularSystem("conductivity below the admissibility floor")
         if self._last is not None and np.array_equal(self._last[0], x):
             return self._last[1]

@@ -35,6 +35,10 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 # log Z below the double-precision floor of exp(): no reachable mass.
 LOGZ_FLOOR = -745.0
+# The quadrature oracle's window ends where the integrand lies this far below
+# its peak (e^-60 ~ 1e-26); it doubles at most this many times to get there.
+_QUAD_TAIL_DROP = 60.0
+_QUAD_MAX_WIDENINGS = 20
 
 
 @dataclass(frozen=True)
@@ -555,10 +559,12 @@ def moments_quadrature(
 ) -> TiltedMoments:
     """Adaptive-quadrature moments of Z^{-1} t(s) N(s; m, v), the oracle path.
 
-    Integrates on m +- 12 sqrt(v) intersected with the factor support.  The
-    integrand is rescaled by its scanned log-peak so the adaptive rule works
-    entirely below exp overflow, and the second moment is accumulated around
-    the computed mean.
+    Integrates on m +- 12 sqrt(v) intersected with the factor support,
+    widened on each side whose end still lies within ``_QUAD_TAIL_DROP`` of the
+    scanned log-peak, so that a tilted mass near the cavity's 12 sd edge is
+    not cut off.  The integrand is rescaled by that log-peak so the adaptive
+    rule works entirely below exp overflow, and the second moment is
+    accumulated around the computed mean.
 
     Raises
     ------
@@ -577,11 +583,19 @@ def moments_quadrature(
     if not lo < hi:
         raise DegenerateSupport("integration window is empty")
 
-    grid = np.linspace(lo, hi, 8193)
-    logg = factor.log_density(grid) + log_density_1d(grid, m, v)
-    gmax = float(np.max(logg))
-    if not math.isfinite(gmax):
-        raise DegenerateSupport("integrand underflows everywhere in the window")
+    for _ in range(_QUAD_MAX_WIDENINGS + 1):
+        grid = np.linspace(lo, hi, 8193)
+        logg = factor.log_density(grid) + log_density_1d(grid, m, v)
+        gmax = float(np.max(logg))
+        if not math.isfinite(gmax):
+            raise DegenerateSupport("integrand underflows everywhere in the window")
+        # an end within _QUAD_TAIL_DROP of the peak cuts off mass: double the window that way
+        width = hi - lo
+        new_lo = max(lo - width, factor.support[0]) if logg[0] > gmax - _QUAD_TAIL_DROP else lo
+        new_hi = min(hi + width, factor.support[1]) if logg[-1] > gmax - _QUAD_TAIL_DROP else hi
+        if (new_lo, new_hi) == (lo, hi):
+            break
+        lo, hi = new_lo, new_hi
 
     def f0(x: float) -> float:
         val = float(factor.log_density(x)) + float(log_density_1d(x, m, v)) - gmax

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -295,11 +299,12 @@ def test_solve_guards(mesh, cfg):
     sigma = np.full(mesh.n_nodes, SIGMA_BG)
     with pytest.raises(ValueError):
         solve_forward(mesh, cfg, sigma[:-1])
-    for bad in (0.0, -SIGMA_BG, np.nan, np.inf):
-        s = sigma.copy()
-        s[7] = bad
-        with pytest.raises(SingularSystem):
-            solve_forward(mesh, cfg, s)
+    for bad in (0.0, -0.0, -SIGMA_BG, np.nan, np.inf, -np.inf):
+        for at in (0, 7, mesh.n_nodes - 1):
+            s = sigma.copy()
+            s[at] = bad
+            with pytest.raises(SingularSystem, match="strictly positive and finite"):
+                solve_forward(mesh, cfg, s)
     # reversed triangles turn every element stiffness negative: not SPD
     flipped = Mesh(mesh.nodes, mesh.triangles[:, [0, 2, 1]], mesh.electrode_edges, mesh.interior_node_ids)
     with pytest.raises(SingularSystem, match="not SPD"):
@@ -346,6 +351,19 @@ def test_block_solve_is_backward_stable_at_extreme_inputs(oracle_case, case):
         assert eta <= 1e-14, (case, k, eta)
 
 
+def test_assembly_sums_each_element_like_sum_axis_1(mesh, cfg):
+    # the blocks, bit for bit, of the scatter with coefficients sigma[t].sum(axis=1)
+    op = mesh.cem_operator
+    rng = np.random.default_rng(5)
+    for sigma in (rng.uniform(1e-4, 1e-2, mesh.n_nodes), 10.0 ** rng.uniform(-300, 300, mesh.n_nodes)):
+        coef = np.concatenate([sigma[op.triangles].sum(axis=1), 1.0 / cfg.z])
+        N, E, kd = op.n_nodes, op.n_electrodes - 1, op.kd
+        flat = np.bincount(op.index, coef[op.owner] * op.weight, minlength=(kd + 1 + E) * N + E * E)
+        band, coupling, electrode = cem._assemble(op, cfg, sigma)
+        got = np.concatenate([band.T.reshape(-1), coupling.reshape(-1), electrode.reshape(-1)])
+        assert np.array_equal(got.view(np.uint64), flat.view(np.uint64))
+
+
 def test_block_factor_rejects_an_indefinite_schur_complement():
     # a positive definite node block with an indefinite electrode block
     N, E, kd = 6, 3, 2
@@ -387,6 +405,44 @@ def test_kept_mask_drops_the_current_carrying_electrodes():
     assert keep.sum() == cfg.n_measurements == len(CUSTOM_PATTERNS) * 14
     for p, (a, b) in enumerate(CUSTOM_PATTERNS):
         assert np.array_equal(np.flatnonzero(keep[p]), [l for l in range(16) if l not in (a, b)])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        lambda: default_config(16),
+        lambda: default_config(8),
+        lambda: CEMConfig(z=np.linspace(1e-4, 4e-4, 16), patterns=CUSTOM_PATTERNS, amplitude=2e-3),
+    ],
+    ids=["L16", "L8", "custom"],
+)
+def test_config_constants_are_what_they_replace(config):
+    cfg = config()
+    I = cfg.current_matrix()
+    assert np.array_equal(cfg.reduced_currents, I[:-1] - I[-1])
+    assert np.array_equal(cfg.inv_z, 1.0 / cfg.z)
+    V = np.random.default_rng(cfg.L).standard_normal((cfg.n_patterns, cfg.L))
+    for layout in (V, np.asfortranarray(V)):
+        assert np.array_equal(np.ravel(layout)[cfg.kept_index], layout[cfg.kept_mask()])
+        assert np.array_equal(measurements(cfg, layout), layout[cfg.kept_mask()])
+
+
+def test_config_is_frozen_and_owns_its_arrays():
+    z = np.full(16, 2e-4)
+    patterns = list(CUSTOM_PATTERNS)
+    cfg = CEMConfig(z=z, patterns=patterns)
+    z[0] = 1.0  # the caller's arrays stay the caller's
+    patterns.append((1, 2))
+    assert cfg.z[0] == 2e-4 and cfg.patterns == tuple(CUSTOM_PATTERNS)
+    assert z.flags.writeable
+    for name, value in (("z", z), ("patterns", CUSTOM_PATTERNS), ("amplitude", 1.0), ("inv_z", z)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    for c in (cfg, pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+        assert c.patterns == cfg.patterns and np.array_equal(c.kept_index, cfg.kept_index)
+        for arr in (c.z, c.reduced_currents, c.inv_z, c.kept_index):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 # ---------------------------------------------------------------------------
