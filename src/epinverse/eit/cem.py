@@ -390,6 +390,8 @@ def solve_forward(mesh: Mesh, cfg: CEMConfig, sigma: np.ndarray) -> ForwardSolut
 
 def measurements(cfg: CEMConfig, voltages: np.ndarray) -> np.ndarray:
     """Stack per-pattern voltages, discarding the current-carrying electrodes."""
+    if np.shape(voltages) != (cfg.n_patterns, cfg.L):
+        raise ValueError(f"voltages have shape {np.shape(voltages)}, expected ({cfg.n_patterns}, {cfg.L})")
     return np.take(voltages, cfg.kept_index)
 
 

@@ -327,15 +327,9 @@ def _serial_sweep(snap: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, np.
     tau, nu = sites.tau.copy(), sites.nu.copy()
     errors: dict[int, Exception] = {}
     for i in range(tau.size):
-        if sites.coords is None:
-            u = sites.U[i]
-            z = state.C @ u
-            v, m = u @ z, u @ state.mu
-        else:
-            # C u is column c: the column, since C need not stay bitwise symmetric after dger
-            c = sites.coords[i]
-            z = state.C[:, c].copy()
-            v, m = z[c], state.mu[c]
+        u = sites.U[i]
+        z = state.C @ u
+        v, m = u @ z, u @ state.mu
         try:
             cav = cavity(v, m, sites.tau[i], sites.nu[i])
             new = update_site(i, cav, site_moments(sites.family[i], cav))

@@ -36,7 +36,8 @@ _SQRT2 = math.sqrt(2.0)
 # log Z below the double-precision floor of exp(): no reachable mass.
 LOGZ_FLOOR = -745.0
 # The quadrature oracle's window ends where the integrand lies this far below
-# its peak (e^-60 ~ 1e-26); it doubles at most this many times to get there.
+# its peak (e^-60 ~ 1e-26); each side is widened by the window's width at most
+# this many times to get there.
 _QUAD_TAIL_DROP = 60.0
 _QUAD_MAX_WIDENINGS = 20
 
@@ -569,7 +570,10 @@ def moments_quadrature(
     Raises
     ------
     QuadratureNotConverged
-        If the adaptive rule cannot reach the target relative error.
+        If the adaptive rule cannot reach the target relative error, or the
+        window still ends within ``_QUAD_TAIL_DROP`` of the peak after
+        ``_QUAD_MAX_WIDENINGS`` widenings (a tilted mass too heavy-tailed to
+        integrate).
     DegenerateSupport
         If the integration window carries no numerically reachable mass.
     """
@@ -583,18 +587,23 @@ def moments_quadrature(
     if not lo < hi:
         raise DegenerateSupport("integration window is empty")
 
-    for _ in range(_QUAD_MAX_WIDENINGS + 1):
+    for widenings in range(_QUAD_MAX_WIDENINGS + 1):
         grid = np.linspace(lo, hi, 8193)
         logg = factor.log_density(grid) + log_density_1d(grid, m, v)
         gmax = float(np.max(logg))
         if not math.isfinite(gmax):
             raise DegenerateSupport("integrand underflows everywhere in the window")
-        # an end within _QUAD_TAIL_DROP of the peak cuts off mass: double the window that way
+        # an end within _QUAD_TAIL_DROP of the peak cuts off mass: widen that side by the window's width
         width = hi - lo
         new_lo = max(lo - width, factor.support[0]) if logg[0] > gmax - _QUAD_TAIL_DROP else lo
         new_hi = min(hi + width, factor.support[1]) if logg[-1] > gmax - _QUAD_TAIL_DROP else hi
         if (new_lo, new_hi) == (lo, hi):
             break
+        if widenings == _QUAD_MAX_WIDENINGS:
+            raise QuadratureNotConverged(
+                f"integrand still within {_QUAD_TAIL_DROP:g} of its peak at the window's "
+                f"ends after {_QUAD_MAX_WIDENINGS} widenings"
+            )
         lo, hi = new_lo, new_hi
 
     def f0(x: float) -> float:

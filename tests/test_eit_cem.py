@@ -427,6 +427,14 @@ def test_config_constants_are_what_they_replace(config):
         assert np.array_equal(measurements(cfg, layout), layout[cfg.kept_mask()])
 
 
+def test_measurements_refuse_voltages_of_another_shape():
+    cfg = default_config(16)
+    V = np.random.default_rng(3).standard_normal((cfg.n_patterns, cfg.L))
+    for wrong in (V.T, np.stack([V, V]), V[:-1], V.ravel()):
+        with pytest.raises(ValueError, match="shape"):
+            measurements(cfg, wrong)
+
+
 def test_config_is_frozen_and_owns_its_arrays():
     z = np.full(16, 2e-4)
     patterns = list(CUSTOM_PATTERNS)

@@ -946,37 +946,3 @@ def test_sum_sites_adds_sites_on_one_coordinate():
     np.testing.assert_allclose(K, base.K + U.T @ (tau[:, None] * U), rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(h, base.h + U.T @ nu, rtol=1e-14, atol=0.0)
     assert K[2, 2] == pytest.approx(base.K[2, 2] + tau[1] + tau[2], rel=1e-15)
-
-
-def test_column_of_sigma_is_sigma_times_a_unit_row_bitwise():
-    # after a dger refresh Sigma need not be bitwise symmetric; column c, not
-    # row c, is C @ e_c bit for bit, and the serial sweep reads it for unit rows
-    n = 6
-    site_set = SiteSet([Site(np.eye(1, n, i), LaplacePositivityFactor(1.0, 0.0)) for i in range(n)], n)
-    state = moment_from_natural(_spd_base(n, 31))
-    for i, (dK, dh) in enumerate([(0.7, 0.3), (-0.2, 0.1), (1.3, -0.4)]):
-        site_refresh(state, site_set, 2 * i, (0.0, 0.0), (dK, dh))
-    assert not np.array_equal(state.C, state.C.T)
-    for c in range(n):
-        u = site_set.U[c]
-        z = state.C @ u
-        assert np.array_equal(state.C[:, c].view(np.uint64), z.view(np.uint64))
-        assert state.C[c, c] == u @ z and state.mu[c] == u @ state.mu
-
-
-@pytest.mark.parametrize("case", ["coordinate_rows", "flat_cavity", "skips"])
-def test_serial_sweep_coordinate_reads_match_the_row_products(case):
-    base, sites = _parallel_cases()[case]()
-    by_column, by_row = SiteSet(sites, base.h.size), SiteSet(sites, base.h.size)
-    assert by_column.coords is not None
-    by_row.coords = None  # the general path: z = Sigma u, v = u^T z, m = u^T mu
-    snap = ep._snapshot(base, by_column)
-    for _ in range(3):
-        tau, nu, errors = ep._serial_sweep(snap, by_column)
-        want_tau, want_nu, want_errors = ep._serial_sweep(snap, by_row)
-        assert np.array_equal(tau.view(np.uint64), want_tau.view(np.uint64))
-        assert np.array_equal(nu.view(np.uint64), want_nu.view(np.uint64))
-        assert {i: repr(e) for i, e in errors.items()} == {i: repr(e) for i, e in want_errors.items()}
-        for s in (by_column, by_row):
-            s.tau, s.nu = tau, nu
-        snap = ep._snapshot(base, by_column)

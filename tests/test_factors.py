@@ -401,6 +401,22 @@ def test_quadrature_not_converged_on_oscillatory_factor():
         moments_quadrature(Oscillatory(), 0.0, 1.0)
 
 
+def test_quadrature_refuses_a_tilted_mass_that_keeps_its_window_growing():
+    from epinverse import FactorFamily, QuadratureNotConverged
+
+    class Flattening(FactorFamily):
+        # cancels the N(0, 1) cavity: the tilted integrand is flat, never integrable
+        def moments(self, m, v):
+            raise NotImplementedError
+
+        def log_density(self, s):
+            s = np.asarray(s, dtype=float)
+            return 0.5 * s * s
+
+    with pytest.raises(QuadratureNotConverged, match="widenings"):
+        moments_quadrature(Flattening(), 0.0, 1.0)
+
+
 def test_flat_moments_negative_tilt_and_divergence():
     from scipy.integrate import quad
 
