@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import DowndateFailed, NotPositiveDefinite
 
@@ -35,6 +35,10 @@ class CholeskyFactor:
 def cholesky(A: np.ndarray) -> CholeskyFactor:
     """Factor a symmetric positive definite matrix as L @ L.T.
 
+    Only the lower triangle is factored.  A is accepted as symmetric when it
+    equals its transpose exactly, or else when |A - A^T| <= 1e-8 *
+    max(1, max|A|) entrywise (non-finite entries: as np.allclose decides).
+
     Parameters
     ----------
     A : ndarray, shape (n, n)
@@ -42,18 +46,21 @@ def cholesky(A: np.ndarray) -> CholeskyFactor:
 
     Raises
     ------
+    ValueError
+        If A is not square, or not symmetric within the tolerance above.
     NotPositiveDefinite
         If factorization fails or any pivot is <= 1e-14 * max(diag(A)).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    atol = 1e-8 * max(1.0, float(np.abs(A).max(initial=0.0)))
-    # with a finite atol, |A - A^T| <= atol is allclose's test; the slower
-    # allclose decides the rest (non-finite entries)
-    fast = math.isfinite(atol) and bool(np.all(np.abs(A - A.T) <= atol))
-    if not (fast or np.allclose(A, A.T, rtol=0.0, atol=atol)):
-        raise ValueError("matrix is not symmetric")
+    if not np.array_equal(A, A.T):
+        atol = 1e-8 * max(1.0, float(np.abs(A).max(initial=0.0)))
+        # with a finite atol, |A - A^T| <= atol is allclose's test; the slower
+        # allclose decides the rest (non-finite entries)
+        fast = math.isfinite(atol) and bool(np.all(np.abs(A - A.T) <= atol))
+        if not (fast or np.allclose(A, A.T, rtol=0.0, atol=atol)):
+            raise ValueError("matrix is not symmetric")
     max_diag = float(np.max(np.diag(A), initial=0.0))
     if max_diag <= 0.0:
         raise NotPositiveDefinite("maximum diagonal entry is not positive")
@@ -111,9 +118,13 @@ def rank1_update(F: CholeskyFactor, x: np.ndarray, sign: int = +1) -> CholeskyFa
 
 
 def solve(F: CholeskyFactor, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B for the matrix represented by F, via two triangular solves."""
-    B = np.asarray(B, dtype=float)
-    return cho_solve((F.L, True), B, check_finite=False)
+    """Solve A X = B for the matrix represented by F, via two triangular solves
+    (LAPACK dpotrs, the call scipy's cho_solve makes); B is (n,) or (n, k)
+    and is not overwritten."""
+    X, info = dpotrs(F.L, np.asarray(B, dtype=float), lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return X
 
 
 def solve_lower(F: CholeskyFactor, B: np.ndarray) -> np.ndarray:
@@ -125,12 +136,13 @@ def inverse(F: CholeskyFactor) -> np.ndarray:
     """Dense symmetric inverse of the represented matrix, C-contiguous.
 
     LAPACK dpotri forms the lower triangle of (L L^T)^{-1} from the factor;
-    the upper triangle of its output is L's, which is zero, so adding the
-    transpose to the strict lower triangle mirrors it.
+    the upper triangle of its output is L's, which is zero, so inv + inv^T
+    mirrors the strict lower triangle exactly (x + 0 = x), and only the
+    doubled diagonal has to be put back.  The result is bitwise symmetric.
     """
     inv, info = dpotri(F.L, lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"inversion from the factor failed (info {info})")
-    sym = np.tril(inv, -1)
-    sym += inv.T
+    sym = inv + inv.T
+    np.fill_diagonal(sym, np.diagonal(inv))
     return sym

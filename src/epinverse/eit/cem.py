@@ -419,9 +419,10 @@ def jacobian(
     uw = cho_solve(fs.factor, np.hstack([fs.currents, _zero_sum_basis(L).T]), nodes=True)[op.triangles]
     B = np.einsum("ti,tik->tk", op.b, uw)  # (T, P + L)
     C = np.einsum("ti,tik->tk", op.c, uw)
-    T1 = (B[:, :P, None] * B[:, None, P:] + C[:, :P, None] * C[:, None, P:]) / (
-        4.0 * op.areas[:, None, None]
-    )  # (T, P, L) = A_e grad u_p . grad w_l
+    # (T, P, L) = A_e grad u_p . grad w_l, built in place
+    T1 = B[:, :P, None] * B[:, None, P:]
+    T1 += C[:, :P, None] * C[:, None, P:]
+    T1 /= 4.0 * op.areas[:, None, None]
     sens = op.incidence @ T1.reshape(len(T1), P * L)  # (interior nodes, P L)
     return sens[:, cfg.kept_index].T * (-1.0 / 3.0)
 
@@ -462,9 +463,9 @@ class EITForwardModel(ForwardModel):
     """Forward map on interior nodal conductivities; boundary nodes are held
     at the background value.
 
-    The model keeps the forward solution at the last x it solved for (with a
-    copy of that x), so a Jacobian and an evaluation at the same point share
-    one factorization."""
+    The model keeps the forward solution at the last x it solved for, keyed
+    on that x's float64 shape and bytes, so a Jacobian and an evaluation at
+    the same point share one factorization."""
 
     def __init__(self, mesh: Mesh, cfg: CEMConfig, sigma_bg: float = SIGMA_BG,
                  floor: float = SIGMA_FLOOR):
@@ -474,7 +475,7 @@ class EITForwardModel(ForwardModel):
         self.floor = float(floor)
         self.m = cfg.n_measurements
         self.n = len(mesh.interior_node_ids)
-        self._last: tuple[np.ndarray, ForwardSolution] | None = None
+        self._last: tuple[tuple, ForwardSolution] | None = None
 
     def full_sigma(self, x: np.ndarray) -> np.ndarray:
         sigma = np.full(self.mesh.n_nodes, self.sigma_bg)
@@ -482,13 +483,17 @@ class EITForwardModel(ForwardModel):
         return sigma
 
     def _solution(self, x: np.ndarray) -> ForwardSolution:
+        x = np.asarray(x, dtype=float)
         # fmin skips NaN, as any(x < floor) does
         if np.fmin.reduce(x) < self.floor:
             raise SingularSystem("conductivity below the admissibility floor")
-        if self._last is not None and np.array_equal(self._last[0], x):
+        # -0.0 and +0.0 differ here: a harmless re-solve (and NaN never gets
+        # past solve_forward into the cache)
+        key = (x.shape, x.tobytes())
+        if self._last is not None and self._last[0] == key:
             return self._last[1]
         fs = solve_forward(self.mesh, self.cfg, self.full_sigma(x))
-        self._last = (np.array(x, dtype=float), fs)
+        self._last = (key, fs)
         return fs
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:

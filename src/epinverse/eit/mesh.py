@@ -76,21 +76,27 @@ def triangle_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def validate_mesh(mesh: Mesh) -> None:
-    """Check the structural invariants; raises MeshGenFailed on violation."""
+    """Check the structural invariants; raises MeshGenFailed on violation.
+
+    Every triangle is positively oriented.  Each electrode edge lies on one
+    electrode only, is a hull edge of the triangulation (an edge of exactly
+    one triangle, found by counting each triangle edge's (low, high) node
+    pair) and joins two boundary nodes, those not listed as interior.  No
+    node of a hull edge is listed as interior.
+    """
     areas = triangle_areas(mesh.nodes, mesh.triangles)
     if np.any(areas <= 0.0):
         raise MeshGenFailed(f"{int(np.sum(areas <= 0))} non-positively-oriented triangles")
+    # each edge as one integer: node ids that index the nodes lie in [-n, n),
+    # so shifted by n they are digits of base 2n
+    n2 = 2 * mesh.n_nodes
+    a = mesh.triangles + mesh.n_nodes
+    b = a[:, [1, 2, 0]]
+    distinct, count = np.unique(np.minimum(a, b) * n2 + np.maximum(a, b), return_counts=True)
+    hull = np.stack(np.divmod(distinct[count == 1], n2), axis=1) - mesh.n_nodes
+    hull_edges = set(map(tuple, hull.tolist()))
     boundary = set(mesh.boundary_node_ids().tolist())
-    if set(mesh.interior_node_ids.tolist()) & boundary:
-        raise MeshGenFailed("interior node set intersects the boundary")
     seen: set[tuple[int, int]] = set()
-    # boundary edges of the triangulation = edges appearing in exactly one triangle
-    edge_count: dict[tuple[int, int], int] = {}
-    for t in mesh.triangles:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(a, b), max(a, b))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    hull_edges = {k for k, v in edge_count.items() if v == 1}
     for eid, edges in enumerate(mesh.electrode_edges):
         for a, b in edges:
             key = (min(a, b), max(a, b))
@@ -101,6 +107,8 @@ def validate_mesh(mesh: Mesh) -> None:
                 raise MeshGenFailed(f"electrode {eid} edge {key} is not a boundary edge")
             if a not in boundary or b not in boundary:
                 raise MeshGenFailed(f"electrode {eid} edge {key} uses non-boundary nodes")
+    if np.isin(hull, mesh.interior_node_ids).any():
+        raise MeshGenFailed("interior node set intersects the boundary")
 
 
 def _boundary_angles(L: int, coverage: float, h: float, radius: float):

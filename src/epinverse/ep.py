@@ -161,16 +161,22 @@ def _coordinates(U: np.ndarray) -> np.ndarray | None:
 
 
 def assemble_global(base: NaturalGaussian, sites: SiteSet) -> NaturalGaussian:
-    """K = K0 + U^T diag(tau) U and h = h0 + U^T nu."""
+    """K = K0 + U^T diag(tau) U and h = h0 + U^T nu.
+
+    With general rows the sum is symmetrized as 0.5 (K + K^T).  With
+    coordinate rows only the diagonal changes, so K0 must already be exactly
+    symmetric (run_ep symmetrizes it once on entry) and K is returned as
+    summed: the same bits as symmetrizing the sum.
+    """
     if sites.coords is not None:
         # K0 + diag(tau) without the n^3 product; add.at sums repeated coordinates
         K, h = base.K.copy(), base.h.copy()
         np.add.at(K, (sites.coords, sites.coords), sites.tau)
         np.add.at(h, sites.coords, sites.nu)
-    else:
-        K = sites.U.T @ (sites.tau[:, None] * sites.U)
-        K += base.K
-        h = base.h + sites.U.T @ sites.nu
+        return NaturalGaussian(h, K)
+    K = sites.U.T @ (sites.tau[:, None] * sites.U)
+    K += base.K
+    h = base.h + sites.U.T @ sites.nu
     return NaturalGaussian(h, 0.5 * (K + K.T))
 
 
@@ -410,7 +416,9 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     converges when no refit site moved by ``site_tol`` or more and no site
     was skipped.  The sweeps read a SiteSet built on entry; its
     parameters are written into the sites when the run returns or raises
-    (callers wanting a cold start should pass fresh sites).
+    (callers wanting a cold start should pass fresh sites).  With coordinate
+    sites the run works on a copy of the base whose K is symmetrized once,
+    0.5 (K0 + K0^T); the caller's base is not changed.
 
     Raises
     ------
@@ -420,6 +428,10 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     """
     opts = opts or EPOptions()
     site_set = SiteSet(sites, base.n)
+    if site_set.coords is not None:
+        # assemble_global's coordinate path adds only to the diagonal: it
+        # needs the base symmetric, once per run rather than per snapshot
+        base = NaturalGaussian(base.h, 0.5 * (base.K + base.K.T))
     try:
         snap = _snapshot(base, site_set)
         keep_full_cov = snap.n <= FULL_COV_MAX_N

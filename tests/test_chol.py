@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from epinverse import (
     DowndateFailed,
@@ -9,7 +13,7 @@ from epinverse import (
     cholesky,
     solve,
 )
-from epinverse.chol import inverse, rank1_update
+from epinverse.chol import PIVOT_RTOL, inverse, rank1_update
 
 
 def random_spd(n, rng, jitter=1.0):
@@ -164,3 +168,108 @@ def test_inverse_is_exactly_symmetric_and_matches_numpy(n):
     np.testing.assert_allclose(inv, np.linalg.inv(A), rtol=1e-10, atol=1e-12 * np.abs(inv).max())
     np.testing.assert_allclose(inv @ A, np.eye(n), atol=1e-10)
     assert np.array_equal(F.L, L)  # the factor is not touched
+
+
+# ---------------------------------------------------------------------------
+# the kernels against the formulas they replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def reference_cholesky(A):
+    """The tolerance-only symmetry test cholesky ran before it tried exact
+    equality first; the factor itself is the same dpotrf call."""
+    A = np.asarray(A, dtype=float)
+    atol = 1e-8 * max(1.0, float(np.abs(A).max(initial=0.0)))
+    fast = math.isfinite(atol) and bool(np.all(np.abs(A - A.T) <= atol))
+    if not (fast or np.allclose(A, A.T, rtol=0.0, atol=atol)):
+        raise ValueError("matrix is not symmetric")
+    max_diag = float(np.max(np.diag(A), initial=0.0))
+    if max_diag <= 0.0:
+        raise NotPositiveDefinite("maximum diagonal entry is not positive")
+    L, info = dpotrf(A, lower=1, clean=1, overwrite_a=0)
+    if info != 0:
+        raise NotPositiveDefinite(f"factorization broke down at pivot {info}")
+    if np.any(np.diag(L) ** 2 <= PIVOT_RTOL * max_diag):
+        raise NotPositiveDefinite("pivot below tolerance; matrix is numerically singular")
+    return L
+
+
+def outcome(factor, A):
+    """("ok", the factor's bytes) or (the error type, its message)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            L = factor(A)
+        except (ValueError, NotPositiveDefinite) as exc:
+            return type(exc), str(exc)
+    return "ok", np.asarray(getattr(L, "L", L)).tobytes()
+
+
+def _symmetry_cases():
+    rng = np.random.default_rng(41)
+    A = random_spd(6, rng)
+    scale = np.abs(A).max()
+    within = A.copy()
+    within[4, 1] += 0.9e-8 * scale
+    beyond = A.copy()
+    beyond[4, 1] += 1.1e-8 * scale
+    nan = A.copy()
+    nan[2, 3] = np.nan
+    nan_pair = A.copy()
+    nan_pair[2, 3] = nan_pair[3, 2] = np.nan
+    pos_inf = A.copy()
+    pos_inf[0, 5] = pos_inf[5, 0] = np.inf
+    neg_inf = A.copy()
+    neg_inf[1, 2] = neg_inf[2, 1] = -np.inf
+    inf_diag = A.copy()
+    inf_diag[3, 3] = np.inf
+    half_inf = A.copy()
+    half_inf[0, 5] = np.inf
+    return {
+        "exact": (A, "ok"),
+        "within_1e-8": (within, "ok"),
+        "beyond_1e-8": (beyond, ValueError),
+        "nan_entry": (nan, ValueError),
+        "nan_pair": (nan_pair, ValueError),
+        "symmetric_+inf": (pos_inf, None),
+        "symmetric_-inf": (neg_inf, None),
+        "inf_diagonal": (inf_diag, None),
+        "one_sided_inf": (half_inf, ValueError),
+    }
+
+
+@pytest.mark.parametrize("case", list(_symmetry_cases()))
+def test_cholesky_symmetry_check_decides_as_before(case):
+    A, expected = _symmetry_cases()[case]
+    got = outcome(cholesky, A)
+    assert got == outcome(reference_cholesky, A)
+    if expected is not None:
+        assert got[0] == expected
+    if case == "within_1e-8":
+        # accepted, and factored from the lower triangle as before
+        assert np.array_equal(cholesky(A).L, reference_cholesky(A))
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_solve_is_bitwise_cho_solve(n):
+    rng = np.random.default_rng(50 + n)
+    F = cholesky(random_spd(n, rng))
+    for B in (rng.standard_normal(n), rng.standard_normal((n, 4)), rng.standard_normal((4, n)).T):
+        before = B.copy()
+        X = solve(F, B)
+        assert X.tobytes() == cho_solve((F.L, True), B, check_finite=False).tobytes()
+        assert X.shape == B.shape and np.array_equal(B, before)
+    with pytest.raises(ValueError):
+        solve(F, np.ones(n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 202])
+def test_inverse_is_bitwise_the_tril_mirror(n):
+    rng = np.random.default_rng(60 + n)
+    F = cholesky(random_spd(n, rng))
+    inv, info = dpotri(F.L, lower=1)
+    assert info == 0
+    ref = np.tril(inv, -1)
+    ref += inv.T
+    got = inverse(F)
+    assert got.flags["C_CONTIGUOUS"]
+    assert got.tobytes() == ref.tobytes()

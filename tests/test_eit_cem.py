@@ -112,6 +112,27 @@ def test_jacobian_matches_finite_differences(mesh, cfg, homo):
         assert np.linalg.norm(fd - jd) / np.linalg.norm(jd) <= 1e-5
 
 
+def three_temporary_jacobian(mesh, cfg, sigma):
+    """cem.jacobian with the (T, P, L) product formed as it was, from three
+    full temporaries in one expression."""
+    fs = solve_forward(mesh, cfg, sigma)
+    op = cem._operator(mesh, cfg)
+    P, L = cfg.n_patterns, cfg.L
+    uw = cem.cho_solve(fs.factor, np.hstack([fs.currents, cem._zero_sum_basis(L).T]), nodes=True)[op.triangles]
+    B = np.einsum("ti,tik->tk", op.b, uw)
+    C = np.einsum("ti,tik->tk", op.c, uw)
+    T1 = (B[:, :P, None] * B[:, None, P:] + C[:, :P, None] * C[:, None, P:]) / (4.0 * op.areas[:, None, None])
+    sens = op.incidence @ T1.reshape(len(T1), P * L)
+    return sens[:, cfg.kept_index].T * (-1.0 / 3.0)
+
+
+def test_jacobian_is_bitwise_the_three_temporary_product(mesh, cfg, homo):
+    rng = np.random.default_rng(4)
+    for sigma in (homo, homo * rng.uniform(0.5, 2.0, homo.size)):
+        J = jacobian(mesh, cfg, sigma)
+        assert J.tobytes() == three_temporary_jacobian(mesh, cfg, sigma).tobytes()
+
+
 def test_jacobian_information_decay(mesh, cfg, homo):
     # per unit area, nodes near the electrodes carry far more signal than
     # center nodes (raw column norms would be skewed by the mesh grading)
@@ -520,3 +541,37 @@ def test_run_nonlinear_factors_once_per_outer_plus_one(factor_count):
     res = run_nonlinear(model, data, sites, opts, np.full(model.n, SIGMA_BG))
     assert res.outer_iters >= 2
     assert factor_count[0] == res.outer_iters + 1
+
+
+def test_model_cache_keys_on_the_bits_of_x(mesh, cfg, monkeypatch):
+    calls = [0]
+    orig = cem.solve_forward
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(cem, "solve_forward", counted)
+    model = EITForwardModel(mesh, cfg)
+    x = np.full(model.n, SIGMA_BG)
+    F = model.evaluate(x)
+    # an equal x hits, whatever holds it
+    model.jacobian(x.copy())
+    assert np.array_equal(model.evaluate(list(x)), F)
+    assert calls[0] == 1
+    # one ulp misses
+    y = x.copy()
+    y[7] = np.nextafter(y[7], np.inf)
+    model.evaluate(y)
+    assert calls[0] == 2
+    model.evaluate(y)
+    assert calls[0] == 2
+    # an x of another shape never hits, not even with the cached bytes: it
+    # raises as before
+    for bad in (x[:-1], np.append(x, SIGMA_BG), x.reshape(2, -1), y.reshape(-1, 1)):
+        with pytest.raises(ValueError):
+            model.evaluate(bad)
+    assert calls[0] == 2
+    # and leaves the last solution cached
+    assert np.array_equal(model.evaluate(y), forward(mesh, cfg, model.full_sigma(y)))
+    assert calls[0] == 3

@@ -946,3 +946,56 @@ def test_sum_sites_adds_sites_on_one_coordinate():
     np.testing.assert_allclose(K, base.K + U.T @ (tau[:, None] * U), rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(h, base.h + U.T @ nu, rtol=1e-14, atol=0.0)
     assert K[2, 2] == pytest.approx(base.K[2, 2] + tau[1] + tau[2], rel=1e-15)
+
+
+def assemble_symmetrizing_every_snapshot(base, sites):
+    """assemble_global as it was before run_ep symmetrized the base once:
+    0.5 (K + K^T) of the assembled sum, on every snapshot."""
+    if sites.coords is not None:
+        K, h = base.K.copy(), base.h.copy()
+        np.add.at(K, (sites.coords, sites.coords), sites.tau)
+        np.add.at(h, sites.coords, sites.nu)
+    else:
+        K = sites.U.T @ (sites.tau[:, None] * sites.U)
+        K += base.K
+        h = base.h + sites.U.T @ sites.nu
+    return NaturalGaussian(h, 0.5 * (K + K.T))
+
+
+_ROWS = {
+    "coordinates": lambda n: np.eye(n),
+    "repeated_coordinates": lambda n: np.eye(n)[[0, 2, 2, 3, 0, 5, 1, 4, 2]],
+    "dense_rows": lambda n: np.random.default_rng(77).standard_normal((n + 2, n)) / math.sqrt(n),
+}
+
+
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+@pytest.mark.parametrize("rows", list(_ROWS))
+def test_run_ep_symmetrizing_the_base_once_changes_no_bit(monkeypatch, mode, rows):
+    n = 6
+    g = _spd_base(n, 31)
+    # asymmetric within cholesky's 1e-8 relative tolerance
+    noise = np.random.default_rng(32).standard_normal((n, n))
+    base = NaturalGaussian(g.h, g.K + 1e-11 * np.abs(g.K).max() * noise)
+    assert not np.array_equal(base.K, base.K.T)
+    K0 = base.K.copy()
+    U = _ROWS[rows](n)
+    opts = EPOptions(max_sweeps=8, site_tol=1e-14, sweep_mode=mode)
+
+    def fresh_sites():
+        return [Site(u, LaplacePositivityFactor(1.0, 0.0, -1.0)) for u in U]
+
+    sites = fresh_sites()
+    res = run_ep(base, sites, opts)
+    assert np.array_equal(base.K, K0)  # the caller's base is not changed
+    ref_sites = fresh_sites()
+    monkeypatch.setattr(ep, "assemble_global", lambda _base, ss: assemble_symmetrizing_every_snapshot(base, ss))
+    ref = run_ep(base, ref_sites, opts)
+
+    assert res.sweeps_used == ref.sweeps_used >= 3
+    assert res.mean.tobytes() == ref.mean.tobytes()
+    assert res.cov.tobytes() == ref.cov.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(res.mean_history, ref.mean_history))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(res.cov_history, ref.cov_history))
+    assert res.metrics == ref.metrics and res.skipped_sites == ref.skipped_sites
+    assert _site_params(sites).tobytes() == _site_params(ref_sites).tobytes()
