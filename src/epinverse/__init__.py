@@ -19,6 +19,7 @@ from .errors import (
     MeshFileError,
     MeshGenFailed,
     NonFiniteIterate,
+    NonFiniteResult,
     NotPositiveDefinite,
     QuadratureNotConverged,
     SingularSystem,
@@ -70,6 +71,7 @@ __all__ = [
     "MomentGaussian",
     "NaturalGaussian",
     "NonFiniteIterate",
+    "NonFiniteResult",
     "NotPositiveDefinite",
     "QuadratureNotConverged",
     "SingularSystem",

@@ -49,7 +49,8 @@ def cholesky(A: np.ndarray) -> CholeskyFactor:
     ValueError
         If A is not square, or not symmetric within the tolerance above.
     NotPositiveDefinite
-        If factorization fails or any pivot is <= 1e-14 * max(diag(A)).
+        If factorization fails or any pivot is not > 1e-14 * max(diag(A)),
+        NaN pivots included.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -67,8 +68,9 @@ def cholesky(A: np.ndarray) -> CholeskyFactor:
     L, info = dpotrf(A, lower=1, clean=1, overwrite_a=0)
     if info != 0:
         raise NotPositiveDefinite(f"factorization broke down at pivot {info}")
-    tol = PIVOT_RTOL * max_diag
-    if np.any(np.diag(L) ** 2 <= tol):
+    d = np.diag(L)
+    # written so that a NaN pivot (an inf entry that dpotrf passed) fails too
+    if not np.all(d * d > PIVOT_RTOL * max_diag):
         raise NotPositiveDefinite("pivot below tolerance; matrix is numerically singular")
     return CholeskyFactor(L)
 

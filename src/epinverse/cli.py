@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .config import ConfigKeyError
-from .ep import FULL_COV_MAX_N, SWEEP_MODES, EPOptions, Site
+from .config import ConfigKeyError, get
+from .ep import FULL_COV_MAX_N, EPOptions, Site
 from .errors import ElectrodeCountMismatch, EpinverseError, MeshFileError
 from .factors import LaplacePositivityFactor
 from .mcmc import (
@@ -45,7 +45,7 @@ from .nonlinear import ForwardModel, LinearModel, NonlinearOptions, run_nonlinea
 from .eit import cem
 from .eit.mesh import gen_disk_mesh, read_mesh, write_mesh
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # The OpenBLAS builds bundled with numpy and scipy, and their thread-count
 # entry points (set, get): matrix products run on numpy's, the LAPACK and
@@ -188,56 +188,29 @@ def _read_data_csv(path: Path, cfg: cem.CEMConfig) -> np.ndarray:
     return vals
 
 
-def _electrode_count(cfg: dict[str, str]) -> int:
-    """The ``electrodes`` key.  Each pattern drives two electrodes and is
-    measured on the others, so fewer than three is ``bad_electrodes``."""
-    L = cfgmod.get_int(cfg, "electrodes", cem.N_ELECTRODES)
-    return _check(L, L >= 3, "electrodes", "be >= 3")
-
-
 def _cem_config_from(cfg: dict[str, str]) -> cem.CEMConfig:
-    L = _electrode_count(cfg)
-    z_raw = cfgmod.get_str(cfg, "impedances", "default")
-    if z_raw == "default":
+    L = get(cfg, "electrodes")
+    z = get(cfg, "impedances")
+    if z is None:
         z = cem.default_config(L).z
-    else:
-        z = np.asarray(cfgmod.get_float_list(cfg, "impedances"))
-        if z.shape != (L,) or not np.all(z > 0.0):
-            raise ConfigKeyError(f"impedances must list {L} positive values", "bad_impedances")
-    pat_raw = cfgmod.get_str(cfg, "patterns", "adjacent")
-    if pat_raw == "adjacent":
+    elif len(z) != L:
+        raise cfgmod.refused("impedances", z, f"list {L} values, one per electrode")
+    patterns = get(cfg, "patterns")
+    if patterns is None:
         patterns = cem.adjacent_patterns(L)
-    else:
-        patterns = [_parse_pattern(tok, L) for tok in pat_raw.split(",")]
-    amplitude = cfgmod.get_float(cfg, "amplitude", cem.CURRENT_AMPLITUDE)
-    return cem.CEMConfig(z=z, patterns=patterns, amplitude=amplitude)
-
-
-def _parse_pattern(tok: str, L: int) -> tuple[int, int]:
-    """One ``a-b`` injection pair of distinct electrodes in 0..L-1."""
-    try:
-        a, b = (int(v) for v in tok.split("-"))
-    except ValueError:
-        a = b = -1
-    if a == b or not (0 <= a < L and 0 <= b < L):
-        raise ConfigKeyError(f"pattern {tok!r} is not a-b with distinct electrodes in 0..{L - 1}", "bad_patterns")
-    return a, b
+    elif max(map(max, patterns)) >= L:
+        raise cfgmod.refused("patterns", patterns, f"name electrodes in 0..{L - 1}")
+    return cem.CEMConfig(z=z, patterns=patterns, amplitude=get(cfg, "amplitude"))
 
 
 def _read_mesh_key(cfg: dict[str, str], key: str):
-    """The mesh in the file named by ``key``; a bad file is ``bad_<key>``."""
-    path = cfgmod.get_existing_path(cfg, key, "mesh_not_found")
+    """The mesh in the file named by ``key``, or None when it names none; a
+    bad file is ``bad_<key>``."""
+    path = get(cfg, key)
     try:
-        return read_mesh(path)
+        return None if path is None else read_mesh(path)
     except MeshFileError as exc:
         raise ConfigKeyError(f"key {key!r}: {exc}", f"bad_{key}") from exc
-
-
-def _get_floor(cfg: dict[str, str], default: float) -> float:
-    """The ``floor`` key: a finite number, or -inf for no floor."""
-    if cfgmod.get_str(cfg, "floor", "").lower() in ("-inf", "-infinity"):
-        return -math.inf
-    return cfgmod.get_float(cfg, "floor", default)
 
 
 # Not frozen: a frozen build takes about 3 us against 0.6 us, several percent
@@ -261,17 +234,18 @@ class _Problem:
 
 def _build_linear_problem(cfg: dict[str, str], seed: int) -> _Problem:
     """Deterministic synthetic linear problem shared by ep and mcmc."""
-    m = _check_positive(cfgmod.get_int(cfg, "linear_m", 20), "linear_m")
-    n = _check_positive(cfgmod.get_int(cfg, "linear_n", 12), "linear_n")
-    k_sparse = cfgmod.get_int(cfg, "linear_sparsity", 3)
-    _check(k_sparse, 0 <= k_sparse <= n, "linear_sparsity", f"lie in [0, {n}]")
-    amp = cfgmod.get_float(cfg, "linear_amplitude", 1.0)
-    alpha = _check_positive(cfgmod.get_float(cfg, "alpha", 400.0), "alpha")
-    lam = _check_positive(cfgmod.get_float(cfg, "lambda", 2.0), "lambda")
-    floor = _get_floor(cfg, 0.0)
-    bg = cfgmod.get_float(cfg, "sigma_bg", 0.0)
+    m = get(cfg, "linear_m")
+    n = get(cfg, "linear_n")
+    k_sparse = get(cfg, "linear_sparsity")
+    if not 0 <= k_sparse <= n:
+        raise cfgmod.refused("linear_sparsity", k_sparse, f"lie in [0, {n}]")
+    amp = get(cfg, "linear_amplitude")
+    alpha = get(cfg, "alpha", 400.0)
+    lam = get(cfg, "lambda", 2.0)
+    floor = get(cfg, "floor", 0.0)
+    bg = get(cfg, "sigma_bg", 0.0)
     rng = np.random.default_rng(seed)
-    if cfgmod.get_bool(cfg, "linear_diagonal", False):
+    if get(cfg, "linear_diagonal"):
         if m != n:
             raise ConfigKeyError("linear_diagonal requires linear_m == linear_n", "bad_linear_diagonal")
         A = np.diag(rng.uniform(0.5, 1.5, size=n))
@@ -288,52 +262,31 @@ def _build_linear_problem(cfg: dict[str, str], seed: int) -> _Problem:
 
 def _build_problem(cfg: dict[str, str], seed: int) -> _Problem:
     """The linear or EIT problem named by the ``problem`` key."""
-    problem = cfgmod.get_str(cfg, "problem")
-    if problem == "linear":
+    if get(cfg, "problem") == "linear":
         return _build_linear_problem(cfg, seed)
-    if problem == "eit":
-        mesh = _read_mesh_key(cfg, "mesh")
-        cem_cfg = _cem_config_from(cfg)
-        data = _read_data_csv(cfgmod.get_existing_path(cfg, "data", "data_not_found"), cem_cfg)
-        alpha = _check_positive(cfgmod.get_float(cfg, "alpha", cem.ALPHA_DEFAULT), "alpha")
-        lam = _check_positive(cfgmod.get_float(cfg, "lambda", cem.LAMBDA_DEFAULT), "lambda")
-        floor = _get_floor(cfg, cem.SIGMA_FLOOR)
-        bg = cfgmod.get_float(cfg, "sigma_bg", cem.SIGMA_BG)
-        model = cem.EITForwardModel(mesh, cem_cfg, bg, floor)
-        center = np.full(model.n, bg)
-        return _Problem(problem, model, data, alpha, lam, bg, floor, mesh.interior_node_ids, center, 0.05 * bg)
-    raise ConfigKeyError(f"unknown problem {problem!r}", "bad_problem")
-
-
-def _ep_options(cfg: dict[str, str]) -> EPOptions:
-    return EPOptions(
-        max_sweeps=_check_positive(cfgmod.get_int(cfg, "ep_max_sweeps", 5), "ep_max_sweeps"),
-        site_tol=_check_positive(cfgmod.get_float(cfg, "ep_site_tol", 1e-4), "ep_site_tol"),
-        sweep_mode=cfgmod.get_choice(cfg, "ep_sweep_mode", SWEEP_MODES),
-    )
-
-
-def _check(value, ok: bool, key: str, rule: str):
-    """``value``, or the config error ``bad_<key>`` when it breaks ``rule``."""
-    if not ok:
-        raise ConfigKeyError(f"key {key!r} must {rule}, got {value}", f"bad_{key}")
-    return value
-
-
-def _check_positive(value, key: str):
-    return _check(value, value > 0.0, key, "be > 0")
+    mesh = _read_mesh_key(cfg, "mesh")
+    cem_cfg = _cem_config_from(cfg)
+    data = _read_data_csv(get(cfg, "data"), cem_cfg)
+    alpha, lam, floor, bg = (get(cfg, key) for key in ("alpha", "lambda", "floor", "sigma_bg"))
+    model = cem.EITForwardModel(mesh, cem_cfg, bg, floor)
+    center = np.full(model.n, bg)
+    return _Problem("eit", model, data, alpha, lam, bg, floor, mesh.interior_node_ids, center, 0.05 * bg)
 
 
 def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
-    inner = _ep_options(cfg)
+    inner = EPOptions(
+        max_sweeps=get(cfg, "ep_max_sweeps"),
+        site_tol=get(cfg, "ep_site_tol"),
+        sweep_mode=get(cfg, "ep_sweep_mode"),
+    )
     p = _build_problem(cfg, seed)
     n = p.model.n
     prior = LaplacePositivityFactor(p.lam, p.bg, p.floor)
     sites = [Site(np.eye(1, n, i), prior) for i in range(n)]
     opts = NonlinearOptions(
         alpha=p.alpha,
-        max_outer=_check_positive(cfgmod.get_int(cfg, "ep_max_outer", 10), "ep_max_outer"),
-        outer_tol=_check_positive(cfgmod.get_float(cfg, "ep_outer_tol", 1e-3), "ep_outer_tol"),
+        max_outer=get(cfg, "ep_max_outer"),
+        outer_tol=get(cfg, "ep_outer_tol"),
         inner=inner,
         floor=p.floor,
     )
@@ -367,24 +320,23 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     prior = LaplacePositivityPrior(lam=p.lam, bg=p.bg, floor=p.floor)
     post = Posterior(p.model.evaluate, p.data, p.alpha, prior)
 
-    n_chains = cfgmod.get_int(cfg, "mcmc_chains", 8)
-    _check(n_chains, n_chains >= 2, "mcmc_chains", "be >= 2")
-    steps = _check_positive(cfgmod.get_int(cfg, "mcmc_steps", 1_000_000), "mcmc_steps")
-    burn_in = cfgmod.get_int(cfg, "mcmc_burn_in", steps // 10)
-    _check(burn_in, 0 <= burn_in < steps, "mcmc_burn_in", f"lie in [0, {steps})")
-    thin = _check_positive(cfgmod.get_int(cfg, "mcmc_thin", 10), "mcmc_thin")
-    pilot_steps = _check_positive(cfgmod.get_int(cfg, "mcmc_pilot_steps", 4000), "mcmc_pilot_steps")
-    init_spread = cfgmod.get_float(cfg, "mcmc_init_spread", 0.0)
+    n_chains = get(cfg, "mcmc_chains")
+    steps = get(cfg, "mcmc_steps")
+    burn_in = get(cfg, "mcmc_burn_in", steps // 10)
+    if not 0 <= burn_in < steps:
+        raise cfgmod.refused("mcmc_burn_in", burn_in, f"lie in [0, {steps})")
+    thin = get(cfg, "mcmc_thin")
+    pilot_steps = get(cfg, "mcmc_pilot_steps")
+    init_spread = get(cfg, "mcmc_init_spread")
 
-    std0 = cfgmod.get_float(cfg, "mcmc_proposal_std", p.proposal_std)
-    _check(std0, 0.0 < std0 < math.inf, "mcmc_proposal_std", "be finite and > 0")
+    std0 = get(cfg, "mcmc_proposal_std", p.proposal_std)
     adapted = adapt_proposal(post, p.center, std0, pilot_steps=pilot_steps, seed=seed)
     inits = (
         overdispersed_inits(p.center, init_spread, n_chains, seed=seed, floor=p.floor)
         if init_spread > 0.0
         else [p.center.copy() for _ in range(n_chains)]
     )
-    same_seed = cfgmod.get_bool(cfg, "mcmc_same_seed", False)
+    same_seed = get(cfg, "mcmc_same_seed")
     chain_cfgs = [
         ChainConfig(
             steps=steps,
@@ -408,9 +360,8 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
         (out / f"chain_{k}.csv").write_text("\n".join(lines) + "\n")
 
     rep = multi_chain_report(chains)
-    case = cfgmod.get_str(cfg, "case", "default")
     table = ["case,mean-err,std-err,R-hat"]
-    table.append(f"{case},{_fmt(rep.mean_err)},{_fmt(rep.std_err)},{_fmt(rep.rhat_max)}")
+    table.append(f"{get(cfg, 'case')},{_fmt(rep.mean_err)},{_fmt(rep.std_err)},{_fmt(rep.rhat_max)}")
     (out / "table3.csv").write_text("\n".join(table) + "\n")
     _write_vector_csv(out / "grand_mean.csv", p.node_ids, rep.grand_mean, "mean")
     _write_vector_csv(out / "grand_std.csv", p.node_ids, rep.grand_std, "std")
@@ -438,8 +389,8 @@ def _read_mean_std(mean_path: Path, std_path: Path, code: str) -> tuple[np.ndarr
 
 
 def cmd_compare(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
-    ep_dir = Path(cfgmod.get_str(cfg, "ep_dir"))
-    mcmc_dir = Path(cfgmod.get_str(cfg, "mcmc_dir"))
+    ep_dir = Path(get(cfg, "ep_dir"))
+    mcmc_dir = Path(get(cfg, "mcmc_dir"))
     files = {"ep": (ep_dir / "mean.csv", ep_dir / "std.csv"),
              "mcmc": (mcmc_dir / "grand_mean.csv", mcmc_dir / "grand_std.csv")}
     for which, paths in files.items():
@@ -464,62 +415,34 @@ def cmd_compare(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict
 
 
 def cmd_synth(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
-    if "noise_std" in cfg:
-        noise_std = cfgmod.get_float(cfg, "noise_std")
-        _check(noise_std, 0.0 <= noise_std < math.inf, "noise_std", "be finite and >= 0")
-    else:
-        noise_std = 1.0 / math.sqrt(_check_positive(cfgmod.get_float(cfg, "alpha", cem.ALPHA_DEFAULT), "alpha"))
-    mesh_key = cfgmod.get_str(cfg, "fine_mesh", "")
-    if mesh_key:
-        mesh = _read_mesh_key(cfg, "fine_mesh")
-    else:
-        mesh = _disk_mesh(cfg, "fine_target_nodes", 1200)
+    noise_std = get(cfg, "noise_std") if "noise_std" in cfg else 1.0 / math.sqrt(get(cfg, "alpha"))
+    mesh = _read_mesh_key(cfg, "fine_mesh")
+    if mesh is None:
+        mesh = _disk_mesh(cfg, "fine_target_nodes")
         write_mesh(mesh, out / "fine_mesh.txt")
     cem_cfg = _cem_config_from(cfg)
-    bg = cfgmod.get_float(cfg, "sigma_bg", cem.SIGMA_BG)
+    bg = get(cfg, "sigma_bg")
     sigma_true = np.full(mesh.n_nodes, bg)
     if "inclusion_cx" in cfg:
-        sigma_true = cem.paint_disk_inclusion(
-            mesh,
-            bg,
-            (cfgmod.get_float(cfg, "inclusion_cx"), cfgmod.get_float(cfg, "inclusion_cy")),
-            cfgmod.get_float(cfg, "inclusion_radius"),
-            cfgmod.get_float(cfg, "inclusion_value"),
-        )
+        cx, cy, radius, value = (get(cfg, f"inclusion_{k}") for k in ("cx", "cy", "radius", "value"))
+        sigma_true = cem.paint_disk_inclusion(mesh, bg, (cx, cy), radius, value)
     data, truth = cem.synth_data(mesh, cem_cfg, sigma_true, noise_std, seed)
     _write_data_csv(out / "data.csv", cem_cfg, data)
     _write_vector_csv(out / "sigma_true.csv", np.arange(mesh.n_nodes), sigma_true, "sigma")
-    (out / "truth.json").write_text(
-        json.dumps(
-            {
-                "seed": truth["seed"],
-                "noise_std": truth["noise_std"],
-                "sigma_bg": bg,
-                "n_measurements": int(data.shape[0]),
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    facts = {"seed": truth["seed"], "noise_std": truth["noise_std"], "sigma_bg": bg, "n_measurements": len(data)}
+    (out / "truth.json").write_text(json.dumps(facts, indent=2) + "\n")
     return {"n_measurements": int(data.shape[0]), "noise_std": noise_std, "fine_nodes": mesh.n_nodes}
 
 
-def _disk_mesh(cfg: dict[str, str], nodes_key: str, nodes_default: int):
-    """The disk mesh of the geometry keys; a radius that is not > 0 or fewer
-    than three electrodes is ``bad_<key>``."""
-    radius = cfgmod.get_float(cfg, "radius", cem.TANK_RADIUS)
-    _check_positive(radius, "radius")
-    return gen_disk_mesh(
-        radius,
-        _electrode_count(cfg),
-        cfgmod.get_float(cfg, "electrode_coverage", cem.ELECTRODE_COVERAGE),
-        cfgmod.get_int(cfg, nodes_key, nodes_default),
-    )
+def _disk_mesh(cfg: dict[str, str], nodes_key: str):
+    """The disk mesh of the geometry keys and the node count ``nodes_key``."""
+    keys = ("radius", "electrodes", "electrode_coverage", nodes_key)
+    return gen_disk_mesh(*(get(cfg, key) for key in keys))
 
 
 def cmd_mesh(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
-    mesh = _disk_mesh(cfg, "target_nodes", 424)
-    name = cfgmod.get_str(cfg, "mesh_file", "mesh.txt")
+    name = get(cfg, "mesh_file")
+    mesh = _disk_mesh(cfg, "target_nodes")
     write_mesh(mesh, out / name)
     return {
         "nodes": mesh.n_nodes,
@@ -583,10 +506,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         out = Path(args.out) if args.out else None
         cfg = cfgmod.load_config(args.config)
-        if out is None:
-            out = Path(cfgmod.get_str(cfg, "out", "."))
+        summary["ignored_keys"] = sorted(cfg.keys() - cfgmod.KEYS.keys())
+        out = out or Path(get(cfg, "out"))
         out.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else cfgmod.get_int(cfg, "seed", 0)
+        # --seed is read, and refused, as the key it overrides
+        seed = get(cfg if args.seed is None else {"seed": str(args.seed)}, "seed")
         summary["seed"] = seed
         result = _COMMANDS[args.command](cfg, out, seed, args.threads)
         summary.update(result)

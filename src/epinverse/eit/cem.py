@@ -33,7 +33,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lapack
 
-from ..errors import ElectrodeCountMismatch, SingularSystem
+from ..errors import ElectrodeCountMismatch, NonFiniteResult, SingularSystem
 from ..nonlinear import ForwardModel
 from .mesh import Mesh
 
@@ -446,10 +446,12 @@ def synth_data(
 ) -> tuple[np.ndarray, dict]:
     """Noisy measurements from a fine forward mesh (inverse-crime avoidance is
     the caller's responsibility: synthesize on a strictly finer mesh than the
-    inversion mesh)."""
+    inversion mesh).  Data that are not finite raise NonFiniteResult."""
     clean = forward(mesh_fine, cfg, sigma_true)
     rng = np.random.default_rng(seed)
     data = clean + noise_std * rng.standard_normal(clean.shape)
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteResult("synthesized data are not finite: the forward solve or the noise overflows")
     truth = {
         "seed": int(seed),
         "noise_std": float(noise_std),

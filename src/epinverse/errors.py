@@ -46,7 +46,15 @@ class SingularSystem(EpinverseError):
 
 
 class NonFiniteIterate(EpinverseError):
-    """An outer iterate left the admissible set or became non-finite."""
+    """An outer iterate, or the linearization at it, left the admissible set
+    or became non-finite."""
+
+
+class NonFiniteResult(EpinverseError, ValueError):
+    """A value that must be finite is not, as when finite inputs overflow: an
+    MH chain's initial log posterior, or synthesized data.  It is also a
+    ValueError, so that callers of ``mh_chain`` that catch ValueError for a
+    start with zero posterior probability still catch it."""
 
 
 class AdaptFailed(EpinverseError):

@@ -487,19 +487,25 @@ def _laplace_pieces(f: LaplacePositivityFactor, m, v, trunc, where):
     lam, b, lo = f.lam, f.sigma_bg, f.floor
     sd = np.sqrt(v)
     half = 0.5 * lam * lam * v
-    # upper piece on [max(floor, bg), inf), centered at m - lam*v
+    # upper piece on [max(floor, bg), inf), centered at m - lam*v; dropped
+    # (log mass -inf; the moments of a stand-in bound 0 keep the offsets
+    # finite) where its standardized bound overflows to +inf, as for a floor
+    # or lam near the largest float
     a1 = max(lo, b)
-    logz1, _, var1, mma1, _ = trunc((a1 - m + lam * v) / sd, math.inf)
-    logz = half + lam * (b - m) + logz1
+    alpha1 = (a1 - m + lam * v) / sd
+    live = alpha1 != math.inf
+    logz1, _, var1, mma1, _ = trunc(where(live, alpha1, 0.0), math.inf)
+    logz = where(live, half + lam * (b - m) + logz1, -math.inf)
     off, var = (a1 - m) + sd * mma1, v * var1
     if lo < b:
-        # lower piece on [floor, bg), centered at m + lam*v; dropped (weight 0,
-        # finite offsets) where its interval is empty in floating point, as
-        # when floor is within rounding of bg, or its log mass is not finite
+        # lower piece on [floor, bg), centered at m + lam*v; dropped likewise
+        # where its interval is empty in floating point, as when floor is
+        # within rounding of bg or both bounds overflow to -inf, or its log
+        # mass is not finite
         alpha2 = (lo - m - lam * v) / sd if lo != -math.inf else -math.inf
         beta2 = (b - m - lam * v) / sd
         live = alpha2 < beta2
-        logz2, _, var2, _, mmb2 = trunc(where(live, alpha2, -math.inf), beta2)
+        logz2, _, var2, _, mmb2 = trunc(where(live, alpha2, -math.inf), where(live, beta2, math.inf))
         live = live & (abs(logz2) < math.inf)
         logw2 = where(live, half + lam * (m - b) + logz2, -math.inf)
         off2 = where(live, (b - m) + sd * mmb2, 0.0)

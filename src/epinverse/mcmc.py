@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdaptFailed
+from .errors import AdaptFailed, NonFiniteResult
 
 
 @dataclass
@@ -96,12 +96,18 @@ def mh_chain(cfg: ChainConfig, init: np.ndarray, log_post, store_samples: bool =
 
     The proposal noise is drawn in blocks of up to 8192 steps, and each block
     is scaled by the proposal std once, in place, when it is drawn.
+
+    Raises
+    ------
+    NonFiniteResult
+        If the log posterior at ``init`` is not finite (zero posterior
+        probability, or an overflow).
     """
     x = np.asarray(init, dtype=float).copy()
     n = x.shape[0]
     lp = log_post(x)
     if not math.isfinite(lp):
-        raise ValueError("initial state has zero posterior probability")
+        raise NonFiniteResult(f"initial state has zero posterior probability (log posterior {lp})")
     std = np.broadcast_to(np.asarray(cfg.proposal_std, dtype=float), (n,))
     rng = np.random.default_rng(cfg.seed)
 

@@ -147,7 +147,9 @@ def run_nonlinear(
     Raises
     ------
     NonFiniteIterate
-        If the mean leaves the admissible set irrecoverably (non-finite).
+        If the mean leaves the admissible set irrecoverably (non-finite), or
+        the linearization at an iterate is not finite (the forward map or
+        its Jacobian overflows there).
     """
     mu = np.maximum(np.asarray(mu0, dtype=float), opts.floor)
 
@@ -164,6 +166,8 @@ def run_nonlinear(
     for k in range(1, opts.max_outer + 1):
         outer_iters = k
         base = linearize(model, mu, data, opts.alpha)
+        if not (np.isfinite(base.h).all() and np.isfinite(base.K).all()):
+            raise NonFiniteIterate(f"the linearization at outer iterate {k} is not finite")
         ep_result = run_ep(base, sites, opts.inner)
         history = enumerate(zip(ep_result.mean_history, ep_result.cov_history))
         snapshots += [(k, j, mean, cov) for j, (mean, cov) in history if j or not snapshots]

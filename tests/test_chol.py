@@ -177,7 +177,7 @@ def test_inverse_is_exactly_symmetric_and_matches_numpy(n):
 
 def reference_cholesky(A):
     """The tolerance-only symmetry test cholesky ran before it tried exact
-    equality first; the factor itself is the same dpotrf call."""
+    equality first; the factor and its pivot test are the same as cholesky's."""
     A = np.asarray(A, dtype=float)
     atol = 1e-8 * max(1.0, float(np.abs(A).max(initial=0.0)))
     fast = math.isfinite(atol) and bool(np.all(np.abs(A - A.T) <= atol))
@@ -189,7 +189,8 @@ def reference_cholesky(A):
     L, info = dpotrf(A, lower=1, clean=1, overwrite_a=0)
     if info != 0:
         raise NotPositiveDefinite(f"factorization broke down at pivot {info}")
-    if np.any(np.diag(L) ** 2 <= PIVOT_RTOL * max_diag):
+    d = np.diag(L)
+    if not np.all(d * d > PIVOT_RTOL * max_diag):
         raise NotPositiveDefinite("pivot below tolerance; matrix is numerically singular")
     return L
 
@@ -230,7 +231,8 @@ def _symmetry_cases():
         "beyond_1e-8": (beyond, ValueError),
         "nan_entry": (nan, ValueError),
         "nan_pair": (nan_pair, ValueError),
-        "symmetric_+inf": (pos_inf, None),
+        # dpotrf passes it and leaves NaN pivots, which the pivot test refuses
+        "symmetric_+inf": (pos_inf, NotPositiveDefinite),
         "symmetric_-inf": (neg_inf, None),
         "inf_diagonal": (inf_diag, None),
         "one_sided_inf": (half_inf, ValueError),

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,9 @@ import numpy as np
 import pytest
 
 import epinverse
+from epinverse import errors
 from epinverse.cli import main
+from epinverse.config import KEYS
 from epinverse.eit import cem
 from epinverse.eit.mesh import gen_disk_mesh, write_mesh
 
@@ -473,7 +477,7 @@ def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, co
     assert main([command, "--config", write_cfg(tmp_path / "c.cfg", **keys, out=out)]) == 2
     s = load_summary(out)
     assert s["ok"] is False and s["error"] == code
-    assert s["schema_version"] == 3
+    assert s["schema_version"] == 4
 
 
 @pytest.mark.parametrize(
@@ -488,6 +492,139 @@ def test_mcmc_range_errors_name_the_rule(tmp_path, keys, detail):
     out = tmp_path / "out"
     assert main(["mcmc", "--config", write_cfg(tmp_path / "c.cfg", **LINEAR_6x4, **keys, out=out)]) == 2
     assert load_summary(out)["error_detail"] == detail
+
+
+# ---------------------------------------------------------------------------
+# every declared key at extreme values
+# ---------------------------------------------------------------------------
+
+EXTREME_VALUES = ["nan", "inf", "-1", "0", "1e308", "", "word"]
+INCLUSION = {"inclusion_cx": 0.05, "inclusion_cy": 0.02, "inclusion_radius": 0.035, "inclusion_value": 3.5e-4}
+SMALL_MCMC = {"mcmc_chains": 2, "mcmc_steps": 40, "mcmc_burn_in": 4, "mcmc_thin": 2, "mcmc_pilot_steps": 20}
+POSTERIOR_KEYS = ["alpha", "lambda", "floor", "sigma_bg"]
+EP_KEYS = ["ep_max_sweeps", "ep_site_tol", "ep_sweep_mode", "ep_max_outer", "ep_outer_tol"]
+CEM_KEYS = ["electrodes", "impedances", "patterns", "amplitude"]
+DISK_KEYS = ["radius", "electrodes", "electrode_coverage"]
+# (command, base keys, the keys it reads); "eit" in the base keys stands for
+# the workspace's mesh and data
+EXTREME_RUNS = {
+    "mesh": ("mesh", {"target_nodes": 200}, ["seed", *DISK_KEYS, "target_nodes", "mesh_file"]),
+    "synth": (
+        "synth",
+        {"fine_target_nodes": 200, **INCLUSION},
+        ["seed", "noise_std", "alpha", "fine_mesh", "fine_target_nodes", *DISK_KEYS, *CEM_KEYS[1:],
+         "sigma_bg", *INCLUSION],
+    ),
+    "ep_linear": (
+        "ep",
+        LINEAR_6x4,
+        ["problem", "seed", *POSTERIOR_KEYS, "linear_m", "linear_n", "linear_sparsity", "linear_amplitude",
+         "linear_diagonal", *EP_KEYS],
+    ),
+    "ep_eit": (
+        "ep",
+        {"problem": "eit", "ep_max_outer": 2, "ep_max_sweeps": 2},
+        ["mesh", "data", *POSTERIOR_KEYS, *CEM_KEYS, *EP_KEYS],
+    ),
+    "mcmc": (
+        "mcmc",
+        {**LINEAR_6x4, **SMALL_MCMC},
+        ["seed", *POSTERIOR_KEYS, *SMALL_MCMC, "mcmc_init_spread", "mcmc_proposal_std", "mcmc_same_seed", "case"],
+    ),
+}
+LIBRARY_ERRORS = {
+    name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.EpinverseError)
+}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"summary.json holds {name}")
+
+
+def _finite_outputs(out: Path) -> bool:
+    """Every number in the CSVs and summary.json of ``out`` is finite; the
+    case label of table3.csv is text."""
+    json.loads((out / "summary.json").read_text(), parse_constant=_refuse_constant)
+    for path in out.glob("*.csv"):
+        for row in path.read_text().splitlines():
+            cells = row.split(",")[1:] if path.name == "table3.csv" else row.split(",")
+            for cell in cells:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                if not math.isfinite(value):
+                    return False
+    return True
+
+
+def test_extreme_runs_cover_every_key_but_the_directories():
+    read = {key for _, _, keys in EXTREME_RUNS.values() for key in keys}
+    assert read == KEYS.keys() - {"out", "ep_dir", "mcmc_dir"}
+
+
+@pytest.mark.parametrize(
+    "run, key", [(run, key) for run, (_, _, keys) in EXTREME_RUNS.items() for key in keys]
+)
+def test_every_key_at_extreme_values_ends_in_a_named_outcome(workspace, tmp_path, run, key):
+    """Each value ends in the key's own config error (exit 2), a library
+    error (exit 1) or a run with finite outputs (exit 0); never ``internal``."""
+    _, mesh_path, data_path = workspace
+    command, base, _ = EXTREME_RUNS[run]
+    if base.get("problem") == "eit":
+        base = {**base, "mesh": mesh_path, "data": data_path}
+    *_, not_found = KEYS[key]
+    key_codes = {f"bad_{key}", not_found}
+    wrong = []
+    for k, value in enumerate(EXTREME_VALUES):
+        out = tmp_path / f"v{k}"
+        cfg = write_cfg(tmp_path / f"v{k}.cfg", **{**base, key: value})
+        code = main([command, "--config", cfg, "--out", str(out)])
+        s = load_summary(out)
+        ok = (
+            (code == 2 and s["error"] in key_codes)
+            or (code == 1 and s["error"] in LIBRARY_ERRORS)
+            or (code == 0 and _finite_outputs(out))
+        )
+        if not ok:
+            wrong.append((value, code, s["error"], s.get("error_detail", "")[-200:]))
+    assert not wrong
+
+
+@pytest.mark.parametrize("command", ["ep", "synth", "mcmc"])
+def test_negative_seed_flag_is_bad_seed(tmp_path, command):
+    keys = {**LINEAR_6x4, **SMALL_MCMC} if command != "synth" else {"fine_target_nodes": 200}
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "c.cfg", **keys)
+    assert main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    s = load_summary(out)
+    assert s["error"] == "bad_seed" and "seed" not in s
+
+
+def test_mesh_file_outside_the_output_directory_is_refused(tmp_path):
+    out = tmp_path / "a" / "b" / "out"
+    cfg = write_cfg(tmp_path / "c.cfg", target_nodes=200, mesh_file="../../x.txt")
+    assert main(["mesh", "--config", cfg, "--out", str(out)]) == 2
+    assert load_summary(out)["error"] == "bad_mesh_file"
+    assert not (tmp_path / "a" / "x.txt").exists() and sorted(p.name for p in out.iterdir()) == ["summary.json"]
+
+
+def test_unknown_keys_are_listed_and_ignored(tmp_path):
+    out = tmp_path / "typo"
+    cfg = write_cfg(tmp_path / "typo.cfg", **LINEAR_6x4, ep_max_sweep=50, lamda=9)
+    assert main(["ep", "--config", cfg, "--out", str(out)]) == 0
+    s = load_summary(out)
+    assert s["ok"] and s["ignored_keys"] == ["ep_max_sweep", "lamda"]
+    plain = tmp_path / "plain"
+    assert main(["ep", "--config", write_cfg(tmp_path / "plain.cfg", **LINEAR_6x4), "--out", str(plain)]) == 0
+    assert load_summary(plain)["ignored_keys"] == []
+    assert (out / "mean.csv").read_bytes() == (plain / "mean.csv").read_bytes()
+
+
+def test_readme_key_table_lists_exactly_the_declared_keys():
+    readme = Path(__file__).parents[1] / "README.md"
+    rows = re.findall(r"^\| `([a-z_]+)` \|", readme.read_text(), flags=re.MULTILINE)
+    assert len(rows) == len(set(rows)) and set(rows) == KEYS.keys()
 
 
 @pytest.fixture(scope="module")
@@ -744,7 +881,7 @@ def test_blas_runs_on_one_thread_after_main_when_unset(tmp_path, monkeypatch):
     assert main(["ep", "--config", write_cfg(tmp_path / "e.cfg", **LINEAR_6x4, out=out)]) == 0
     assert [int(get()) for _, get in cli._openblas_entry_points()] == [1] * len(cli._openblas_entry_points())
     s = load_summary(out)
-    assert s["blas_threads"] == 1 and s["schema_version"] == 3
+    assert s["blas_threads"] == 1 and s["schema_version"] == 4
 
 
 @pytest.mark.parametrize("var", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])

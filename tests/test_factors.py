@@ -165,6 +165,25 @@ def _scalar_moments_or_nan(f, m, v):
     return out
 
 
+@pytest.mark.parametrize(
+    "lam, bg, floor",
+    [(1e308, 1.41e-3, 1e-5), (1e308, 0.0, -math.inf), (2.0, 0.0, 1e308), (2.0, 1e308, 0.0)],
+)
+def test_laplace_positivity_bounds_that_overflow_leave_no_reachable_mass(lam, bg, floor):
+    # a standardized bound that overflows to +-inf used to reach the
+    # truncated-normal kernel as an empty interval, and ValueError
+    f = LaplacePositivityFactor(lam, bg, floor)
+    m, v = np.array([-1.0, 0.0, 0.5]), np.array([1e-2, 1.0, 4.0])
+    with np.errstate(over="ignore"):
+        for mk, vk in zip(m, v):
+            with pytest.raises(DegenerateSupport):
+                moments_laplace_positivity(f, mk, vk)
+        assert sorted(f.moments_many(m, v).errors) == [0, 1, 2]
+        # a NaN cavity mean is still refused, not skipped
+        with pytest.raises(ValueError, match="empty truncation interval"):
+            f.moments_many(np.array([np.nan]), np.array([1.0]))
+
+
 def test_laplace_positivity_floor_within_rounding_of_bg_drops_the_lower_piece():
     # floor one ulp below bg: at most of these points the lower piece's
     # standardized interval is empty in floating point or carries no finite

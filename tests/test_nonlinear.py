@@ -184,6 +184,15 @@ def test_non_finite_iterate_is_caught_before_the_floor(floor):
                       NonlinearOptions(alpha=1.0, floor=floor), np.zeros(2))
 
 
+def test_a_linearization_that_overflows_is_a_non_finite_iterate():
+    # F(mu0) and J mu0 overflow to inf, so the base's h is inf - inf
+    sites = [Site(np.eye(1, 2, i), GaussianFactor1D(0.0, 1.0)) for i in range(2)]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate, match="linearization"):
+        run_nonlinear(
+            LinearModel(1e200 * np.eye(2)), np.zeros(2), sites, NonlinearOptions(alpha=1.0), np.full(2, 1e200)
+        )
+
+
 @pytest.mark.parametrize("max_outer", [0, -1])
 def test_nonlinear_options_reject_fewer_than_one_outer(max_outer):
     with pytest.raises(ValueError, match="max_outer"):
