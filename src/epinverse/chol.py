@@ -1,8 +1,10 @@
 """Dense SPD kernel layer: Cholesky factorization, rank-one up/downdates
 and triangular solves.
 
-All operations are pure: they never mutate their inputs, so factors can be
-shared freely across threads for reading.
+Every operation is pure by default: it never mutates its inputs, so factors
+can be shared freely across threads for reading.  ``cholesky`` and
+``inverse`` also work in place (``overwrite=True``), in the buffer of a
+matrix the caller no longer needs, with the same bits as the pure path.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class CholeskyFactor:
         return self.L.shape[0]
 
 
-def cholesky(A: np.ndarray) -> CholeskyFactor:
+def cholesky(A: np.ndarray, overwrite: bool = False) -> CholeskyFactor:
     """Factor a symmetric positive definite matrix as L @ L.T.
 
     Only the lower triangle is factored.  A is accepted as symmetric when it
@@ -43,6 +45,11 @@ def cholesky(A: np.ndarray) -> CholeskyFactor:
     ----------
     A : ndarray, shape (n, n)
         Symmetric matrix.
+    overwrite : bool
+        Factor in A's own buffer, which then holds L (the factor's L is A),
+        when A is a Fortran-contiguous float array, such as the transpose of
+        a C-contiguous one; any other A is copied, as by default.  A's
+        contents are undefined after a failure.
 
     Raises
     ------
@@ -65,7 +72,7 @@ def cholesky(A: np.ndarray) -> CholeskyFactor:
     max_diag = float(np.max(np.diag(A), initial=0.0))
     if max_diag <= 0.0:
         raise NotPositiveDefinite("maximum diagonal entry is not positive")
-    L, info = dpotrf(A, lower=1, clean=1, overwrite_a=0)
+    L, info = dpotrf(A, lower=1, clean=1, overwrite_a=int(overwrite))
     if info != 0:
         raise NotPositiveDefinite(f"factorization broke down at pivot {info}")
     d = np.diag(L)
@@ -134,15 +141,17 @@ def solve_lower(F: CholeskyFactor, B: np.ndarray) -> np.ndarray:
     return solve_triangular(F.L, B, lower=True, check_finite=False)
 
 
-def inverse(F: CholeskyFactor) -> np.ndarray:
+def inverse(F: CholeskyFactor, overwrite: bool = False) -> np.ndarray:
     """Dense symmetric inverse of the represented matrix, C-contiguous.
 
     LAPACK dpotri forms the lower triangle of (L L^T)^{-1} from the factor;
     the upper triangle of its output is L's, which is zero, so inv + inv^T
     mirrors the strict lower triangle exactly (x + 0 = x), and only the
     doubled diagonal has to be put back.  The result is bitwise symmetric.
+    With ``overwrite`` dpotri works in F.L's buffer (Fortran-contiguous, as
+    ``cholesky`` makes it), and F no longer holds a factor.
     """
-    inv, info = dpotri(F.L, lower=1)
+    inv, info = dpotri(F.L, lower=1, overwrite_c=int(overwrite))
     if info != 0:
         raise NotPositiveDefinite(f"inversion from the factor failed (info {info})")
     sym = inv + inv.T

@@ -512,7 +512,11 @@ def main(argv: list[str] | None = None) -> int:
         # --seed is read, and refused, as the key it overrides
         seed = get(cfg if args.seed is None else {"seed": str(args.seed)}, "seed")
         summary["seed"] = seed
-        result = _COMMANDS[args.command](cfg, out, seed, args.threads)
+        # An overflow or an invalid value at extreme keys ends the run in a
+        # typed error or is checked for in the outputs; numpy's warning would
+        # only repeat it.  Set once per command, not per step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = _COMMANDS[args.command](cfg, out, seed, args.threads)
         summary.update(result)
         summary["ok"] = True
         code = 0

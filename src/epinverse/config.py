@@ -134,7 +134,9 @@ KEYS: dict[str, tuple] = {
     "impedances": declare(_float_list, None, lambda z: z is None or all(v > 0.0 for v in z), "be positive"),
     "patterns": declare(_patterns, None, lambda ps: ps is None or all(len(p) == 2 and p[0] != p[1] for p in ps),
                         "be a-b pairs of distinct electrodes"),
-    "amplitude": declare(float, cem.CURRENT_AMPLITUDE, *_FINITE),
+    # zero drives no current: every datum is noise, and ep returns the prior
+    "amplitude": declare(float, cem.CURRENT_AMPLITUDE, lambda v: math.isfinite(v) and v != 0.0,
+                         "be finite and nonzero"),
     # the synthetic linear problem
     "linear_m": declare(int, 20, *_POSITIVE_INT),
     "linear_n": declare(int, 12, *_POSITIVE_INT),

@@ -39,7 +39,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .factors import FactorFamily, TiltedMoments
-from .gaussians import MomentGaussian, NaturalGaussian, moment_from_natural
+from .gaussians import MomentGaussian, NaturalGaussian
 
 # |cavity precision| below this fraction of the marginal precision is treated
 # as exactly flat; below the negative of it, the cavity is invalid.
@@ -184,13 +184,21 @@ def _snapshot(base: NaturalGaussian, sites: SiteSet) -> MomentGaussian:
     """The global in moment form: assembled from the site parameters,
     factored, solved and inverted.
 
+    The factor and the inverse are made in the assembled K's own buffer.  K
+    is bitwise symmetric (assemble_global), so its transpose, the Fortran
+    array LAPACK works on in place, is the same matrix: the bits are those
+    of moment_from_natural, with two n x n arrays fewer (a copy of K to
+    factor and a copy of L to invert).
+
     Raises
     ------
     GlobalNotPD
         If the assembled precision is not positive definite.
     """
+    g = assemble_global(base, sites)
     try:
-        return moment_from_natural(assemble_global(base, sites))
+        F = chol.cholesky(g.K.T, overwrite=True)
+        return MomentGaussian(chol.solve(F, g.h), chol.inverse(F, overwrite=True))
     except NotPositiveDefinite as exc:
         raise GlobalNotPD(str(exc)) from exc
 

@@ -2,7 +2,8 @@
 
 The natural form (h, K) = (C^{-1} mu, C^{-1}) is what EP assembles from its
 sites; moment_from_natural factors K afresh each time it turns that into the
-moment form the sweeps read.  Neither form caches a factor.
+moment form (EP's snapshot does the same in K's own buffer).  Neither form
+caches a factor.
 """
 
 from __future__ import annotations

@@ -157,9 +157,7 @@ def run_nonlinear(
     prev_d = None
     outer_records: list[OuterRecord] = []
     skipped: list[tuple[int, SkippedSite]] = []
-    # (outer, inner, mean, cov) of the run's EP snapshots, in order: the
-    # first outer iteration's initial snapshot (1, 0), then every sweep's
-    snapshots: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+    trace = _Trace()
     converged = False
     outer_iters = 0
 
@@ -169,8 +167,7 @@ def run_nonlinear(
         if not (np.isfinite(base.h).all() and np.isfinite(base.K).all()):
             raise NonFiniteIterate(f"the linearization at outer iterate {k} is not finite")
         ep_result = run_ep(base, sites, opts.inner)
-        history = enumerate(zip(ep_result.mean_history, ep_result.cov_history))
-        snapshots += [(k, j, mean, cov) for j, (mean, cov) in history if j or not snapshots]
+        trace.add(k, ep_result.mean_history, ep_result.cov_history)
         skipped.extend((k, s) for s in ep_result.skipped_sites)
 
         mu_star = ep_result.mean
@@ -189,27 +186,73 @@ def run_nonlinear(
         )
         # as in run_ep: a step whose last sweep skipped a site is not converged
         refit_all = all(sk.sweep < ep_result.sweeps_used for sk in ep_result.skipped_sites)
+        cov = ep_result.cov
+        # the trace holds this history packed: free it before the next
+        # run_ep makes its own
+        del ep_result
         if rel_change < opts.outer_tol and refit_all:
             converged = True
             break
 
-    # Table-4 style trace: e_p against the previous snapshot of the run and
-    # e_f against the final one.
-    *_, mu_fin, C_fin = snapshots[-1]
-    trace = [
-        TraceRow(outer, inner, _rel(mu, mu_p), _rel(mu, mu_fin), _rel(C, C_p), _rel(C, C_fin))
-        for (*_, mu_p, C_p), (outer, inner, mu, C) in zip(snapshots, snapshots[1:])
-    ]
-
     return NonlinearResult(
         mean=mu,
-        cov=ep_result.cov,
+        cov=cov,
         outer_iters=outer_iters,
         converged=converged,
-        trace=trace,
+        trace=trace.rows(),
         outer_records=outer_records,
         skipped_sites=skipped,
     )
+
+
+class _Trace:
+    """The Table-4 style convergence trace of a run, made as its EP snapshots
+    arrive: the first outer iteration's entry snapshot (1, 0), then every
+    sweep's.  Each sweep gets a row: e_p against the snapshot before it, and
+    e_f against the run's final snapshot.
+
+    e_p is computed as a sweep's snapshot arrives, so only the snapshot
+    before it is held in full.  For e_f each sweep keeps its mean and its
+    covariance as the packed lower triangle, n (n + 1) / 2 floats, about
+    half of n^2; chol.inverse makes every full covariance bitwise
+    symmetric, so mirroring the triangle back restores every bit.  A
+    covariance that run_ep kept as its diagonal (n > FULL_COV_MAX_N) is
+    kept as it is.
+    """
+
+    def __init__(self) -> None:
+        # (outer, inner, e_p_mu, e_p_C, mean, packed covariance)
+        self._kept: list[tuple[int, int, float, float, np.ndarray, np.ndarray]] = []
+        self._last: tuple[np.ndarray, np.ndarray] | None = None  # full
+        self._lower: np.ndarray | None = None  # the lower triangle's mask
+
+    def add(self, outer: int, mean_history: list[np.ndarray], cov_history: list[np.ndarray]) -> None:
+        """One outer iteration's snapshots, entry snapshot first; after the
+        first outer iteration the entry snapshot has no row."""
+        history = zip(mean_history, cov_history)
+        mu_0, C_0 = next(history)
+        if self._last is None:
+            self._last = mu_0, C_0
+            self._lower = np.tri(mu_0.size, dtype=bool) if C_0.ndim == 2 else None
+        mu_p, C_p = self._last
+        for inner, (mu, C) in enumerate(history, 1):
+            packed = C if self._lower is None else C[self._lower]
+            self._kept.append((outer, inner, _rel(mu, mu_p), _rel(C, C_p), mu, packed))
+            mu_p, C_p = mu, C
+        self._last = mu_p, C_p
+
+    def rows(self) -> list[TraceRow]:
+        """The rows, each covariance unpacked into one reused buffer."""
+        mu_fin, C_fin = self._last
+        full = np.empty_like(C_fin)
+        rows = []
+        for outer, inner, e_p_mu, e_p_C, mu, C in self._kept:
+            if self._lower is not None:
+                full[self._lower] = C
+                full.T[self._lower] = C
+                C = full
+            rows.append(TraceRow(outer, inner, e_p_mu, _rel(mu, mu_fin), e_p_C, _rel(C, C_fin)))
+        return rows
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> float:

@@ -275,3 +275,31 @@ def test_inverse_is_bitwise_the_tril_mirror(n):
     got = inverse(F)
     assert got.flags["C_CONTIGUOUS"]
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+def test_in_place_factor_and_inverse_are_bitwise_the_pure_ones(n):
+    rng = np.random.default_rng(80 + n)
+    A = random_spd(n, rng)
+    A = 0.5 * (A + A.T)  # bitwise symmetric, as ep.assemble_global makes K
+    before = A.copy()
+    F = cholesky(A)
+    L = F.L.copy()
+    inv = inverse(F)
+    # the pure path leaves its input and the factor as they were
+    assert A.tobytes() == before.tobytes() and F.L.tobytes() == L.tobytes()
+
+    work = A.copy()
+    F_in = cholesky(work.T, overwrite=True)  # the transpose is the Fortran array LAPACK overwrites
+    assert np.shares_memory(F_in.L, work)
+    assert F_in.L.tobytes("A") == F.L.tobytes("A")
+    inv_in = inverse(F_in, overwrite=True)
+    assert np.shares_memory(F_in.L, work)
+    assert inv_in.flags["C_CONTIGUOUS"] and inv_in.tobytes() == inv.tobytes()
+
+
+def test_in_place_factor_refuses_what_the_pure_one_refuses():
+    with pytest.raises(NotPositiveDefinite):
+        cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]).T, overwrite=True)
+    with pytest.raises(ValueError, match="symmetric"):
+        cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]).T, overwrite=True)

@@ -465,6 +465,11 @@ def _two_electrode_inputs(tmp_path):
         ("mesh", {"electrodes": 2}, "bad_electrodes"),
         ("synth", {"electrodes": 2}, "bad_electrodes"),
         ("ep", {"problem": "eit", "electrodes": 2, "mesh": TWO_ELECTRODE_MESH}, "bad_electrodes"),
+        # zero current: synth wrote pure noise and ep returned the prior
+        ("synth", {"amplitude": 0}, "bad_amplitude"),
+        ("synth", {"amplitude": "-0.0"}, "bad_amplitude"),
+        ("ep", {"problem": "eit", "amplitude": 0}, "bad_amplitude"),
+        ("mcmc", {"problem": "eit", "amplitude": 0}, "bad_amplitude"),
     ],
 )
 def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, code):
@@ -563,6 +568,7 @@ def test_extreme_runs_cover_every_key_but_the_directories():
     assert read == KEYS.keys() - {"out", "ep_dir", "mcmc_dir"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "run, key", [(run, key) for run, (_, _, keys) in EXTREME_RUNS.items() for key in keys]
 )

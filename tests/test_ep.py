@@ -999,3 +999,22 @@ def test_run_ep_symmetrizing_the_base_once_changes_no_bit(monkeypatch, mode, row
     assert all(a.tobytes() == b.tobytes() for a, b in zip(res.cov_history, ref.cov_history))
     assert res.metrics == ref.metrics and res.skipped_sites == ref.skipped_sites
     assert _site_params(sites).tobytes() == _site_params(ref_sites).tobytes()
+
+
+@pytest.mark.parametrize("coordinate_rows", [True, False])
+def test_snapshot_in_place_is_bitwise_the_pure_moment_form(coordinate_rows):
+    # _snapshot factors and inverts in the assembled K's buffer; its bits
+    # must be those of factoring and inverting copies
+    rng = np.random.default_rng(11)
+    n = 9
+    A = rng.standard_normal((12, n))
+    base = NaturalGaussian(rng.standard_normal(n), A.T @ A)
+    rows = np.eye(n) if coordinate_rows else rng.standard_normal((n, n))
+    sites = [Site(rows[i], LaplacePositivityFactor(1.0, 0.0, -1.0), tau=0.5 + i, nu=0.1 * i) for i in range(n)]
+    site_set = SiteSet(sites, n)
+    if coordinate_rows:
+        base = NaturalGaussian(base.h, 0.5 * (base.K + base.K.T))  # as run_ep does
+    want = moment_from_natural(assemble_global(base, site_set))
+    got = ep._snapshot(base, site_set)
+    assert got.mu.tobytes() == want.mu.tobytes()
+    assert got.C.flags["C_CONTIGUOUS"] and got.C.tobytes() == want.C.tobytes()

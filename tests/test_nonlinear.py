@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from epinverse import EPOptions, GaussianFactor1D, LaplacePositivityFactor, NonFiniteIterate, Site
+from epinverse import EPOptions, GaussianFactor1D, LaplacePositivityFactor, NonFiniteIterate, Site, ep, nonlinear
 from epinverse.nonlinear import (
     ForwardModel,
     LinearModel,
     NonlinearOptions,
+    TraceRow,
     _effective_tau,
     linearize,
     run_nonlinear,
@@ -234,6 +236,78 @@ def test_trace_rows_are_tagged_by_outer_and_inner():
     assert outers[0] == 1 and outers[-1] == res.outer_iters
     last = res.trace[-1]
     assert last.e_f_mu == 0.0 and last.e_f_C == 0.0
+
+
+def _full_rel(a, b):
+    return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
+
+
+@pytest.mark.parametrize("full_cov_max_n", [ep.FULL_COV_MAX_N, 3])
+def test_trace_rows_equal_the_rows_of_the_full_snapshots(monkeypatch, full_cov_max_n):
+    """The trace streams e_p and keeps packed covariances for e_f; its rows
+    are, bit for bit, the rows that every sweep's full snapshot gives: e_p
+    against the snapshot before it (the first outer iteration's entry
+    snapshot first), e_f against the last."""
+    monkeypatch.setattr(ep, "FULL_COV_MAX_N", full_cov_max_n)  # 3: the diagonal path
+    histories = []
+    real_run_ep = nonlinear.run_ep
+
+    def recording_run_ep(*args, **kwargs):
+        res = real_run_ep(*args, **kwargs)
+        histories.append((res.mean_history, res.cov_history))
+        return res
+
+    monkeypatch.setattr(nonlinear, "run_ep", recording_run_ep)
+    rng = np.random.default_rng(8)
+    n = 6
+    model = LinearModel(rng.standard_normal((9, n)))
+    sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(1.0, 0.0, -1.0)) for i in range(n)]
+    opts = NonlinearOptions(alpha=10.0, max_outer=3, outer_tol=1e-300,
+                            inner=EPOptions(max_sweeps=4, site_tol=1e-300, sweep_mode="parallel"))
+    res = run_nonlinear(model, model.evaluate(np.full(n, 0.5)), sites, opts, np.zeros(n))
+
+    assert res.outer_iters == 3 and len(histories) == 3
+    assert all(C.ndim == (2 if n <= full_cov_max_n else 1) for _, covs in histories for C in covs)
+    snapshots = [
+        (k, j, mu, C)
+        for k, (means, covs) in enumerate(histories, 1)
+        for j, (mu, C) in enumerate(zip(means, covs))
+        if j or k == 1
+    ]
+    *_, mu_fin, C_fin = snapshots[-1]
+    want = [
+        TraceRow(outer, inner, _full_rel(mu, mu_p), _full_rel(mu, mu_fin), _full_rel(C, C_p), _full_rel(C, C_fin))
+        for (*_, mu_p, C_p), (outer, inner, mu, C) in zip(snapshots, snapshots[1:])
+    ]
+    assert len(want) == sum(r.inner_sweeps for r in res.outer_records) == 12
+    assert res.trace == want
+
+
+def _traced_peak_bytes(n: int, max_outer: int, max_sweeps: int) -> int:
+    rng = np.random.default_rng(5)
+    model = LinearModel(rng.standard_normal((n + 20, n)) / math.sqrt(n))
+    data = model.evaluate(np.where(rng.random(n) < 0.1, 1.0, 0.0))
+    sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(2.0, 0.0, -5.0)) for i in range(n)]
+    opts = NonlinearOptions(alpha=100.0, max_outer=max_outer, outer_tol=1e-300,
+                            inner=EPOptions(max_sweeps=max_sweeps, site_tol=1e-300, sweep_mode="parallel"))
+    tracemalloc.start()
+    try:
+        res = run_nonlinear(model, data, sites, opts, np.zeros(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.outer_iters == max_outer
+    assert [r.inner_sweeps for r in res.outer_records] == [max_sweeps] * max_outer
+    return peak
+
+
+def test_each_kept_sweep_costs_about_half_a_covariance():
+    """With the inner sweep cap fixed, each sweep more outer iterations keep
+    raises the peak by its mean and packed covariance, about half of 8 n^2
+    bytes; a full covariance per sweep would be 8 n^2 or more."""
+    n, sweeps = 150, 3
+    slope = (_traced_peak_bytes(n, 4, sweeps) - _traced_peak_bytes(n, 2, sweeps)) / (2 * sweeps)
+    assert slope <= 0.6 * 8 * n * n
 
 
 def test_bb_step_always_clamped_property():
