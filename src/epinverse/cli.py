@@ -28,11 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
+from . import nonlinear
 from .config import ConfigKeyError, get
-from .ep import FULL_COV_MAX_N, EPOptions, Site
+from .ep import EPOptions, Site
 from .errors import ElectrodeCountMismatch, EpinverseError, MeshFileError
 from .factors import LaplacePositivityFactor
 from .mcmc import (
+    ACCEPTANCE_BAND,
+    RHAT_MIXED,
     ChainConfig,
     LaplacePositivityPrior,
     Posterior,
@@ -45,7 +48,7 @@ from .nonlinear import ForwardModel, LinearModel, NonlinearOptions, run_nonlinea
 from .eit import cem
 from .eit.mesh import gen_disk_mesh, read_mesh, write_mesh
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # The OpenBLAS builds bundled with numpy and scipy, and their thread-count
 # entry points (set, get): matrix products run on numpy's, the LAPACK and
@@ -295,7 +298,7 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     std = np.sqrt(np.diag(res.cov))
     _write_vector_csv(out / "mean.csv", p.node_ids, res.mean, "mean")
     _write_vector_csv(out / "std.csv", p.node_ids, std, "std")
-    if n <= FULL_COV_MAX_N:
+    if n <= nonlinear.FULL_COV_MAX_N:
         _write_matrix_csv(out / "cov.csv", res.cov)
     _write_trace_csv(out / "trace.csv", res.trace)
     return {
@@ -374,6 +377,8 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
         "mean_err": rep.mean_err,
         "std_err": rep.std_err,
         "rhat_max": rep.rhat_max,
+        "mixed": rep.rhat_max < RHAT_MIXED,
+        "acceptance_in_band": [ACCEPTANCE_BAND[0] <= a <= ACCEPTANCE_BAND[1] for a in rep.acceptance_rates],
     }
 
 

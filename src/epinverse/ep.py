@@ -8,8 +8,8 @@ holds tau and nu as arrays, and writes them back when it ends.
 The run's one global state is the sweep snapshot: the global assembled afresh
 from the site parameters in natural form, K = K0 + U^T diag(tau) U, factored
 and inverted once into moment form (mu, Sigma).  _snapshot makes it, on entry
-and after every sweep; it is the sweep's history entry and the next sweep's
-start, so rounding drift is bounded by one sweep.
+and after every sweep; it goes to the caller's on_snapshot and is the next
+sweep's start, so rounding drift is bounded by one sweep.
 
 A parallel sweep refits every site from the snapshot in array form: one read
 of the marginals (diag Sigma and mu at the sites' coordinates when every row
@@ -25,6 +25,7 @@ factors) stay well defined.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,6 @@ from .gaussians import MomentGaussian, NaturalGaussian
 # |cavity precision| below this fraction of the marginal precision is treated
 # as exactly flat; below the negative of it, the cavity is invalid.
 CAVITY_RTOL = 1e-12
-
-# Up to this many unknowns a run keeps every sweep's full covariance and the
-# CLI writes cov.csv; above it only the diagonals are kept.
-FULL_COV_MAX_N = 1000
 
 # The first mode is the CLI's default; the engine's default is serial.
 SWEEP_MODES = ("parallel", "serial")
@@ -124,8 +121,6 @@ class EPResult:
     converged: bool
     metrics: list[SweepMetrics]
     skipped_sites: list[SkippedSite]
-    mean_history: list[np.ndarray]
-    cov_history: list[np.ndarray]  # per-sweep C (n <= FULL_COV_MAX_N) or diagonals
 
 
 class SiteSet:
@@ -165,7 +160,7 @@ def assemble_global(base: NaturalGaussian, sites: SiteSet) -> NaturalGaussian:
 
     With general rows the sum is symmetrized as 0.5 (K + K^T).  With
     coordinate rows only the diagonal changes, so K0 must already be exactly
-    symmetric (run_ep symmetrizes it once on entry) and K is returned as
+    symmetric (run_ep makes sure of it once on entry) and K is returned as
     summed: the same bits as symmetrizing the sum.
     """
     if sites.coords is not None:
@@ -411,22 +406,25 @@ def _parallel_sweep(snap: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, n
     return tau, nu, errors
 
 
-def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = None) -> EPResult:
+def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = None,
+           on_snapshot: Callable[[int, MomentGaussian], None] | None = None) -> EPResult:
     """Sweep all sites until their parameters stop moving.
 
     Each sweep refits every site from its cavity against the snapshot of
     the previous sweep.  Serial mode refreshes its own copy of the snapshot
     after every site; parallel mode computes every refit from the snapshot
     itself, in array form.  Either mode then makes the next snapshot from
-    the refit parameters (_snapshot); it is the sweep's history entry.  A
-    site whose cavity, moments or (serial) downdate fails is skipped: it
-    keeps its parameters and is listed in ``skipped_sites``.  A sweep
-    converges when no refit site moved by ``site_tol`` or more and no site
-    was skipped.  The sweeps read a SiteSet built on entry; its
-    parameters are written into the sites when the run returns or raises
-    (callers wanting a cold start should pass fresh sites).  With coordinate
-    sites the run works on a copy of the base whose K is symmetrized once,
-    0.5 (K0 + K0^T); the caller's base is not changed.
+    the refit parameters (_snapshot) and hands it, unchanged thereafter, to
+    ``on_snapshot(sweep, snap)``, the entry snapshot as sweep 0; the run
+    keeps no history.  A site whose cavity, moments or (serial) downdate
+    fails is skipped: it keeps its parameters and is listed in
+    ``skipped_sites``.  A sweep converges when no refit site moved by
+    ``site_tol`` or more and no site was skipped.  The sweeps read a SiteSet
+    built on entry; its parameters are written into the sites when the run
+    returns or raises (callers wanting a cold start should pass fresh
+    sites).  With coordinate sites and a base K0 not equal to its
+    transpose, the run works on a copy of the base whose K is 0.5 (K0 +
+    K0^T); the caller's base is not changed.
 
     Raises
     ------
@@ -435,16 +433,16 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
         hold the parameters that were assembled.
     """
     opts = opts or EPOptions()
+    on_snapshot = on_snapshot or (lambda sweep, snap: None)
     site_set = SiteSet(sites, base.n)
-    if site_set.coords is not None:
+    if site_set.coords is not None and not np.array_equal(base.K, base.K.T):
         # assemble_global's coordinate path adds only to the diagonal: it
-        # needs the base symmetric, once per run rather than per snapshot
+        # needs the base exactly symmetric, made so once per run; an equal
+        # transpose gives 0.5 (K0 + K0^T) its own bits, so no copy then
         base = NaturalGaussian(base.h, 0.5 * (base.K + base.K.T))
     try:
         snap = _snapshot(base, site_set)
-        keep_full_cov = snap.n <= FULL_COV_MAX_N
-        mean_history = [snap.mu]
-        cov_history = [snap.C if keep_full_cov else np.diag(snap.C).copy()]
+        on_snapshot(0, snap)
         metrics: list[SweepMetrics] = []
         skipped: list[SkippedSite] = []
         converged = False
@@ -462,8 +460,7 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
             site_set.tau, site_set.nu = tau, nu
 
             snap = _snapshot(base, site_set)
-            mean_history.append(snap.mu)
-            cov_history.append(snap.C if keep_full_cov else np.diag(snap.C).copy())
+            on_snapshot(sweep, snap)
             metrics.append(SweepMetrics(sweep, max_change))
             # a sweep that skipped a site did not refit it: no convergence
             if max_change < opts.site_tol and not errors:
@@ -480,6 +477,4 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
         converged=converged,
         metrics=metrics,
         skipped_sites=skipped,
-        mean_history=mean_history,
-        cov_history=cov_history,
     )

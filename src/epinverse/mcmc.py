@@ -15,6 +15,11 @@ import numpy as np
 
 from .errors import AdaptFailed, NonFiniteResult
 
+# adapt_proposal tunes the pilot acceptance into this band around 0.234.
+ACCEPTANCE_BAND = (0.18, 0.30)
+# Chains count as mixed when their largest R-hat is below this bound.
+RHAT_MIXED = 1.05
+
 
 @dataclass
 class ChainConfig:
@@ -161,7 +166,7 @@ def adapt_proposal(
     *,
     pilot_steps: int = 2000,
     seed: int = 0,
-    band: tuple[float, float] = (0.18, 0.30),
+    band: tuple[float, float] = ACCEPTANCE_BAND,
     max_pilots: int = 40,
 ) -> float:
     """Scalar proposal scale bringing the pilot acceptance into the band

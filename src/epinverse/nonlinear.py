@@ -17,7 +17,12 @@ import numpy as np
 
 from .ep import EPOptions, Site, SkippedSite, run_ep
 from .errors import NonFiniteIterate
-from .gaussians import NaturalGaussian
+from .gaussians import MomentGaussian, NaturalGaussian
+
+# Up to this many unknowns the trace keeps every sweep's full covariance (as
+# its packed lower triangle) and the CLI writes cov.csv; above it the trace
+# keeps diagonals.
+FULL_COV_MAX_N = 1000
 
 
 class ForwardModel(ABC):
@@ -166,8 +171,7 @@ def run_nonlinear(
         base = linearize(model, mu, data, opts.alpha)
         if not (np.isfinite(base.h).all() and np.isfinite(base.K).all()):
             raise NonFiniteIterate(f"the linearization at outer iterate {k} is not finite")
-        ep_result = run_ep(base, sites, opts.inner)
-        trace.add(k, ep_result.mean_history, ep_result.cov_history)
+        ep_result = run_ep(base, sites, opts.inner, trace.add)
         skipped.extend((k, s) for s in ep_result.skipped_sites)
 
         mu_star = ep_result.mean
@@ -186,9 +190,8 @@ def run_nonlinear(
         )
         # as in run_ep: a step whose last sweep skipped a site is not converged
         refit_all = all(sk.sweep < ep_result.sweeps_used for sk in ep_result.skipped_sites)
-        cov = ep_result.cov
-        # the trace holds this history packed: free it before the next
-        # run_ep makes its own
+        # its covariance is the trace's last snapshot until the next run
+        # makes one: held past that, it would be one n x n array more
         del ep_result
         if rel_change < opts.outer_tol and refit_all:
             converged = True
@@ -196,7 +199,7 @@ def run_nonlinear(
 
     return NonlinearResult(
         mean=mu,
-        cov=cov,
+        cov=trace.last.C,
         outer_iters=outer_iters,
         converged=converged,
         trace=trace.rows(),
@@ -206,44 +209,47 @@ def run_nonlinear(
 
 
 class _Trace:
-    """The Table-4 style convergence trace of a run, made as its EP snapshots
-    arrive: the first outer iteration's entry snapshot (1, 0), then every
-    sweep's.  Each sweep gets a row: e_p against the snapshot before it, and
-    e_f against the run's final snapshot.
+    """The Table-4 style convergence trace of a run, made from the EP
+    snapshots as run_ep hands them over: the first outer iteration's entry
+    snapshot (1, 0), then every sweep's.  Each sweep gets a row: e_p against
+    the snapshot before it, ``last``, the one snapshot held in full (at the
+    end, the run's final one), and e_f against the final snapshot.
 
-    e_p is computed as a sweep's snapshot arrives, so only the snapshot
-    before it is held in full.  For e_f each sweep keeps its mean and its
-    covariance as the packed lower triangle, n (n + 1) / 2 floats, about
-    half of n^2; chol.inverse makes every full covariance bitwise
-    symmetric, so mirroring the triangle back restores every bit.  A
-    covariance that run_ep kept as its diagonal (n > FULL_COV_MAX_N) is
-    kept as it is.
+    For e_f each sweep keeps its mean and, up to FULL_COV_MAX_N unknowns,
+    its covariance as the packed lower triangle, n (n + 1) / 2 floats;
+    chol.inverse makes every covariance bitwise symmetric, so mirroring the
+    triangle back restores every bit.  Above FULL_COV_MAX_N the rows
+    compare diagonals, and each sweep keeps its diagonal.
     """
 
     def __init__(self) -> None:
-        # (outer, inner, e_p_mu, e_p_C, mean, packed covariance)
+        # (outer, inner, e_p_mu, e_p_C, mean, packed covariance or diagonal)
         self._kept: list[tuple[int, int, float, float, np.ndarray, np.ndarray]] = []
-        self._last: tuple[np.ndarray, np.ndarray] | None = None  # full
+        self._outer = 0
+        self.last: MomentGaussian | None = None
         self._lower: np.ndarray | None = None  # the lower triangle's mask
 
-    def add(self, outer: int, mean_history: list[np.ndarray], cov_history: list[np.ndarray]) -> None:
-        """One outer iteration's snapshots, entry snapshot first; after the
-        first outer iteration the entry snapshot has no row."""
-        history = zip(mean_history, cov_history)
-        mu_0, C_0 = next(history)
-        if self._last is None:
-            self._last = mu_0, C_0
-            self._lower = np.tri(mu_0.size, dtype=bool) if C_0.ndim == 2 else None
-        mu_p, C_p = self._last
-        for inner, (mu, C) in enumerate(history, 1):
-            packed = C if self._lower is None else C[self._lower]
-            self._kept.append((outer, inner, _rel(mu, mu_p), _rel(C, C_p), mu, packed))
-            mu_p, C_p = mu, C
-        self._last = mu_p, C_p
+    def _compared(self, C: np.ndarray) -> np.ndarray:
+        """The covariance as the rows compare it: whole, or its diagonal."""
+        return C if self._lower is not None else np.diag(C)
+
+    def add(self, sweep: int, snap: MomentGaussian) -> None:
+        """One EP snapshot; an entry snapshot (sweep 0) starts the next
+        outer iteration, and has no row after the first."""
+        if sweep == 0:
+            self._outer += 1
+            if self.last is not None:
+                return
+            self._lower = np.tri(snap.n, dtype=bool) if snap.n <= FULL_COV_MAX_N else None
+        else:
+            C, C_p = self._compared(snap.C), self._compared(self.last.C)
+            kept = C[self._lower] if self._lower is not None else C.copy()
+            self._kept.append((self._outer, sweep, _rel(snap.mu, self.last.mu), _rel(C, C_p), snap.mu, kept))
+        self.last = snap
 
     def rows(self) -> list[TraceRow]:
         """The rows, each covariance unpacked into one reused buffer."""
-        mu_fin, C_fin = self._last
+        mu_fin, C_fin = self.last.mu, self._compared(self.last.C)
         full = np.empty_like(C_fin)
         rows = []
         for outer, inner, e_p_mu, e_p_C, mu, C in self._kept:

@@ -191,6 +191,21 @@ def test_mcmc_identical_seed_chains_zero_errors(tmp_path):
     assert table[0] == "case,mean-err,std-err,R-hat"
     case, mean_err, std_err, rhat = table[1].split(",")
     assert float(mean_err) == 0.0 and float(std_err) == 0.0 and float(rhat) == 1.0
+    s = load_summary(out)
+    assert s["mixed"] is True and len(s["acceptance_in_band"]) == 3
+
+
+def test_mcmc_says_when_its_chains_did_not_mix(tmp_path):
+    # the seed-9 linear problem: the pilot tunes at the floor corner, the
+    # chains run far from it, at acceptance about 0.9, and R-hat is about 35
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "m.cfg", problem="linear", linear_m=20, linear_n=12, linear_sparsity=3,
+                    alpha=400.0, floor=0.0, sigma_bg=0.0, seed=9, mcmc_chains=4, mcmc_steps=10000,
+                    mcmc_pilot_steps=2000, mcmc_init_spread=0.3, out=out, **{"lambda": 2.0})
+    assert main(["mcmc", "--config", cfg]) == 0
+    s = load_summary(out)
+    assert s["ok"] is True and s["mixed"] is False and s["rhat_max"] >= 1.05
+    assert s["acceptance_in_band"] == [0.18 <= a <= 0.30 for a in s["acceptance_rates"]] == [False] * 4
 
 
 def test_compare_identical_inputs_zero(tmp_path):
@@ -482,7 +497,7 @@ def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, co
     assert main([command, "--config", write_cfg(tmp_path / "c.cfg", **keys, out=out)]) == 2
     s = load_summary(out)
     assert s["ok"] is False and s["error"] == code
-    assert s["schema_version"] == 4
+    assert s["schema_version"] == 5
 
 
 @pytest.mark.parametrize(
@@ -758,29 +773,28 @@ def test_mcmc_threads_below_one_is_bad_threads(tmp_path, threads):
 
 @pytest.mark.parametrize("mode", ["parallel", "serial"])
 def test_ep_above_full_cov_max_n_keeps_only_diagonals(tmp_path, monkeypatch, mode):
-    import epinverse.cli as cli
-    from epinverse import ep, nonlinear
+    from epinverse import nonlinear
 
     cfg = write_cfg(tmp_path / "c.cfg", **LINEAR_6x4, ep_sweep_mode=mode)
     full, diag = tmp_path / "full", tmp_path / "diag"
     assert main(["ep", "--config", cfg, "--out", str(full)]) == 0
 
-    # cli imports the bound by name, so both copies move below n = 4
-    monkeypatch.setattr(ep, "FULL_COV_MAX_N", 3)
-    monkeypatch.setattr(cli, "FULL_COV_MAX_N", 3)
-    results = []
+    # the one bound, read by the trace and by the CLI, moves below n = 4
+    monkeypatch.setattr(nonlinear, "FULL_COV_MAX_N", 3)
+    traces = []
 
-    def recording_run_ep(*args, **kwargs):
-        results.append(ep.run_ep(*args, **kwargs))
-        return results[-1]
+    class RecordingTrace(nonlinear._Trace):
+        def __init__(self):
+            super().__init__()
+            traces.append(self)
 
-    monkeypatch.setattr(nonlinear, "run_ep", recording_run_ep)
+    monkeypatch.setattr(nonlinear, "_Trace", RecordingTrace)
     assert main(["ep", "--config", cfg, "--out", str(diag)]) == 0
 
     assert (full / "cov.csv").is_file() and not (diag / "cov.csv").exists()
     for name in ("mean.csv", "std.csv"):
         assert (diag / name).read_bytes() == (full / name).read_bytes()
-    assert results and all(c.shape == (4,) for r in results for c in r.cov_history)
+    assert len(traces) == 1 and traces[0]._kept and all(C.shape == (4,) for *_, C in traces[0]._kept)
     trace_full = np.loadtxt(full / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
     trace_diag = np.loadtxt(diag / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
     assert np.all(np.isfinite(trace_diag)) and trace_diag.shape == trace_full.shape
@@ -887,7 +901,7 @@ def test_blas_runs_on_one_thread_after_main_when_unset(tmp_path, monkeypatch):
     assert main(["ep", "--config", write_cfg(tmp_path / "e.cfg", **LINEAR_6x4, out=out)]) == 0
     assert [int(get()) for _, get in cli._openblas_entry_points()] == [1] * len(cli._openblas_entry_points())
     s = load_summary(out)
-    assert s["blas_threads"] == 1 and s["schema_version"] == 4
+    assert s["blas_threads"] == 1 and s["schema_version"] == 5
 
 
 @pytest.mark.parametrize("var", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,14 @@ def site_cavity(state, site_set, i):
     """ep.cavity of site i against the marginal of its row."""
     _, v, m = marginal(state, site_set.U[i])
     return cavity(v, m, site_set.tau[i], site_set.nu[i])
+
+
+def run_ep_collecting(base, sites, opts):
+    """run_ep with an on_snapshot that keeps every snapshot; returns the
+    result and the snapshots' (mean, covariance), entry snapshot first."""
+    snaps = []
+    res = run_ep(base, sites, opts, lambda sweep, snap: snaps.append((snap.mu, snap.C)))
+    return res, snaps
 
 
 def site_refresh(state, site_set, i, old, new):
@@ -186,10 +195,10 @@ def test_site_set_groups_an_unhashable_family_by_identity():
 
     base = _spd_base(4, 31)
     want, want_skipped, _ = per_site_parallel_ep(base, oracle_sites, 3, 1e-300)
-    res = run_ep(base, sites, EPOptions(max_sweeps=3, site_tol=1e-300, sweep_mode="parallel"))
+    res, snaps = run_ep_collecting(base, sites, EPOptions(max_sweeps=3, site_tol=1e-300, sweep_mode="parallel"))
     assert not res.skipped_sites and not want_skipped and res.sweeps_used == 3
     assert _rel(_site_params(sites), _site_params(oracle_sites)) <= 1e-12
-    assert _rel(res.mean_history[-1], want[-1][0]) <= 1e-12
+    assert _rel(snaps[-1][0], want[-1][0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +496,23 @@ def test_run_ep_metrics_and_histories():
     M = rng.standard_normal((n, n))
     base = NaturalGaussian(rng.standard_normal(n), M.T @ M + np.eye(n))
     sites = [Site(np.eye(n)[i : i + 1], LaplacePositivityFactor(1.0, 0.0, -1.0)) for i in range(n)]
-    res = run_ep(base, sites, EPOptions(max_sweeps=20, site_tol=1e-8))
+    snaps = []
+    res = run_ep(base, sites, EPOptions(max_sweeps=20, site_tol=1e-8),
+                 lambda k, snap: snaps.append((k, snap, snap.mu.copy(), snap.C.copy())))
     assert res.converged
     assert [m.sweep for m in res.metrics] == list(range(1, res.sweeps_used + 1))
     assert res.metrics[-1].max_site_change < 1e-8
     assert all(m.max_site_change >= 1e-8 for m in res.metrics[:-1])
     # one snapshot before the first sweep and one after each sweep
-    assert len(res.mean_history) == len(res.cov_history) == res.sweeps_used + 1
-    assert np.array_equal(res.mean_history[-1], res.mean)
-    assert np.array_equal(res.cov_history[-1], res.cov)
+    assert [k for k, *_ in snaps] == list(range(res.sweeps_used + 1))
+    assert snaps[-1][1].mu is res.mean and snaps[-1][1].C is res.cov
+    # a snapshot is not changed after it is handed over
+    assert all(np.array_equal(snap.mu, mu) and np.array_equal(snap.C, C) for _, snap, mu, C in snaps)
+    # the callback changes nothing the run computes
+    quiet_sites = [Site(np.eye(n)[i : i + 1], LaplacePositivityFactor(1.0, 0.0, -1.0)) for i in range(n)]
+    quiet = run_ep(base, quiet_sites, EPOptions(max_sweeps=20, site_tol=1e-8))
+    assert quiet.mean.tobytes() == res.mean.tobytes() and quiet.cov.tobytes() == res.cov.tobytes()
+    assert quiet.metrics == res.metrics
     evals = np.linalg.eigvalsh(res.cov)
     assert evals.min() > 0.0
 
@@ -682,19 +699,19 @@ def test_serial_sweeps_match_textbook_ep_with_downdates(monkeypatch):
         in_loop.append((work.mu.copy(), work.C.copy()))
 
     monkeypatch.setattr(ep, "refresh_global", recording_refresh)
-    res = run_ep(base, sites, EPOptions(max_sweeps=sweeps, site_tol=1e-300))
+    res, snaps = run_ep_collecting(base, sites, EPOptions(max_sweeps=sweeps, site_tol=1e-300))
     assert res.sweeps_used == sweeps and not res.skipped_sites
     assert min(dKs) < 0.0 < max(dKs)  # downdates and updates
     assert min(s.tau for s in sites) < 0.0 < max(s.tau for s in sites)
 
     want = textbook_serial_ep(base, rows, family, sweeps)
     for k, (mu, C) in enumerate(want, start=1):
-        assert _rel(res.mean_history[k], mu) <= 1e-10
-        assert _rel(res.cov_history[k], C) <= 1e-10
+        assert _rel(snaps[k][0], mu) <= 1e-10
+        assert _rel(snaps[k][1], C) <= 1e-10
         # the work state at the end of the sweep, before the snapshot resets it
         mu_loop, C_loop = in_loop[k * m - 1]
-        assert _rel(mu_loop, res.mean_history[k]) <= 1e-10
-        assert _rel(C_loop, res.cov_history[k]) <= 1e-10
+        assert _rel(mu_loop, snaps[k][0]) <= 1e-10
+        assert _rel(C_loop, snaps[k][1]) <= 1e-10
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["at_tolerance", "just_above"])
@@ -765,8 +782,8 @@ def test_cavity_tolerance_boundaries_classify_alike_in_both_forms():
 
     # the array rule, in one parallel sweep from K0 + diag(tau) = I
     base = NaturalGaussian(np.zeros(n), np.diag([1.0 - t for t in taus]))
-    res = run_ep(base, sites, EPOptions(max_sweeps=1, sweep_mode="parallel"))
-    assert np.array_equal(res.cov_history[0], np.eye(n))
+    res, snaps = run_ep_collecting(base, sites, EPOptions(max_sweeps=1, sweep_mode="parallel"))
+    assert np.array_equal(snaps[0][1], np.eye(n))
     assert [(sk.index, sk.reason.split(":")[0]) for sk in res.skipped_sites] == [(0, "CavityInvalid")]
     assert [s.tau for s in sites] == [taus[0], 1.0, 1.0, 4.0 - (1.0 - taus[3])]
 
@@ -898,14 +915,14 @@ def test_parallel_sweep_matches_per_site_oracle(case):
     if case == "flat_cavity":
         assert site_cavity(make_work(base.h, base.K + np.diag([1.0, 1.0, 1.0, 1.0])), SiteSet(sites, 4), 0).is_flat
     want, want_skipped, want_converged = per_site_parallel_ep(base, oracle_sites, sweeps, 1e-300)
-    res = run_ep(base, sites, EPOptions(max_sweeps=sweeps, site_tol=1e-300, sweep_mode="parallel"))
+    res, snaps = run_ep_collecting(base, sites, EPOptions(max_sweeps=sweeps, site_tol=1e-300, sweep_mode="parallel"))
     assert res.skipped_sites == want_skipped
     assert (case == "skips") == bool(want_skipped)
     assert res.converged == want_converged and res.sweeps_used == len(want)
     assert _rel(_site_params(sites), _site_params(oracle_sites)) <= 1e-12
     for k, (mu, C) in enumerate(want, start=1):
-        assert _rel(res.mean_history[k], mu) <= 1e-12
-        assert _rel(res.cov_history[k], C) <= 1e-12
+        assert _rel(snaps[k][0], mu) <= 1e-12
+        assert _rel(snaps[k][1], C) <= 1e-12
 
 
 def test_parallel_sweep_with_a_skip_does_not_converge():
@@ -986,19 +1003,66 @@ def test_run_ep_symmetrizing_the_base_once_changes_no_bit(monkeypatch, mode, row
         return [Site(u, LaplacePositivityFactor(1.0, 0.0, -1.0)) for u in U]
 
     sites = fresh_sites()
-    res = run_ep(base, sites, opts)
+    res, snaps = run_ep_collecting(base, sites, opts)
     assert np.array_equal(base.K, K0)  # the caller's base is not changed
     ref_sites = fresh_sites()
     monkeypatch.setattr(ep, "assemble_global", lambda _base, ss: assemble_symmetrizing_every_snapshot(base, ss))
-    ref = run_ep(base, ref_sites, opts)
+    ref, ref_snaps = run_ep_collecting(base, ref_sites, opts)
 
     assert res.sweeps_used == ref.sweeps_used >= 3
     assert res.mean.tobytes() == ref.mean.tobytes()
     assert res.cov.tobytes() == ref.cov.tobytes()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(res.mean_history, ref.mean_history))
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(res.cov_history, ref.cov_history))
+    assert len(snaps) == len(ref_snaps) == res.sweeps_used + 1
+    assert all(a.tobytes() == b.tobytes() for snap, ref_snap in zip(snaps, ref_snaps) for a, b in zip(snap, ref_snap))
     assert res.metrics == ref.metrics and res.skipped_sites == ref.skipped_sites
     assert _site_params(sites).tobytes() == _site_params(ref_sites).tobytes()
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_run_ep_copies_only_an_asymmetric_base(monkeypatch, symmetric):
+    n = 6
+    g = _spd_base(n, 41)
+    K = g.K if symmetric else g.K + 1e-11 * np.abs(g.K).max() * np.random.default_rng(42).standard_normal((n, n))
+    base = NaturalGaussian(g.h, K)
+    assert np.array_equal(K, K.T) == symmetric
+    seen = []
+    real_assemble = ep.assemble_global
+
+    def recording_assemble(b, ss):
+        seen.append(b)
+        return real_assemble(b, ss)
+
+    monkeypatch.setattr(ep, "assemble_global", recording_assemble)
+    sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(1.0, 0.0, -1.0)) for i in range(n)]
+    res = run_ep(base, sites, EPOptions(max_sweeps=3, site_tol=1e-14, sweep_mode="parallel"))
+    assert len(seen) == res.sweeps_used + 1
+    # a symmetric base is used as passed; an asymmetric one once symmetrized
+    assert all((b is base) == symmetric for b in seen)
+    assert all(b is seen[0] for b in seen)
+
+
+def _run_ep_traced_peak_bytes(n: int, max_sweeps: int) -> int:
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((n + 20, n)) / math.sqrt(n)
+    base = NaturalGaussian(100.0 * A.T @ rng.standard_normal(n + 20), 100.0 * A.T @ A)
+    sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(2.0, 0.0, -5.0)) for i in range(n)]
+    opts = EPOptions(max_sweeps=max_sweeps, site_tol=1e-300, sweep_mode="parallel")
+    tracemalloc.start()
+    try:
+        res = run_ep(base, sites, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.sweeps_used == max_sweeps
+    return peak
+
+
+def test_run_ep_peak_memory_does_not_grow_with_the_sweeps():
+    """A run holds a fixed number of n x n arrays however many sweeps it
+    makes: ten sweeps peak less than one n x n array above two."""
+    n = 150
+    growth = _run_ep_traced_peak_bytes(n, 10) - _run_ep_traced_peak_bytes(n, 2)
+    assert growth < 8 * n * n
 
 
 @pytest.mark.parametrize("coordinate_rows", [True, False])

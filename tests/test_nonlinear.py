@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from epinverse import EPOptions, GaussianFactor1D, LaplacePositivityFactor, NonFiniteIterate, Site, ep, nonlinear
+from epinverse import EPOptions, GaussianFactor1D, LaplacePositivityFactor, NonFiniteIterate, Site, nonlinear
 from epinverse.nonlinear import (
     ForwardModel,
     LinearModel,
@@ -242,20 +242,25 @@ def _full_rel(a, b):
     return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
 
 
-@pytest.mark.parametrize("full_cov_max_n", [ep.FULL_COV_MAX_N, 3])
+@pytest.mark.parametrize("full_cov_max_n", [nonlinear.FULL_COV_MAX_N, 3])
 def test_trace_rows_equal_the_rows_of_the_full_snapshots(monkeypatch, full_cov_max_n):
     """The trace streams e_p and keeps packed covariances for e_f; its rows
     are, bit for bit, the rows that every sweep's full snapshot gives: e_p
     against the snapshot before it (the first outer iteration's entry
-    snapshot first), e_f against the last."""
-    monkeypatch.setattr(ep, "FULL_COV_MAX_N", full_cov_max_n)  # 3: the diagonal path
+    snapshot first), e_f against the last; above FULL_COV_MAX_N unknowns
+    the rows compare diagonals."""
+    monkeypatch.setattr(nonlinear, "FULL_COV_MAX_N", full_cov_max_n)  # 3: the diagonal path
     histories = []
     real_run_ep = nonlinear.run_ep
 
-    def recording_run_ep(*args, **kwargs):
-        res = real_run_ep(*args, **kwargs)
-        histories.append((res.mean_history, res.cov_history))
-        return res
+    def recording_run_ep(base, sites, opts, on_snapshot):
+        histories.append([])
+
+        def record(sweep, snap):
+            histories[-1].append((sweep, snap.mu, snap.C))
+            on_snapshot(sweep, snap)
+
+        return real_run_ep(base, sites, opts, record)
 
     monkeypatch.setattr(nonlinear, "run_ep", recording_run_ep)
     rng = np.random.default_rng(8)
@@ -267,12 +272,13 @@ def test_trace_rows_equal_the_rows_of_the_full_snapshots(monkeypatch, full_cov_m
     res = run_nonlinear(model, model.evaluate(np.full(n, 0.5)), sites, opts, np.zeros(n))
 
     assert res.outer_iters == 3 and len(histories) == 3
-    assert all(C.ndim == (2 if n <= full_cov_max_n else 1) for _, covs in histories for C in covs)
+    assert all([sweep for sweep, *_ in h] == list(range(5)) for h in histories)
+    compared = (lambda C: C) if n <= full_cov_max_n else np.diag
     snapshots = [
-        (k, j, mu, C)
-        for k, (means, covs) in enumerate(histories, 1)
-        for j, (mu, C) in enumerate(zip(means, covs))
-        if j or k == 1
+        (k, sweep, mu, compared(C))
+        for k, history in enumerate(histories, 1)
+        for sweep, mu, C in history
+        if sweep or k == 1
     ]
     *_, mu_fin, C_fin = snapshots[-1]
     want = [
