@@ -37,6 +37,7 @@ from .mcmc import (
     ACCEPTANCE_BAND,
     RHAT_MIXED,
     ChainConfig,
+    ChainSummary,
     LaplacePositivityPrior,
     Posterior,
     adapt_proposal,
@@ -48,7 +49,7 @@ from .nonlinear import ForwardModel, LinearModel, NonlinearOptions, run_nonlinea
 from .eit import cem
 from .eit.mesh import gen_disk_mesh, read_mesh, write_mesh
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # The OpenBLAS builds bundled with numpy and scipy, and their thread-count
 # entry points (set, get): matrix products run on numpy's, the LAPACK and
@@ -333,7 +334,9 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     init_spread = get(cfg, "mcmc_init_spread")
 
     std0 = get(cfg, "mcmc_proposal_std", p.proposal_std)
-    adapted = adapt_proposal(post, p.center, std0, pilot_steps=pilot_steps, seed=seed)
+    pilots: list[tuple[ChainConfig, ChainSummary]] = []
+    adapted = adapt_proposal(post, p.center, std0, pilot_steps=pilot_steps, seed=seed,
+                             on_pilot=lambda c, s: pilots.append((c, s)))
     inits = (
         overdispersed_inits(p.center, init_spread, n_chains, seed=seed, floor=p.floor)
         if init_spread > 0.0
@@ -373,6 +376,8 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
         "chains": n_chains,
         "steps": steps,
         "proposal_std": adapted,
+        "pilots": [{"scale": c.proposal_std, "acceptance": s.acceptance_rate} for c, s in pilots],
+        "mh_steps": sum(c.steps for c, _ in pilots) + sum(c.steps for c in chain_cfgs),
         "acceptance_rates": rep.acceptance_rates,
         "mean_err": rep.mean_err,
         "std_err": rep.std_err,

@@ -124,14 +124,17 @@ class EPResult:
 
 
 class SiteSet:
-    """The sites of one EP run in array form: the stacked m x n rows ``U``,
-    and ``coords``, the coordinate of each row when every row is a unit
-    vector (else None); ``groups`` are the sites grouped by (equal)
-    ``family``, and ``tau`` and ``nu`` the site parameters."""
+    """The sites of one EP run in array form: ``coords``, the coordinate of
+    each row when every row is a unit vector (else None), and the stacked
+    m x n rows ``U``, made only when something reads them: with general
+    rows, or with ``stack_rows`` (the serial sweep reads its rows from U).
+    ``groups`` are the sites grouped by (equal) ``family``, and ``tau`` and
+    ``nu`` the site parameters."""
 
-    def __init__(self, sites: list[Site], n: int) -> None:
-        self.U = np.array([s.U[0] for s in sites]).reshape(len(sites), n)
-        self.coords = _coordinates(self.U)
+    def __init__(self, sites: list[Site], n: int, stack_rows: bool = True) -> None:
+        rows = [s.U[0] for s in sites]
+        self.coords = _coordinates(rows)
+        self.U = np.array(rows).reshape(len(sites), n) if stack_rows or self.coords is None else None
         self.family = [s.family for s in sites]
         self.tau = np.array([s.tau for s in sites], dtype=float)
         self.nu = np.array([s.nu for s in sites], dtype=float)
@@ -145,14 +148,24 @@ class SiteSet:
         self.groups = [(f, np.array(idx)) for f, idx in groups.values()]
 
 
-def _coordinates(U: np.ndarray) -> np.ndarray | None:
-    """The coordinate each row picks out when every row of U is a unit
-    vector, else None."""
-    nonzero = U != 0.0
-    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
-        return None
-    c = np.argmax(nonzero, axis=1)
-    return c if np.all(U[np.arange(len(c)), c] == 1.0) else None
+# _coordinates reads this many rows at a time, so that it stacks no m x n array
+_COORD_BLOCK = 256
+
+
+def _coordinates(rows: list[np.ndarray]) -> np.ndarray | None:
+    """The coordinate each row picks out when every row is a unit vector,
+    else None."""
+    coords = [np.zeros(0, dtype=np.intp)]
+    for k in range(0, len(rows), _COORD_BLOCK):
+        U = np.array(rows[k:k + _COORD_BLOCK])
+        nonzero = U != 0.0
+        if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+            return None
+        c = np.argmax(nonzero, axis=1)
+        if not np.all(U[np.arange(len(c)), c] == 1.0):
+            return None
+        coords.append(c)
+    return np.concatenate(coords)
 
 
 def assemble_global(base: NaturalGaussian, sites: SiteSet) -> NaturalGaussian:
@@ -434,7 +447,7 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     """
     opts = opts or EPOptions()
     on_snapshot = on_snapshot or (lambda sweep, snap: None)
-    site_set = SiteSet(sites, base.n)
+    site_set = SiteSet(sites, base.n, stack_rows=opts.sweep_mode == "serial")
     if site_set.coords is not None and not np.array_equal(base.K, base.K.T):
         # assemble_global's coordinate path adds only to the diagonal: it
         # needs the base exactly symmetric, made so once per run; an equal

@@ -9,6 +9,7 @@ are compared across seeds through the potential-scale-reduction statistic.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,19 @@ class LaplacePositivityPrior:
     lam: float
     bg: np.ndarray | float
     floor: float
+    # bg as a float array, 0-d for a scalar: numpy subtracts it from sigma
+    # faster than a Python float, with the same bits
+    _bg: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_bg", np.asarray(self.bg, dtype=float))
+
+
+# Bound once: each lookup through the np namespace costs about as much as
+# the 12-element reduction it names.
+_fmin_reduce = np.fmin.reduce
+_add_reduce = np.add.reduce
+_absolute = np.absolute
 
 
 def log_posterior(sigma: np.ndarray, forward_fn, data: np.ndarray, alpha: float,
@@ -73,10 +87,12 @@ def log_posterior(sigma: np.ndarray, forward_fn, data: np.ndarray, alpha: float,
     """
     sigma = np.asarray(sigma, dtype=float)
     # fmin skips NaN where min would return it
-    if np.fmin.reduce(sigma) < prior.floor:
+    if _fmin_reduce(sigma) < prior.floor:
         return -math.inf
     r = forward_fn(sigma) - data
-    return float(-0.5 * alpha * (r @ r) - prior.lam * np.add.reduce(np.abs(sigma - prior.bg)))
+    # np.dot is the ddot that r @ r calls, with less dispatch around it; the
+    # scalar arithmetic is done on Python floats, with the same bits
+    return -0.5 * alpha * float(np.dot(r, r)) - prior.lam * float(_add_reduce(_absolute(sigma - prior._bg)))
 
 
 class Posterior:
@@ -100,7 +116,10 @@ def mh_chain(cfg: ChainConfig, init: np.ndarray, log_post, store_samples: bool =
     store_samples is set.
 
     The proposal noise is drawn in blocks of up to 8192 steps, and each block
-    is scaled by the proposal std once, in place, when it is drawn.
+    is scaled by the proposal std once, in place, when it is drawn.  Each
+    block's log uniforms become Python floats once, and the index of the
+    block's first kept step is computed once, so a step that is not kept
+    does no arithmetic on the step count.
 
     Raises
     ------
@@ -122,22 +141,25 @@ def mh_chain(cfg: ChainConfig, init: np.ndarray, log_post, store_samples: bool =
     accepted = 0
     samples = [] if store_samples else None
 
+    burn_in, thin = cfg.burn_in, cfg.thin
     block = 8192
     done = 0
     while done < cfg.steps:
         nb = min(block, cfg.steps - done)
         noise = rng.standard_normal((nb, n))
         noise *= std
-        logu = np.log(rng.random(nb))
-        for j in range(nb):
-            prop = x + noise[j]
+        logu = np.log(rng.random(nb)).tolist()
+        # the block's first kept step: step >= burn_in, (step - burn_in) % thin == 0
+        keep = burn_in - done if done < burn_in else -(done - burn_in) % thin
+        for j, (dx, lu) in enumerate(zip(noise, logu)):
+            prop = x + dx
             lp_new = log_post(prop)
-            if logu[j] <= lp_new - lp:
+            if lu <= lp_new - lp:
                 x = prop
                 lp = lp_new
                 accepted += 1
-            step = done + j
-            if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.thin == 0:
+            if j == keep:
+                keep += thin
                 kept += 1
                 delta = x - mean
                 mean += delta / kept
@@ -145,6 +167,9 @@ def mh_chain(cfg: ChainConfig, init: np.ndarray, log_post, store_samples: bool =
                 if store_samples:
                     samples.append(x.copy())
         done += nb
+        # freed before the next block is drawn, so that two blocks are never
+        # held at once: 8192 log uniforms as Python floats take about 260 kB
+        del noise, logu
 
     var = m2 / (kept - 1) if kept > 1 else np.zeros(n)
     summary = ChainSummary(
@@ -168,10 +193,13 @@ def adapt_proposal(
     seed: int = 0,
     band: tuple[float, float] = ACCEPTANCE_BAND,
     max_pilots: int = 40,
+    on_pilot: Callable[[ChainConfig, ChainSummary], None] | None = None,
 ) -> float:
     """Scalar proposal scale bringing the pilot acceptance into the band
     around 0.234: doubling/halving to bracket, then bisection on log scale.
-    The returned scale is frozen for the measured run.
+    The returned scale is frozen for the measured run.  Each pilot chain's
+    config and summary go to ``on_pilot(cfg, summary)`` as it ends; the
+    config holds its scale and step count.
 
     Raises
     ------
@@ -185,7 +213,10 @@ def adapt_proposal(
         # makes one moment update instead of one per step
         cfg = ChainConfig(steps=pilot_steps, burn_in=pilot_steps - 1, thin=1,
                           proposal_std=s, seed=seed * 1000003 + k)
-        return mh_chain(cfg, init, log_post).acceptance_rate
+        summary = mh_chain(cfg, init, log_post)
+        if on_pilot is not None:
+            on_pilot(cfg, summary)
+        return summary.acceptance_rate
 
     s = float(initial_std)
     a = acc(s, 0)

@@ -208,6 +208,37 @@ def test_mcmc_says_when_its_chains_did_not_mix(tmp_path):
     assert s["acceptance_in_band"] == [0.18 <= a <= 0.30 for a in s["acceptance_rates"]] == [False] * 4
 
 
+def test_mcmc_counts_its_steps_and_lists_its_pilots(tmp_path, monkeypatch):
+    # mh_steps is the count a wrapper of mcmc.mh_chain takes, pilots included;
+    # pilots lists each pilot's scale and acceptance, in the order they ran
+    from epinverse import mcmc
+
+    runs = []
+    chain = mcmc.mh_chain
+
+    def counted(cfg, *args, **kwargs):
+        res = chain(cfg, *args, **kwargs)
+        runs.append((cfg.steps, cfg.proposal_std, res.acceptance_rate))
+        return res
+
+    monkeypatch.setattr(mcmc, "mh_chain", counted)
+    keys = dict(problem="linear", linear_m=10, linear_n=4, alpha=100.0, seed=5, mcmc_chains=3,
+                mcmc_steps=3000, mcmc_pilot_steps=700, **{"lambda": 1.0})
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["mcmc", "--config", write_cfg(tmp_path / "m.cfg", **keys, out=out)]) == 0
+    s = load_summary(outs[0])
+    pilots = runs[: len(runs) // 2 - 3]
+    assert len(pilots) > 1 and s["mh_steps"] == sum(r[0] for r in runs) // 2 == 700 * len(pilots) + 3 * 3000
+    assert s["pilots"] == [{"scale": r[1], "acceptance": r[2]} for r in pilots]
+    assert s["pilots"][-1]["scale"] == s["proposal_std"]
+    # no timing value but wall_time_s: a repeated run writes the same summary
+    del s["wall_time_s"]
+    again = load_summary(outs[1])
+    del again["wall_time_s"]
+    assert again == s
+
+
 def test_compare_identical_inputs_zero(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -497,7 +528,7 @@ def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, co
     assert main([command, "--config", write_cfg(tmp_path / "c.cfg", **keys, out=out)]) == 2
     s = load_summary(out)
     assert s["ok"] is False and s["error"] == code
-    assert s["schema_version"] == 5
+    assert s["schema_version"] == 6
 
 
 @pytest.mark.parametrize(
@@ -901,7 +932,7 @@ def test_blas_runs_on_one_thread_after_main_when_unset(tmp_path, monkeypatch):
     assert main(["ep", "--config", write_cfg(tmp_path / "e.cfg", **LINEAR_6x4, out=out)]) == 0
     assert [int(get()) for _, get in cli._openblas_entry_points()] == [1] * len(cli._openblas_entry_points())
     s = load_summary(out)
-    assert s["blas_threads"] == 1 and s["schema_version"] == 5
+    assert s["blas_threads"] == 1 and s["schema_version"] == 6
 
 
 @pytest.mark.parametrize("var", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])

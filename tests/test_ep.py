@@ -178,6 +178,38 @@ def test_site_set_stacks_rows_and_finds_coordinates():
         assert dense.coords is None and np.array_equal(dense.U, U)
 
 
+def test_site_set_stacks_rows_only_when_asked_or_general():
+    lap = LaplacePositivityFactor(1.0, 0.0)
+    unit = [Site(np.eye(1, 300, c), lap) for c in range(299, -1, -1)]  # more rows than one block
+    lean = SiteSet(unit, 300, stack_rows=False)
+    assert lean.U is None and lean.coords.tolist() == list(range(299, -1, -1))
+    assert np.array_equal(SiteSet(unit, 300).U, np.eye(300)[::-1])
+    # one general row past the first block of rows: stacked all the same
+    rows = np.eye(300)
+    rows[280, 3] = 0.5
+    general = SiteSet([Site(u, lap) for u in rows], 300, stack_rows=False)
+    assert general.coords is None and np.array_equal(general.U, rows)
+
+
+@pytest.mark.parametrize("mode, rows, stacked", [("parallel", "coordinates", False),
+                                                 ("serial", "coordinates", True),
+                                                 ("parallel", "dense_rows", True)])
+def test_run_ep_stacks_the_rows_only_for_a_sweep_that_reads_them(monkeypatch, mode, rows, stacked):
+    name = f"_{mode}_sweep"
+    sweep, seen = getattr(ep, name), []
+
+    def spy(snap, sites):
+        seen.append(sites.U is not None)
+        return sweep(snap, sites)
+
+    monkeypatch.setattr(ep, name, spy)
+    n = 6
+    U = _ROWS[rows](n)
+    sites = [Site(u, LaplacePositivityFactor(1.0, 0.0, -1.0)) for u in U]
+    run_ep(_spd_base(n, 31), sites, EPOptions(max_sweeps=3, site_tol=1e-14, sweep_mode=mode))
+    assert seen == [stacked] * 3
+
+
 class UnhashableGaussian(GaussianFactor1D):
     """A factor family that cannot be hashed."""
 
@@ -1063,6 +1095,12 @@ def test_run_ep_peak_memory_does_not_grow_with_the_sweeps():
     n = 150
     growth = _run_ep_traced_peak_bytes(n, 10) - _run_ep_traced_peak_bytes(n, 2)
     assert growth < 8 * n * n
+
+
+def test_parallel_run_on_coordinate_sites_holds_no_stacked_rows():
+    # the m x n stack of unit rows was one n x n array more, held for the run
+    n = 150
+    assert _run_ep_traced_peak_bytes(n, 2) < 5 * 8 * n * n
 
 
 @pytest.mark.parametrize("coordinate_rows", [True, False])

@@ -291,6 +291,62 @@ def test_mh_chain_equals_the_loop_reference_bit_for_bit(proposal_std, steps, bur
     assert np.array_equal(plain.mean, got.mean) and np.array_equal(plain.std, got.std)
 
 
+@pytest.mark.parametrize(
+    "steps, burn_in, thin",
+    [
+        (20_000, 9_000, 7),  # burn-in ends in the second block; 7 does not divide 8192
+        (17_000, 8_192, 5),  # burn-in ends on a block boundary
+        (4_000, 3_999, 1),  # a pilot: only the last step is kept
+        (10_000, 9_999, 1),  # a pilot longer than one block
+    ],
+)
+def test_mh_chain_keep_index_matches_the_loop_reference(steps, burn_in, thin):
+    # the first kept step of each block is computed once per block; it must
+    # keep the steps that (step - burn_in) % thin == 0 keeps, bit for bit
+    post = _floored_linear_posterior()
+    cfg = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, proposal_std=0.05, seed=23)
+    init = np.full(5, 0.3)
+    want, want_samples = _loop_mh_chain(cfg, init, post)
+    got, got_samples = mh_chain(cfg, init, post, store_samples=True)
+    assert got.samples_kept == want.samples_kept == len(range(burn_in, steps, thin))
+    assert np.array_equal(got_samples, want_samples)
+    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.std, want.std)
+    assert got.acceptance_rate == want.acceptance_rate
+
+
+def test_every_posterior_call_goes_through_the_module_log_posterior(monkeypatch):
+    # a tracer wraps mcmc.log_posterior and must see every evaluation a chain makes
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return log_posterior(*args, **kwargs)
+
+    monkeypatch.setattr(mcmc, "log_posterior", counted)
+    cfg = ChainConfig(steps=600, burn_in=0, thin=1, proposal_std=0.05, seed=5)
+    mh_chain(cfg, np.full(5, 0.3), _floored_linear_posterior())
+    assert len(calls) == cfg.steps + 1  # the start, then one per step
+
+
+def test_pilots_and_chains_run_through_the_module_mh_chain(monkeypatch):
+    # a step counter wraps mcmc.mh_chain and must see every pilot and chain
+    steps = []
+
+    def counted(cfg, *args, **kwargs):
+        steps.append(cfg.steps)
+        return mh_chain(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(mcmc, "mh_chain", counted)
+    post = _floored_linear_posterior()
+    reported = []
+    adapt_proposal(post, np.full(5, 0.3), 2.0, pilot_steps=500, seed=2,
+                   on_pilot=lambda cfg, summary: reported.append(cfg.steps))
+    assert len(reported) > 1 and steps == reported
+    cfgs = [ChainConfig(steps=300, burn_in=30, proposal_std=0.05, seed=k) for k in range(2)]
+    run_chains(cfgs, [np.full(5, 0.3)] * 2, post)
+    assert steps == reported + [300, 300]
+
+
 # ---------------------------------------------------------------------------
 # adapt_proposal
 # ---------------------------------------------------------------------------
@@ -312,6 +368,22 @@ def test_adapt_proposal_scale_is_the_one_of_burned_in_pilots(monkeypatch):
     want = adapt_proposal(post, init, 2.0, pilot_steps=1000, seed=2)
     assert got == want
     assert len(pilots) > 3 and set(pilots) == {999}
+
+
+def test_adapt_proposal_reports_each_pilot():
+    post = _floored_linear_posterior()
+    init = np.full(5, 0.3)
+    pilots = []
+    got = adapt_proposal(post, init, 2.0, pilot_steps=1000, seed=2,
+                         on_pilot=lambda cfg, summary: pilots.append((cfg, summary)))
+    assert got == adapt_proposal(post, init, 2.0, pilot_steps=1000, seed=2)
+    assert len(pilots) > 3 and pilots[-1][0].proposal_std == got
+    for k, (cfg, summary) in enumerate(pilots):
+        assert cfg.steps == 1000 and cfg.seed == 2 * 1000003 + k
+        assert summary.acceptance_rate == mh_chain(cfg, init, post).acceptance_rate
+    lo, hi = mcmc.ACCEPTANCE_BAND
+    assert lo <= pilots[-1][1].acceptance_rate <= hi
+    assert not any(lo <= s.acceptance_rate <= hi for _, s in pilots[:-1])
 
 
 def test_adapt_keeps_in_band_scale():

@@ -34,6 +34,24 @@ class ScalarPower(ForwardModel):
 
 
 # ---------------------------------------------------------------------------
+# LinearModel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m, n, count", [(20, 12, 4000), (200, 400, 200)])
+def test_linear_model_evaluate_is_a_at_x_bit_for_bit(m, n, count):
+    # evaluate calls np.dot; on the CLI's linear problems it must give the
+    # bits of A @ x, on MH-sized steps around the centre and on wide draws
+    from epinverse import cli
+
+    keys = {"problem": "linear", "linear_m": str(m), "linear_n": str(n)}
+    model = cli._build_linear_problem(keys, 2025).model
+    rng = np.random.default_rng(m + n)
+    for scale in (0.01, 1.0, 1e6):
+        for x in 0.3 + scale * rng.standard_normal((count, n)):
+            assert model.evaluate(x).tobytes() == (model.A @ x).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # linearize
 # ---------------------------------------------------------------------------
 
