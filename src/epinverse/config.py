@@ -111,6 +111,7 @@ def declare(parse: Callable[[str], Any], default: Any = REQUIRED, rule: Callable
 # rules with their text; a float rule refuses nan and +-inf
 _FINITE = (math.isfinite, "be finite")
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "be finite and > 0")
+_NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
 _POSITIVE_INT = (lambda v: v > 0, "be > 0")
 
 # The defaults of `alpha`, `lambda`, `floor` and `sigma_bg` are the EIT ones;
@@ -155,7 +156,7 @@ KEYS: dict[str, tuple] = {
     "mcmc_burn_in": declare(int),  # mcmc_steps // 10
     "mcmc_thin": declare(int, 10, *_POSITIVE_INT),
     "mcmc_pilot_steps": declare(int, 4000, *_POSITIVE_INT),
-    "mcmc_init_spread": declare(float, 0.0, *_FINITE),
+    "mcmc_init_spread": declare(float, 0.0, *_NONNEGATIVE),
     "mcmc_proposal_std": declare(float, REQUIRED, *_POSITIVE),  # per problem
     "mcmc_same_seed": declare(_bool, False),
     "case": declare(str, "default"),
@@ -172,7 +173,7 @@ KEYS: dict[str, tuple] = {
     # a file, or empty (None) for a generated mesh
     "fine_mesh": declare(lambda raw: _file(raw) if raw else None, None, code="mesh_not_found"),
     "fine_target_nodes": declare(int, 1200),
-    "noise_std": declare(float, REQUIRED, lambda v: 0.0 <= v < math.inf, "be finite and >= 0"),  # 1 / sqrt(alpha)
+    "noise_std": declare(float, REQUIRED, *_NONNEGATIVE),  # 1 / sqrt(alpha)
     "inclusion_cx": declare(float, REQUIRED, *_FINITE),
     "inclusion_cy": declare(float, REQUIRED, *_FINITE),
     "inclusion_radius": declare(float, REQUIRED, *_FINITE),

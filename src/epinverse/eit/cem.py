@@ -79,7 +79,7 @@ class CEMConfig:
         z = np.array(self.z, dtype=float)
         if z.ndim != 1:
             raise ValueError(f"contact impedances must be 1-D, one per electrode; got shape {z.shape}")
-        if np.any(z <= 0.0):
+        if not np.all(z > 0.0):
             raise ValueError("contact impedances must be positive")
         patterns = tuple((a, b) for a, b in self.patterns)
         L = z.shape[0]

@@ -11,16 +11,21 @@ and inverted once into moment form (mu, Sigma).  _snapshot makes it, on entry
 and after every sweep; it goes to the caller's on_snapshot and is the next
 sweep's start, so rounding drift is bounded by one sweep.
 
+When every row is a unit vector (one site per unknown, as the CLI builds
+them) the SiteSet keeps only each row's coordinate, and the assembly and
+both sweeps read the sites by coordinate; other rows are stacked into one
+m x n array and read by products.  The choice follows from the rows alone.
+
 A parallel sweep refits every site from the snapshot in array form: one read
-of the marginals (diag Sigma and mu at the sites' coordinates when every row
-is a unit vector, else the stacked-row products), one moment call per factor
-family and one vectorized site update.  A serial sweep visits the sites in
-turn on its own copy of the snapshot and forms z = Sigma u once per site: the
-cavity reads the marginal u^T z, u^T mu, and a site refresh is one in-place
-rank-one (Sherman-Morrison) update of Sigma plus an update of mu along z.
-Both sweeps share one cavity and one site-update formula.  Cavities are
-formed in natural parameters so that exactly-flat cavities (decoupled
-factors) stay well defined.
+of the marginals (diag Sigma and mu at the coordinates, else the stacked-row
+products), one moment call per factor family and one vectorized site update.
+A serial sweep visits the sites in turn on its own copy of the snapshot and
+forms z = Sigma u once per site (for a coordinate site c, a copy of column c
+of Sigma): the cavity reads the marginal u^T z, u^T mu, and a site refresh
+is one in-place rank-one (Sherman-Morrison) update of Sigma plus an update
+of mu along z.  Both sweeps share one cavity and one site-update formula.
+Cavities are formed in natural parameters so that exactly-flat cavities
+(decoupled factors) stay well defined.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ class EPOptions:
     def __post_init__(self) -> None:
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if self.site_tol <= 0.0:
+        if not self.site_tol > 0.0:
             raise ValueError("site_tol must be > 0")
         if self.sweep_mode not in SWEEP_MODES:
             raise ValueError(f"sweep_mode must be one of {SWEEP_MODES}")
@@ -125,16 +130,15 @@ class EPResult:
 
 class SiteSet:
     """The sites of one EP run in array form: ``coords``, the coordinate of
-    each row when every row is a unit vector (else None), and the stacked
-    m x n rows ``U``, made only when something reads them: with general
-    rows, or with ``stack_rows`` (the serial sweep reads its rows from U).
-    ``groups`` are the sites grouped by (equal) ``family``, and ``tau`` and
-    ``nu`` the site parameters."""
+    each row, when every row is a unit vector, and else ``U``, the stacked
+    m x n rows; the other of the two is None.  ``groups`` are the sites
+    grouped by (equal) ``family``, and ``tau`` and ``nu`` the site
+    parameters."""
 
-    def __init__(self, sites: list[Site], n: int, stack_rows: bool = True) -> None:
+    def __init__(self, sites: list[Site], n: int) -> None:
         rows = [s.U[0] for s in sites]
         self.coords = _coordinates(rows)
-        self.U = np.array(rows).reshape(len(sites), n) if stack_rows or self.coords is None else None
+        self.U = np.array(rows).reshape(len(sites), n) if self.coords is None else None
         self.family = [s.family for s in sites]
         self.tau = np.array([s.tau for s in sites], dtype=float)
         self.nu = np.array([s.nu for s in sites], dtype=float)
@@ -344,14 +348,25 @@ def _serial_sweep(snap: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, np.
     """Refit the sites in turn, refreshing a copy of the snapshot after each;
     the snapshot itself is not touched.  The SiteSet keeps its start-of-sweep
     parameters: a cavity reads only its own site's.  Each site's marginal is
-    read here, once.  Returns the refit (tau, nu) and the skipped sites' errors."""
+    read here, once: z = Sigma u, v = u^T z and m = u^T mu.  For a coordinate
+    site c, z is a copy of column c of Sigma (refresh_global updates Sigma in
+    place and then reads z), v = z[c] and m = mu[c]: the bits of the row
+    products, read by column because the rank-one updates leave Sigma not
+    bitwise symmetric.  Returns the refit (tau, nu) and the skipped sites'
+    errors."""
     state = MomentGaussian(snap.mu.copy(), snap.C.copy())
     tau, nu = sites.tau.copy(), sites.nu.copy()
+    coords = None if sites.coords is None else sites.coords.tolist()
     errors: dict[int, Exception] = {}
     for i in range(tau.size):
-        u = sites.U[i]
-        z = state.C @ u
-        v, m = u @ z, u @ state.mu
+        if coords is None:
+            u = sites.U[i]
+            z = state.C @ u
+            v, m = u @ z, u @ state.mu
+        else:
+            c = coords[i]
+            z = state.C[:, c].copy()
+            v, m = z[c], state.mu[c]
         try:
             cav = cavity(v, m, sites.tau[i], sites.nu[i])
             new = update_site(i, cav, site_moments(sites.family[i], cav))
@@ -447,7 +462,7 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     """
     opts = opts or EPOptions()
     on_snapshot = on_snapshot or (lambda sweep, snap: None)
-    site_set = SiteSet(sites, base.n, stack_rows=opts.sweep_mode == "serial")
+    site_set = SiteSet(sites, base.n)
     if site_set.coords is not None and not np.array_equal(base.K, base.K.T):
         # assemble_global's coordinate path adds only to the diagonal: it
         # needs the base exactly symmetric, made so once per run; an equal

@@ -363,10 +363,12 @@ class LaplacePositivityFactor(FactorFamily):
     floor: float = -math.inf
 
     def __post_init__(self) -> None:
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError("lam must be >= 0")
-        if self.floor == math.inf:
-            raise ValueError("floor must be < +inf")
+        if math.isnan(self.sigma_bg):
+            raise ValueError("sigma_bg must be a number")
+        if not self.floor < math.inf:
+            raise ValueError("floor must be a number < +inf")
         object.__setattr__(self, "support", (self.floor, math.inf))
 
     def moments(self, m: float, v: float) -> TiltedMoments:

@@ -191,7 +191,6 @@ def adapt_proposal(
     *,
     pilot_steps: int = 2000,
     seed: int = 0,
-    band: tuple[float, float] = ACCEPTANCE_BAND,
     max_pilots: int = 40,
     on_pilot: Callable[[ChainConfig, ChainSummary], None] | None = None,
 ) -> float:
@@ -206,7 +205,7 @@ def adapt_proposal(
     AdaptFailed
         If the band is not reached within max_pilots pilot chains.
     """
-    lo, hi = band
+    lo, hi = ACCEPTANCE_BAND
 
     def acc(s: float, k: int) -> float:
         # acceptance counts every step: keep only the last, so the pilot

@@ -65,7 +65,7 @@ class NonlinearOptions:
     floor: float = -math.inf  # componentwise admissibility floor for iterates
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError("alpha must be > 0")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")

@@ -516,6 +516,8 @@ def _two_electrode_inputs(tmp_path):
         ("synth", {"amplitude": "-0.0"}, "bad_amplitude"),
         ("ep", {"problem": "eit", "amplitude": 0}, "bad_amplitude"),
         ("mcmc", {"problem": "eit", "amplitude": 0}, "bad_amplitude"),
+        # a negative spread was read as none: every chain at the centre
+        ("mcmc", {**LINEAR_6x4, "mcmc_init_spread": -0.3}, "bad_mcmc_init_spread"),
     ],
 )
 def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, code):

@@ -420,6 +420,15 @@ def test_config_rejects_bad_patterns_and_impedances(z, patterns):
         CEMConfig(z=z, patterns=patterns)
 
 
+@pytest.mark.parametrize("bad", [0, slice(None)], ids=["one", "all"])
+def test_config_rejects_nan_impedances(bad):
+    # NaN impedances made solve_forward return NaN voltages with no error
+    z = np.full(16, 2e-4)
+    z[bad] = np.nan
+    with pytest.raises(ValueError, match="impedances"):
+        CEMConfig(z=z, patterns=cem.adjacent_patterns(16))
+
+
 def test_kept_mask_drops_the_current_carrying_electrodes():
     cfg = CEMConfig(z=np.full(16, 2e-4), patterns=CUSTOM_PATTERNS)
     keep = cfg.kept_mask()

@@ -20,7 +20,7 @@ from epinverse import (
 )
 from epinverse import chol, ep
 from epinverse.ep import SiteSet, SkippedSite, assemble_global, cavity, refresh_global, site_moments
-from epinverse.errors import CavityInvalid, DegenerateSupport, NotPositiveDefinite
+from epinverse.errors import CavityInvalid, DegenerateSupport, DowndateFailed, NotPositiveDefinite
 from epinverse.factors import FactorFamily, TiltedMoments
 
 
@@ -34,16 +34,25 @@ def one(s):
     return SiteSet([s], s.U.shape[1])
 
 
-def marginal(state, u):
-    """z = Sigma u and the marginal variance and mean of u^T x, as the serial
-    sweep forms them."""
+def site_row(site_set, i, n):
+    """Row i of site_set: the unit vector at its coordinate when the set
+    holds coordinates, else its stacked row."""
+    if site_set.coords is None:
+        return site_set.U[i]
+    return np.eye(1, n, site_set.coords[i])[0]
+
+
+def marginal(state, site_set, i):
+    """z = Sigma u and the marginal variance and mean of u^T x for row i of
+    site_set, as row products."""
+    u = site_row(site_set, i, state.mu.size)
     z = state.C @ u
     return z, u @ z, u @ state.mu
 
 
 def site_cavity(state, site_set, i):
     """ep.cavity of site i against the marginal of its row."""
-    _, v, m = marginal(state, site_set.U[i])
+    _, v, m = marginal(state, site_set, i)
     return cavity(v, m, site_set.tau[i], site_set.nu[i])
 
 
@@ -57,7 +66,7 @@ def run_ep_collecting(base, sites, opts):
 
 def site_refresh(state, site_set, i, old, new):
     """ep.refresh_global for site i moving from old to new (tau, nu)."""
-    z, v, m = marginal(state, site_set.U[i])
+    z, v, m = marginal(state, site_set, i)
     refresh_global(state, z, v, m, new[0] - old[0], new[1] - old[1])
 
 
@@ -164,7 +173,7 @@ def test_site_set_stacks_rows_and_finds_coordinates():
     lap, gauss = LaplacePositivityFactor(1.0, 0.0), GaussianFactor1D(0.0, 1.0)
     unit = [Site(np.eye(1, 4, c), f, tau=0.5 + c, nu=-c) for c, f in zip([2, 0, 2], [lap, gauss, lap])]
     site_set = SiteSet(unit, 4)
-    assert site_set.coords.tolist() == [2, 0, 2] and np.array_equal(site_set.U, np.eye(4)[[2, 0, 2]])
+    assert site_set.coords.tolist() == [2, 0, 2] and site_set.U is None
     assert site_set.tau.tolist() == [2.5, 0.5, 2.5] and site_set.nu.tolist() == [-2.0, 0.0, -2.0]
     assert site_set.family == [lap, gauss, lap]
     groups = {id(f): idx.tolist() for f, idx in site_set.groups}
@@ -178,22 +187,22 @@ def test_site_set_stacks_rows_and_finds_coordinates():
         assert dense.coords is None and np.array_equal(dense.U, U)
 
 
-def test_site_set_stacks_rows_only_when_asked_or_general():
+def test_site_set_stacks_only_general_rows():
     lap = LaplacePositivityFactor(1.0, 0.0)
     unit = [Site(np.eye(1, 300, c), lap) for c in range(299, -1, -1)]  # more rows than one block
-    lean = SiteSet(unit, 300, stack_rows=False)
+    lean = SiteSet(unit, 300)
     assert lean.U is None and lean.coords.tolist() == list(range(299, -1, -1))
-    assert np.array_equal(SiteSet(unit, 300).U, np.eye(300)[::-1])
-    # one general row past the first block of rows: stacked all the same
+    # one general row past the first block of rows: all the rows are stacked
     rows = np.eye(300)
     rows[280, 3] = 0.5
-    general = SiteSet([Site(u, lap) for u in rows], 300, stack_rows=False)
+    general = SiteSet([Site(u, lap) for u in rows], 300)
     assert general.coords is None and np.array_equal(general.U, rows)
 
 
 @pytest.mark.parametrize("mode, rows, stacked", [("parallel", "coordinates", False),
-                                                 ("serial", "coordinates", True),
-                                                 ("parallel", "dense_rows", True)])
+                                                 ("serial", "coordinates", False),
+                                                 ("parallel", "dense_rows", True),
+                                                 ("serial", "dense_rows", True)])
 def test_run_ep_stacks_the_rows_only_for_a_sweep_that_reads_them(monkeypatch, mode, rows, stacked):
     name = f"_{mode}_sweep"
     sweep, seen = getattr(ep, name), []
@@ -554,6 +563,13 @@ def test_ep_options_reject_fewer_than_one_sweep(max_sweeps):
     # zero sweeps would refit no site yet could be read as converged
     with pytest.raises(ValueError, match="max_sweeps"):
         EPOptions(max_sweeps=max_sweeps)
+
+
+@pytest.mark.parametrize("site_tol", [0.0, -1.0, math.nan])
+def test_ep_options_reject_a_non_positive_site_tol(site_tol):
+    # a NaN tolerance was accepted, and no sweep could then converge
+    with pytest.raises(ValueError, match="site_tol"):
+        EPOptions(site_tol=site_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,12 +1089,65 @@ def test_run_ep_copies_only_an_asymmetric_base(monkeypatch, symmetric):
     assert all(b is seen[0] for b in seen)
 
 
-def _run_ep_traced_peak_bytes(n: int, max_sweeps: int) -> int:
+def row_product_serial_sweep(snap, sites, flat):
+    """ep._serial_sweep as it read a coordinate site's marginal from its
+    stacked unit row, z = Sigma u, v = u^T z and m = u^T mu; appends whether
+    each cavity it forms is flat to ``flat``."""
+    U = np.eye(snap.mu.size)[sites.coords]
+    state = MomentGaussian(snap.mu.copy(), snap.C.copy())
+    tau, nu = sites.tau.copy(), sites.nu.copy()
+    errors = {}
+    for i in range(tau.size):
+        u = U[i]
+        z = state.C @ u
+        v, m = u @ z, u @ state.mu
+        try:
+            cav = cavity(v, m, sites.tau[i], sites.nu[i])
+            flat.append(cav.is_flat)
+            new = update_site(i, cav, site_moments(sites.family[i], cav))
+            refresh_global(state, z, v, m, new[0] - sites.tau[i], new[1] - sites.nu[i])
+        except (CavityInvalid, DegenerateSupport, NotPositiveDefinite, DowndateFailed) as exc:
+            errors[i] = exc
+            continue
+        tau[i], nu[i] = new
+    return tau, nu, errors
+
+
+_SERIAL_COORDINATE_CASES = {
+    "coordinates": lambda: (_spd_base(6, 31), [Site(u, LaplacePositivityFactor(1.0, 0.0, -1.0))
+                                               for u in _ROWS["coordinates"](6)]),
+    "repeated_coordinates": lambda: (_spd_base(6, 31), [Site(u, LaplacePositivityFactor(1.0, 0.0, -1.0))
+                                                        for u in _ROWS["repeated_coordinates"](6)]),
+    "skips": _parallel_cases()["skips"],
+    "flat_cavity": _parallel_cases()["flat_cavity"],
+}
+
+
+@pytest.mark.parametrize("case", list(_SERIAL_COORDINATE_CASES))
+def test_serial_column_read_is_bitwise_the_row_product(monkeypatch, case):
+    make = _SERIAL_COORDINATE_CASES[case]
+    base, sites = make()
+    _, ref_sites = make()
+    opts = EPOptions(max_sweeps=6, site_tol=1e-300, sweep_mode="serial")
+    res, snaps = run_ep_collecting(base, sites, opts)
+    flat = []
+    monkeypatch.setattr(ep, "_serial_sweep", lambda snap, ss: row_product_serial_sweep(snap, ss, flat))
+    ref, ref_snaps = run_ep_collecting(base, ref_sites, opts)
+
+    assert bool(ref.skipped_sites) == (case == "skips") and any(flat) == (case == "flat_cavity")
+    assert res.sweeps_used == ref.sweeps_used == 6
+    assert len(snaps) == len(ref_snaps) == 7
+    assert all(a.tobytes() == b.tobytes() for snap, ref_snap in zip(snaps, ref_snaps) for a, b in zip(snap, ref_snap))
+    assert res.metrics == ref.metrics and res.skipped_sites == ref.skipped_sites
+    assert _site_params(sites).tobytes() == _site_params(ref_sites).tobytes()
+
+
+def _run_ep_traced_peak_bytes(n: int, max_sweeps: int, mode: str = "parallel") -> int:
     rng = np.random.default_rng(6)
     A = rng.standard_normal((n + 20, n)) / math.sqrt(n)
     base = NaturalGaussian(100.0 * A.T @ rng.standard_normal(n + 20), 100.0 * A.T @ A)
     sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(2.0, 0.0, -5.0)) for i in range(n)]
-    opts = EPOptions(max_sweeps=max_sweeps, site_tol=1e-300, sweep_mode="parallel")
+    opts = EPOptions(max_sweeps=max_sweeps, site_tol=1e-300, sweep_mode=mode)
     tracemalloc.start()
     try:
         res = run_ep(base, sites, opts)
@@ -1097,10 +1166,11 @@ def test_run_ep_peak_memory_does_not_grow_with_the_sweeps():
     assert growth < 8 * n * n
 
 
-def test_parallel_run_on_coordinate_sites_holds_no_stacked_rows():
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+def test_run_on_coordinate_sites_holds_no_stacked_rows(mode):
     # the m x n stack of unit rows was one n x n array more, held for the run
     n = 150
-    assert _run_ep_traced_peak_bytes(n, 2) < 5 * 8 * n * n
+    assert _run_ep_traced_peak_bytes(n, 2, mode) < 5 * 8 * n * n
 
 
 @pytest.mark.parametrize("coordinate_rows", [True, False])

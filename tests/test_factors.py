@@ -71,6 +71,16 @@ def test_laplace_positivity_trivial_limit():
     assert tm.logZ == 0.0 and tm.mean == 0.7 and tm.var == 2.3
 
 
+@pytest.mark.parametrize("field, value", [("lam", math.nan), ("lam", -1.0), ("sigma_bg", math.nan),
+                                          ("floor", math.nan), ("floor", math.inf)])
+def test_laplace_positivity_rejects_nan_parameters(field, value):
+    # a NaN parameter was accepted; its moments then raised an untyped
+    # ValueError or DegenerateSupport
+    params = {"lam": 1.0, "sigma_bg": 0.0, "floor": -1.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        LaplacePositivityFactor(**params)
+
+
 def test_laplace_positivity_vs_quadrature_basic():
     f = LaplacePositivityFactor(lam=1.0, sigma_bg=0.0, floor=0.0)
     got = moments_laplace_positivity(f, 0.0, 1.0)

@@ -61,8 +61,9 @@ def _one_site(u, tau, nu):
 
 def _marginal(state, site_set):
     """z = Sigma u and the marginal variance and mean of u^T x for the row u
-    of the lone site of site_set, as the serial sweep forms them."""
-    u = site_set.U[0]
+    of the lone site of site_set, as row products; a coordinate site's row
+    is the unit vector at its coordinate."""
+    u = site_set.U[0] if site_set.coords is None else np.eye(1, state.mu.size, site_set.coords[0])[0]
     z = state.C @ u
     return z, u @ z, u @ state.mu
 

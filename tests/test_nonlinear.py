@@ -226,6 +226,12 @@ def test_nonlinear_options_reject_a_non_positive_outer_tol(outer_tol):
         NonlinearOptions(alpha=1.0, outer_tol=outer_tol)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+def test_nonlinear_options_reject_a_non_positive_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        NonlinearOptions(alpha=alpha)
+
+
 def test_skipped_sites_cover_every_outer_iteration():
     # site 1's floor puts its tilted mass out of reach in every EP sweep
     rng = np.random.default_rng(4)
