@@ -6,7 +6,7 @@ electrode model (EIT) forward solver, and a random-walk Metropolis-Hastings
 baseline with multi-chain diagnostics.
 """
 
-from .chol import CholeskyFactor, cholesky, solve
+from .chol import cholesky, solve
 from .errors import (
     AdaptFailed,
     CavityInvalid,
@@ -49,7 +49,6 @@ __all__ = [
     "AdaptFailed",
     "CavityInvalid",
     "CavityResult",
-    "CholeskyFactor",
     "ConfigError",
     "EPOptions",
     "EPResult",

@@ -1,16 +1,15 @@
 """Dense SPD kernel layer: Cholesky factorization, rank-one up/downdates
 and triangular solves.
 
-Every operation is pure by default: it never mutates its inputs, so factors
-can be shared freely across threads for reading.  ``cholesky`` and
+A factor is the lower-triangular ndarray L with L @ L.T equal to the SPD
+matrix, as LAPACK dpotrf makes it: Fortran-ordered, its upper triangle
+zero.  Every operation is pure by default: it never mutates its inputs, so
+factors can be shared freely across threads for reading.  ``cholesky`` and
 ``inverse`` also work in place (``overwrite=True``), in the buffer of a
 matrix the caller no longer needs, with the same bits as the pure path.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -23,19 +22,8 @@ from .errors import DowndateFailed, NotPositiveDefinite
 PIVOT_RTOL = 1e-14
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L @ L.T equal to the represented SPD matrix."""
-
-    L: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.L.shape[0]
-
-
-def cholesky(A: np.ndarray, overwrite: bool = False) -> CholeskyFactor:
-    """Factor a symmetric positive definite matrix as L @ L.T.
+def cholesky(A: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """The lower factor L of a symmetric positive definite matrix A = L @ L.T.
 
     Only the lower triangle is factored.  A is accepted as symmetric when it
     equals its transpose exactly, or else when |A - A^T| <= 1e-8 *
@@ -46,7 +34,7 @@ def cholesky(A: np.ndarray, overwrite: bool = False) -> CholeskyFactor:
     A : ndarray, shape (n, n)
         Symmetric matrix.
     overwrite : bool
-        Factor in A's own buffer, which then holds L (the factor's L is A),
+        Factor in A's own buffer, which then holds L (the returned L is A),
         when A is a Fortran-contiguous float array, such as the transpose of
         a C-contiguous one; any other A is copied, as by default.  A's
         contents are undefined after a failure.
@@ -64,10 +52,7 @@ def cholesky(A: np.ndarray, overwrite: bool = False) -> CholeskyFactor:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     if not np.array_equal(A, A.T):
         atol = 1e-8 * max(1.0, float(np.abs(A).max(initial=0.0)))
-        # with a finite atol, |A - A^T| <= atol is allclose's test; the slower
-        # allclose decides the rest (non-finite entries)
-        fast = math.isfinite(atol) and bool(np.all(np.abs(A - A.T) <= atol))
-        if not (fast or np.allclose(A, A.T, rtol=0.0, atol=atol)):
+        if not np.allclose(A, A.T, rtol=0.0, atol=atol):
             raise ValueError("matrix is not symmetric")
     max_diag = float(np.max(np.diag(A), initial=0.0))
     if max_diag <= 0.0:
@@ -79,10 +64,10 @@ def cholesky(A: np.ndarray, overwrite: bool = False) -> CholeskyFactor:
     # written so that a NaN pivot (an inf entry that dpotrf passed) fails too
     if not np.all(d * d > PIVOT_RTOL * max_diag):
         raise NotPositiveDefinite("pivot below tolerance; matrix is numerically singular")
-    return CholeskyFactor(L)
+    return L
 
 
-def rank1_update(F: CholeskyFactor, x: np.ndarray, sign: int = +1) -> CholeskyFactor:
+def rank1_update(L: np.ndarray, x: np.ndarray, sign: int = +1) -> np.ndarray:
     """Factor of A + sign * x x^T from the factor of A, in O(n^2).
 
     The column sweep applies a plane rotation per pivot (a hyperbolic one for
@@ -91,8 +76,8 @@ def rank1_update(F: CholeskyFactor, x: np.ndarray, sign: int = +1) -> CholeskyFa
 
     Parameters
     ----------
-    F : CholeskyFactor
-        Factor of A.
+    L : ndarray, shape (n, n)
+        Lower factor of A.
     x : ndarray, shape (n,)
         Update vector.
     sign : {+1, -1}
@@ -106,10 +91,10 @@ def rank1_update(F: CholeskyFactor, x: np.ndarray, sign: int = +1) -> CholeskyFa
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     x = np.asarray(x, dtype=float).copy()
-    n = F.n
+    n = L.shape[0]
     if x.shape != (n,):
         raise ValueError(f"update vector has shape {x.shape}, expected ({n},)")
-    L = F.L.copy()
+    L = L.copy()
     for k in range(n):
         lkk = L[k, k]
         r2 = lkk * lkk + sign * x[k] * x[k]
@@ -123,35 +108,35 @@ def rank1_update(F: CholeskyFactor, x: np.ndarray, sign: int = +1) -> CholeskyFa
             col = (L[k + 1 :, k] + sign * s * x[k + 1 :]) / c
             L[k + 1 :, k] = col
             x[k + 1 :] = c * x[k + 1 :] - s * col
-    return CholeskyFactor(L)
+    return L
 
 
-def solve(F: CholeskyFactor, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B for the matrix represented by F, via two triangular solves
+def solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve A X = B for A = L @ L.T, via two triangular solves
     (LAPACK dpotrs, the call scipy's cho_solve makes); B is (n,) or (n, k)
     and is not overwritten."""
-    X, info = dpotrs(F.L, np.asarray(B, dtype=float), lower=1)
+    X, info = dpotrs(L, np.asarray(B, dtype=float), lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return X
 
 
-def solve_lower(F: CholeskyFactor, B: np.ndarray) -> np.ndarray:
+def solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve L Y = B (forward substitution only)."""
-    return solve_triangular(F.L, B, lower=True, check_finite=False)
+    return solve_triangular(L, B, lower=True, check_finite=False)
 
 
-def inverse(F: CholeskyFactor, overwrite: bool = False) -> np.ndarray:
-    """Dense symmetric inverse of the represented matrix, C-contiguous.
+def inverse(L: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Dense symmetric inverse of A = L @ L.T, C-contiguous.
 
     LAPACK dpotri forms the lower triangle of (L L^T)^{-1} from the factor;
     the upper triangle of its output is L's, which is zero, so inv + inv^T
     mirrors the strict lower triangle exactly (x + 0 = x), and only the
     doubled diagonal has to be put back.  The result is bitwise symmetric.
-    With ``overwrite`` dpotri works in F.L's buffer (Fortran-contiguous, as
-    ``cholesky`` makes it), and F no longer holds a factor.
+    With ``overwrite`` dpotri works in L's buffer (Fortran-contiguous, as
+    ``cholesky`` makes it), and L no longer holds a factor.
     """
-    inv, info = dpotri(F.L, lower=1, overwrite_c=int(overwrite))
+    inv, info = dpotri(L, lower=1, overwrite_c=int(overwrite))
     if info != 0:
         raise NotPositiveDefinite(f"inversion from the factor failed (info {info})")
     sym = inv + inv.T

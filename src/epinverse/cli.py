@@ -333,16 +333,20 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     pilot_steps = get(cfg, "mcmc_pilot_steps")
     init_spread = get(cfg, "mcmc_init_spread")
 
-    std0 = get(cfg, "mcmc_proposal_std", p.proposal_std)
-    pilots: list[tuple[ChainConfig, ChainSummary]] = []
-    adapted = adapt_proposal(post, p.center, std0, pilot_steps=pilot_steps, seed=seed,
-                             on_pilot=lambda c, s: pilots.append((c, s)))
     inits = (
         overdispersed_inits(p.center, init_spread, n_chains, seed=seed, floor=p.floor)
         if init_spread > 0.0
         else [p.center.copy() for _ in range(n_chains)]
     )
     same_seed = get(cfg, "mcmc_same_seed")
+    if same_seed:
+        inits = [inits[0].copy() for _ in range(n_chains)]
+    std0 = get(cfg, "mcmc_proposal_std", p.proposal_std)
+    pilots: list[tuple[ChainConfig, ChainSummary]] = []
+    # the pilots tune the scale where the chains run, not at the centre,
+    # which on the linear problem is the floor corner
+    adapted = adapt_proposal(post, inits[0], std0, pilot_steps=pilot_steps, seed=seed,
+                             on_pilot=lambda c, s: pilots.append((c, s)))
     chain_cfgs = [
         ChainConfig(
             steps=steps,
@@ -353,8 +357,6 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
         )
         for k in range(n_chains)
     ]
-    if same_seed:
-        inits = [inits[0].copy() for _ in range(n_chains)]
     chains = run_chains(chain_cfgs, inits, post, workers=threads)
 
     for k, ch in enumerate(chains):

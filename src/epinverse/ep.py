@@ -209,8 +209,8 @@ def _snapshot(base: NaturalGaussian, sites: SiteSet) -> MomentGaussian:
     """
     g = assemble_global(base, sites)
     try:
-        F = chol.cholesky(g.K.T, overwrite=True)
-        return MomentGaussian(chol.solve(F, g.h), chol.inverse(F, overwrite=True))
+        L = chol.cholesky(g.K.T, overwrite=True)
+        return MomentGaussian(chol.solve(L, g.h), chol.inverse(L, overwrite=True))
     except NotPositiveDefinite as exc:
         raise GlobalNotPD(str(exc)) from exc
 
@@ -457,8 +457,9 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     Raises
     ------
     GlobalNotPD
-        If the assembled precision is not positive definite; the sites then
-        hold the parameters that were assembled.
+        If the assembled precision is not positive definite; the message
+        names the sweep whose snapshot failed (0: the entry snapshot), and
+        the sites then hold the parameters that were assembled.
     """
     opts = opts or EPOptions()
     on_snapshot = on_snapshot or (lambda sweep, snap: None)
@@ -468,6 +469,7 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
         # needs the base exactly symmetric, made so once per run; an equal
         # transpose gives 0.5 (K0 + K0^T) its own bits, so no copy then
         base = NaturalGaussian(base.h, 0.5 * (base.K + base.K.T))
+    sweep = 0
     try:
         snap = _snapshot(base, site_set)
         on_snapshot(0, snap)
@@ -494,6 +496,8 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
             if max_change < opts.site_tol and not errors:
                 converged = True
                 break
+    except GlobalNotPD as exc:
+        raise GlobalNotPD(f"sweep {sweep}: {exc}") from exc
     finally:
         for s, tau_i, nu_i in zip(sites, site_set.tau.tolist(), site_set.nu.tolist()):
             s.tau, s.nu = tau_i, nu_i

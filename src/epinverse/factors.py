@@ -365,8 +365,8 @@ class LaplacePositivityFactor(FactorFamily):
     def __post_init__(self) -> None:
         if not self.lam >= 0.0:
             raise ValueError("lam must be >= 0")
-        if math.isnan(self.sigma_bg):
-            raise ValueError("sigma_bg must be a number")
+        if not math.isfinite(self.sigma_bg):
+            raise ValueError("sigma_bg must be finite")
         if not self.floor < math.inf:
             raise ValueError("floor must be a number < +inf")
         object.__setattr__(self, "support", (self.floor, math.inf))

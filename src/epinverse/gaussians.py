@@ -53,8 +53,8 @@ class NaturalGaussian:
 def moment_from_natural(g: NaturalGaussian) -> MomentGaussian:
     """mu = K^{-1} h and C = K^{-1}, through a fresh Cholesky factor of K;
     raises NotPositiveDefinite if K is not positive definite."""
-    F = chol.cholesky(g.K)
-    return MomentGaussian(chol.solve(F, g.h), chol.inverse(F))
+    L = chol.cholesky(g.K)
+    return MomentGaussian(chol.solve(L, g.h), chol.inverse(L))
 
 
 def log_density_1d(x: np.ndarray, mu: float, var: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ep import EPOptions, Site, SkippedSite, run_ep
-from .errors import NonFiniteIterate
+from .errors import GlobalNotPD, NonFiniteIterate
 from .gaussians import MomentGaussian, NaturalGaussian
 
 # Up to this many unknowns the trace keeps every sweep's full covariance (as
@@ -157,6 +157,8 @@ def run_nonlinear(
         If the mean leaves the admissible set irrecoverably (non-finite), or
         the linearization at an iterate is not finite (the forward map or
         its Jacobian overflows there).
+    GlobalNotPD
+        From run_ep, its message led by the outer iteration.
     """
     mu = np.maximum(np.asarray(mu0, dtype=float), opts.floor)
 
@@ -173,7 +175,10 @@ def run_nonlinear(
         base = linearize(model, mu, data, opts.alpha)
         if not (np.isfinite(base.h).all() and np.isfinite(base.K).all()):
             raise NonFiniteIterate(f"the linearization at outer iterate {k} is not finite")
-        ep_result = run_ep(base, sites, opts.inner, trace.add)
+        try:
+            ep_result = run_ep(base, sites, opts.inner, trace.add)
+        except GlobalNotPD as exc:
+            raise GlobalNotPD(f"outer iteration {k}, {exc}") from exc
         skipped.extend((k, s) for s in ep_result.skipped_sites)
 
         mu_star = ep_result.mean

@@ -23,19 +23,19 @@ def random_spd(n, rng, jitter=1.0):
 
 def test_cholesky_identity():
     F = cholesky(np.eye(2))
-    assert np.allclose(F.L, np.eye(2), atol=0.0)
+    assert np.allclose(F, np.eye(2), atol=0.0)
 
 
 def test_cholesky_hand_checked_2x2():
     F = cholesky(np.array([[4.0, 2.0], [2.0, 5.0]]))
-    assert np.allclose(F.L, np.array([[2.0, 0.0], [1.0, 2.0]]), atol=1e-15)
+    assert np.allclose(F, np.array([[2.0, 0.0], [1.0, 2.0]]), atol=1e-15)
 
 
 def test_cholesky_reconstructs_random_spd():
     rng = np.random.default_rng(1234)
     A = random_spd(8, rng)
     F = cholesky(A)
-    rel = np.linalg.norm(F.L @ F.L.T - A) / np.linalg.norm(A)
+    rel = np.linalg.norm(F @ F.T - A) / np.linalg.norm(A)
     assert rel <= 1e-12
 
 
@@ -60,7 +60,7 @@ def test_cholesky_rejects_nonsymmetric():
 def test_rank1_update_identity_e1():
     F = cholesky(np.eye(2))
     up = rank1_update(F, np.array([1.0, 0.0]), +1)
-    assert np.allclose(up.L @ up.L.T, np.diag([2.0, 1.0]), atol=1e-15)
+    assert np.allclose(up @ up.T, np.diag([2.0, 1.0]), atol=1e-15)
 
 
 def test_update_then_downdate_roundtrip():
@@ -69,7 +69,7 @@ def test_update_then_downdate_roundtrip():
     F = cholesky(A)
     x = rng.standard_normal(6)
     back = rank1_update(rank1_update(F, x, +1), x, -1)
-    rel = np.linalg.norm(back.L - F.L) / np.linalg.norm(F.L)
+    rel = np.linalg.norm(back - F) / np.linalg.norm(F)
     assert rel <= 1e-12
 
 
@@ -79,7 +79,7 @@ def test_rank1_update_matches_refactorization():
     x = rng.standard_normal(8)
     F = rank1_update(cholesky(A), x, +1)
     G = cholesky(A + np.outer(x, x))
-    rel = np.linalg.norm(F.L - G.L) / np.linalg.norm(G.L)
+    rel = np.linalg.norm(F - G) / np.linalg.norm(G)
     assert rel <= 1e-10
 
 
@@ -89,16 +89,16 @@ def test_rank1_downdate_matches_refactorization():
     x = 0.5 * rng.standard_normal(8)
     F = rank1_update(cholesky(A), x, -1)
     G = cholesky(A - np.outer(x, x))
-    rel = np.linalg.norm(F.L - G.L) / np.linalg.norm(G.L)
+    rel = np.linalg.norm(F - G) / np.linalg.norm(G)
     assert rel <= 1e-10
 
 
 def test_downdate_failure_detected_and_input_untouched():
     F = cholesky(np.eye(3))
-    L_before = F.L.copy()
+    L_before = F.copy()
     with pytest.raises(DowndateFailed):
         rank1_update(F, np.array([2.0, 0.0, 0.0]), -1)
-    assert np.array_equal(F.L, L_before)
+    assert np.array_equal(F, L_before)
 
 
 @settings(max_examples=50, deadline=None)
@@ -109,7 +109,7 @@ def test_roundtrip_property(n, seed):
     F = cholesky(A)
     x = rng.standard_normal(n)
     back = rank1_update(rank1_update(F, x, +1), x, -1)
-    assert np.linalg.norm(back.L - F.L) <= 1e-12 * max(1.0, np.linalg.norm(F.L))
+    assert np.linalg.norm(back - F) <= 1e-12 * max(1.0, np.linalg.norm(F))
 
 
 def test_solve_identity():
@@ -162,12 +162,12 @@ def test_inverse_is_exactly_symmetric_and_matches_numpy(n):
     rng = np.random.default_rng(n)
     A = random_spd(n, rng)
     F = cholesky(A)
-    L = F.L.copy()
+    L = F.copy()
     inv = inverse(F)
     assert inv.flags["C_CONTIGUOUS"] and np.array_equal(inv, inv.T)
     np.testing.assert_allclose(inv, np.linalg.inv(A), rtol=1e-10, atol=1e-12 * np.abs(inv).max())
     np.testing.assert_allclose(inv @ A, np.eye(n), atol=1e-10)
-    assert np.array_equal(F.L, L)  # the factor is not touched
+    assert np.array_equal(F, L)  # the factor is not touched
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def outcome(factor, A):
             L = factor(A)
         except (ValueError, NotPositiveDefinite) as exc:
             return type(exc), str(exc)
-    return "ok", np.asarray(getattr(L, "L", L)).tobytes()
+    return "ok", L.tobytes()
 
 
 def _symmetry_cases():
@@ -248,7 +248,7 @@ def test_cholesky_symmetry_check_decides_as_before(case):
         assert got[0] == expected
     if case == "within_1e-8":
         # accepted, and factored from the lower triangle as before
-        assert np.array_equal(cholesky(A).L, reference_cholesky(A))
+        assert np.array_equal(cholesky(A), reference_cholesky(A))
 
 
 @pytest.mark.parametrize("n", [1, 3, 40])
@@ -258,7 +258,7 @@ def test_solve_is_bitwise_cho_solve(n):
     for B in (rng.standard_normal(n), rng.standard_normal((n, 4)), rng.standard_normal((4, n)).T):
         before = B.copy()
         X = solve(F, B)
-        assert X.tobytes() == cho_solve((F.L, True), B, check_finite=False).tobytes()
+        assert X.tobytes() == cho_solve((F, True), B, check_finite=False).tobytes()
         assert X.shape == B.shape and np.array_equal(B, before)
     with pytest.raises(ValueError):
         solve(F, np.ones(n + 1))
@@ -268,7 +268,7 @@ def test_solve_is_bitwise_cho_solve(n):
 def test_inverse_is_bitwise_the_tril_mirror(n):
     rng = np.random.default_rng(60 + n)
     F = cholesky(random_spd(n, rng))
-    inv, info = dpotri(F.L, lower=1)
+    inv, info = dpotri(F, lower=1)
     assert info == 0
     ref = np.tril(inv, -1)
     ref += inv.T
@@ -284,17 +284,17 @@ def test_in_place_factor_and_inverse_are_bitwise_the_pure_ones(n):
     A = 0.5 * (A + A.T)  # bitwise symmetric, as ep.assemble_global makes K
     before = A.copy()
     F = cholesky(A)
-    L = F.L.copy()
+    L = F.copy()
     inv = inverse(F)
     # the pure path leaves its input and the factor as they were
-    assert A.tobytes() == before.tobytes() and F.L.tobytes() == L.tobytes()
+    assert A.tobytes() == before.tobytes() and F.tobytes() == L.tobytes()
 
     work = A.copy()
     F_in = cholesky(work.T, overwrite=True)  # the transpose is the Fortran array LAPACK overwrites
-    assert np.shares_memory(F_in.L, work)
-    assert F_in.L.tobytes("A") == F.L.tobytes("A")
+    assert np.shares_memory(F_in, work)
+    assert F_in.tobytes("A") == F.tobytes("A")
     inv_in = inverse(F_in, overwrite=True)
-    assert np.shares_memory(F_in.L, work)
+    assert np.shares_memory(F_in, work)
     assert inv_in.flags["C_CONTIGUOUS"] and inv_in.tobytes() == inv.tobytes()
 
 

@@ -15,6 +15,7 @@ from epinverse.cli import main
 from epinverse.config import KEYS
 from epinverse.eit import cem
 from epinverse.eit.mesh import gen_disk_mesh, write_mesh
+from epinverse.mcmc import ACCEPTANCE_BAND
 
 
 def write_cfg(path, **kv):
@@ -195,17 +196,33 @@ def test_mcmc_identical_seed_chains_zero_errors(tmp_path):
     assert s["mixed"] is True and len(s["acceptance_in_band"]) == 3
 
 
+SEED_9_LINEAR = dict(problem="linear", linear_m=20, linear_n=12, linear_sparsity=3, alpha=400.0, floor=0.0,
+                     sigma_bg=0.0, seed=9, mcmc_chains=4, mcmc_pilot_steps=2000, **{"lambda": 2.0})
+
+
 def test_mcmc_says_when_its_chains_did_not_mix(tmp_path):
-    # the seed-9 linear problem: the pilot tunes at the floor corner, the
-    # chains run far from it, at acceptance about 0.9, and R-hat is about 35
+    # the seed-9 linear problem with starts spread ten times wider than the
+    # default and chains too short to forget them: R-hat is about 4
     out = tmp_path / "out"
-    cfg = write_cfg(tmp_path / "m.cfg", problem="linear", linear_m=20, linear_n=12, linear_sparsity=3,
-                    alpha=400.0, floor=0.0, sigma_bg=0.0, seed=9, mcmc_chains=4, mcmc_steps=10000,
-                    mcmc_pilot_steps=2000, mcmc_init_spread=0.3, out=out, **{"lambda": 2.0})
+    cfg = write_cfg(tmp_path / "m.cfg", **SEED_9_LINEAR, mcmc_steps=1000, mcmc_init_spread=3.0, out=out)
     assert main(["mcmc", "--config", cfg]) == 0
     s = load_summary(out)
     assert s["ok"] is True and s["mixed"] is False and s["rhat_max"] >= 1.05
-    assert s["acceptance_in_band"] == [0.18 <= a <= 0.30 for a in s["acceptance_rates"]] == [False] * 4
+    assert s["acceptance_in_band"] == [0.18 <= a <= 0.30 for a in s["acceptance_rates"]]
+
+
+def test_mcmc_pilots_where_its_chains_start(tmp_path):
+    # the seed-9 linear problem: pilots run from the floor corner tuned the
+    # scale to 2.0e-4 there, the chains then ran at acceptance about 0.9 and
+    # R-hat read about 35; pilots from the first chain's start bring every
+    # chain into the band
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "m.cfg", **SEED_9_LINEAR, mcmc_steps=10000, mcmc_init_spread=0.3, out=out)
+    assert main(["mcmc", "--config", cfg]) == 0
+    s = load_summary(out)
+    assert s["ok"] is True and s["mixed"] is True and s["rhat_max"] < 1.05
+    lo, hi = ACCEPTANCE_BAND
+    assert s["acceptance_in_band"] == [lo <= a <= hi for a in s["acceptance_rates"]] == [True] * 4
 
 
 def test_mcmc_counts_its_steps_and_lists_its_pilots(tmp_path, monkeypatch):
@@ -453,73 +470,77 @@ def _two_electrode_inputs(tmp_path):
     return {"mesh": mesh, "data": data}
 
 
-@pytest.mark.parametrize(
-    "command, keys, code",
-    [
-        ("ep", {**LINEAR_6x4, "ep_max_sweeps": 0}, "bad_ep_max_sweeps"),
-        ("ep", {**LINEAR_6x4, "ep_max_sweeps": -3}, "bad_ep_max_sweeps"),
-        ("ep", {**LINEAR_6x4, "ep_max_outer": 0}, "bad_ep_max_outer"),
-        ("mcmc", {**LINEAR_6x4, "mcmc_chains": 1}, "bad_mcmc_chains"),
-        ("mcmc", {**LINEAR_6x4, "mcmc_thin": 0}, "bad_mcmc_thin"),
-        ("mcmc", {**LINEAR_6x4, "mcmc_steps": 100, "mcmc_burn_in": 100}, "bad_mcmc_burn_in"),
-        ("mcmc", {**LINEAR_6x4, "mcmc_pilot_steps": 0}, "bad_mcmc_pilot_steps"),
-        ("ep", {"problem": "eit", "patterns": "0-1,1"}, "bad_patterns"),
-        ("ep", {"problem": "eit", "patterns": "0-1,3-3"}, "bad_patterns"),
-        ("ep", {"problem": "eit", "impedances": "2e-4 " * 15 + "-2e-4"}, "bad_impedances"),
-        ("ep", {"problem": "eit", "data": (2, "abc")}, "bad_data"),
-        ("ep", {"problem": "eit", "data": (2, None)}, "bad_data"),
-        ("ep", {"problem": "eit", "data": (1, "3.5")}, "bad_data"),
-        ("ep", {"problem": "eit", "data": (2, "nan")}, "bad_data"),
-        ("ep", {"problem": "eit", "data": (2, "-inf")}, "bad_data"),
-        ("ep", {**LINEAR_6x4, "ep_outer_tol": -1}, "bad_ep_outer_tol"),
-        ("ep", {**LINEAR_6x4, "ep_outer_tol": 0}, "bad_ep_outer_tol"),
-        ("ep", {**LINEAR_6x4, "ep_outer_tol": "nan"}, "bad_ep_outer_tol"),
-        ("ep", {"problem": "linear", "linear_sparsity": 50}, "bad_linear_sparsity"),
-        ("ep", {**LINEAR_6x4, "linear_sparsity": -1}, "bad_linear_sparsity"),
-        ("ep", {"problem": "linear", "linear_n": 0}, "bad_linear_n"),
-        ("mcmc", {"problem": "linear", "linear_m": 0}, "bad_linear_m"),
-        ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": 0}, "bad_mcmc_proposal_std"),
-        ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": -0.1}, "bad_mcmc_proposal_std"),
-        ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": "inf"}, "bad_mcmc_proposal_std"),
-        ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": "nan"}, "bad_mcmc_proposal_std"),
-        ("synth", {"alpha": 0}, "bad_alpha"),
-        ("synth", {"alpha": -400}, "bad_alpha"),
-        ("synth", {"noise_std": -1}, "bad_noise_std"),
-        ("synth", {"noise_std": "nan"}, "bad_noise_std"),
-        ("synth", {"noise_std": "inf"}, "bad_noise_std"),
-        # non-finite numbers; floor alone may be -inf
-        ("ep", {**LINEAR_6x4, "linear_amplitude": "nan"}, "bad_linear_amplitude"),
-        ("ep", {**LINEAR_6x4, "sigma_bg": "nan"}, "bad_sigma_bg"),
-        ("ep", {**LINEAR_6x4, "sigma_bg": "inf"}, "bad_sigma_bg"),
-        ("ep", {**LINEAR_6x4, "floor": "nan"}, "bad_floor"),
-        ("ep", {**LINEAR_6x4, "floor": "inf"}, "bad_floor"),
-        ("ep", {**LINEAR_6x4, "lambda": "inf"}, "bad_lambda"),
-        ("ep", {**LINEAR_6x4, "alpha": "inf"}, "bad_alpha"),
-        ("synth", {"amplitude": "nan"}, "bad_amplitude"),
-        ("synth", {"radius": "nan"}, "bad_radius"),
-        ("synth", {"impedances": "inf " + "1e-4 " * 15}, "bad_impedances"),
-        # disk geometry: radius > 0 and at least three electrodes
-        ("mesh", {"radius": 0}, "bad_radius"),
-        ("mesh", {"radius": -1}, "bad_radius"),
-        ("mesh", {"radius": "inf"}, "bad_radius"),
-        ("mesh", {"electrodes": 1}, "bad_electrodes"),
-        ("mesh", {"electrodes": 0}, "bad_electrodes"),
-        ("synth", {"radius": 0}, "bad_radius"),
-        ("synth", {"radius": -1}, "bad_radius"),
-        ("synth", {"electrodes": 1}, "bad_electrodes"),
-        # two electrodes leave no measurement: each pattern drives both
-        ("mesh", {"electrodes": 2}, "bad_electrodes"),
-        ("synth", {"electrodes": 2}, "bad_electrodes"),
-        ("ep", {"problem": "eit", "electrodes": 2, "mesh": TWO_ELECTRODE_MESH}, "bad_electrodes"),
-        # zero current: synth wrote pure noise and ep returned the prior
-        ("synth", {"amplitude": 0}, "bad_amplitude"),
-        ("synth", {"amplitude": "-0.0"}, "bad_amplitude"),
-        ("ep", {"problem": "eit", "amplitude": 0}, "bad_amplitude"),
-        ("mcmc", {"problem": "eit", "amplitude": 0}, "bad_amplitude"),
-        # a negative spread was read as none: every chain at the centre
-        ("mcmc", {**LINEAR_6x4, "mcmc_init_spread": -0.3}, "bad_mcmc_init_spread"),
-    ],
-)
+# Each case has an id of its own, so adding one renames no other.  The ids
+# of these first cases are the ones pytest numbered them by, kept so that
+# lists of test names kept between changes stay valid; a new case is named
+# by its command, key and value, as in "mcmc-mcmc_chains-1".
+BAD_USER_INPUT = {
+    "ep-keys0-bad_ep_max_sweeps": ("ep", {**LINEAR_6x4, "ep_max_sweeps": 0}, "bad_ep_max_sweeps"),
+    "ep-keys1-bad_ep_max_sweeps": ("ep", {**LINEAR_6x4, "ep_max_sweeps": -3}, "bad_ep_max_sweeps"),
+    "ep-keys2-bad_ep_max_outer": ("ep", {**LINEAR_6x4, "ep_max_outer": 0}, "bad_ep_max_outer"),
+    "mcmc-keys3-bad_mcmc_chains": ("mcmc", {**LINEAR_6x4, "mcmc_chains": 1}, "bad_mcmc_chains"),
+    "mcmc-keys4-bad_mcmc_thin": ("mcmc", {**LINEAR_6x4, "mcmc_thin": 0}, "bad_mcmc_thin"),
+    "mcmc-keys5-bad_mcmc_burn_in": ("mcmc", {**LINEAR_6x4, "mcmc_steps": 100, "mcmc_burn_in": 100}, "bad_mcmc_burn_in"),
+    "mcmc-keys6-bad_mcmc_pilot_steps": ("mcmc", {**LINEAR_6x4, "mcmc_pilot_steps": 0}, "bad_mcmc_pilot_steps"),
+    "ep-keys7-bad_patterns": ("ep", {"problem": "eit", "patterns": "0-1,1"}, "bad_patterns"),
+    "ep-keys8-bad_patterns": ("ep", {"problem": "eit", "patterns": "0-1,3-3"}, "bad_patterns"),
+    "ep-keys9-bad_impedances": ("ep", {"problem": "eit", "impedances": "2e-4 " * 15 + "-2e-4"}, "bad_impedances"),
+    "ep-keys10-bad_data": ("ep", {"problem": "eit", "data": (2, "abc")}, "bad_data"),
+    "ep-keys11-bad_data": ("ep", {"problem": "eit", "data": (2, None)}, "bad_data"),
+    "ep-keys12-bad_data": ("ep", {"problem": "eit", "data": (1, "3.5")}, "bad_data"),
+    "ep-keys13-bad_data": ("ep", {"problem": "eit", "data": (2, "nan")}, "bad_data"),
+    "ep-keys14-bad_data": ("ep", {"problem": "eit", "data": (2, "-inf")}, "bad_data"),
+    "ep-keys15-bad_ep_outer_tol": ("ep", {**LINEAR_6x4, "ep_outer_tol": -1}, "bad_ep_outer_tol"),
+    "ep-keys16-bad_ep_outer_tol": ("ep", {**LINEAR_6x4, "ep_outer_tol": 0}, "bad_ep_outer_tol"),
+    "ep-keys17-bad_ep_outer_tol": ("ep", {**LINEAR_6x4, "ep_outer_tol": "nan"}, "bad_ep_outer_tol"),
+    "ep-keys18-bad_linear_sparsity": ("ep", {"problem": "linear", "linear_sparsity": 50}, "bad_linear_sparsity"),
+    "ep-keys19-bad_linear_sparsity": ("ep", {**LINEAR_6x4, "linear_sparsity": -1}, "bad_linear_sparsity"),
+    "ep-keys20-bad_linear_n": ("ep", {"problem": "linear", "linear_n": 0}, "bad_linear_n"),
+    "mcmc-keys21-bad_linear_m": ("mcmc", {"problem": "linear", "linear_m": 0}, "bad_linear_m"),
+    "mcmc-keys22-bad_mcmc_proposal_std": ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": 0}, "bad_mcmc_proposal_std"),
+    "mcmc-keys23-bad_mcmc_proposal_std": ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": -0.1}, "bad_mcmc_proposal_std"),
+    "mcmc-keys24-bad_mcmc_proposal_std": ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": "inf"}, "bad_mcmc_proposal_std"),
+    "mcmc-keys25-bad_mcmc_proposal_std": ("mcmc", {**LINEAR_6x4, "mcmc_proposal_std": "nan"}, "bad_mcmc_proposal_std"),
+    "synth-keys26-bad_alpha": ("synth", {"alpha": 0}, "bad_alpha"),
+    "synth-keys27-bad_alpha": ("synth", {"alpha": -400}, "bad_alpha"),
+    "synth-keys28-bad_noise_std": ("synth", {"noise_std": -1}, "bad_noise_std"),
+    "synth-keys29-bad_noise_std": ("synth", {"noise_std": "nan"}, "bad_noise_std"),
+    "synth-keys30-bad_noise_std": ("synth", {"noise_std": "inf"}, "bad_noise_std"),
+    # non-finite numbers; floor alone may be -inf
+    "ep-keys31-bad_linear_amplitude": ("ep", {**LINEAR_6x4, "linear_amplitude": "nan"}, "bad_linear_amplitude"),
+    "ep-keys32-bad_sigma_bg": ("ep", {**LINEAR_6x4, "sigma_bg": "nan"}, "bad_sigma_bg"),
+    "ep-keys33-bad_sigma_bg": ("ep", {**LINEAR_6x4, "sigma_bg": "inf"}, "bad_sigma_bg"),
+    "ep-keys34-bad_floor": ("ep", {**LINEAR_6x4, "floor": "nan"}, "bad_floor"),
+    "ep-keys35-bad_floor": ("ep", {**LINEAR_6x4, "floor": "inf"}, "bad_floor"),
+    "ep-keys36-bad_lambda": ("ep", {**LINEAR_6x4, "lambda": "inf"}, "bad_lambda"),
+    "ep-keys37-bad_alpha": ("ep", {**LINEAR_6x4, "alpha": "inf"}, "bad_alpha"),
+    "synth-keys38-bad_amplitude": ("synth", {"amplitude": "nan"}, "bad_amplitude"),
+    "synth-keys39-bad_radius": ("synth", {"radius": "nan"}, "bad_radius"),
+    "synth-keys40-bad_impedances": ("synth", {"impedances": "inf " + "1e-4 " * 15}, "bad_impedances"),
+    # disk geometry: radius > 0 and at least three electrodes
+    "mesh-keys41-bad_radius": ("mesh", {"radius": 0}, "bad_radius"),
+    "mesh-keys42-bad_radius": ("mesh", {"radius": -1}, "bad_radius"),
+    "mesh-keys43-bad_radius": ("mesh", {"radius": "inf"}, "bad_radius"),
+    "mesh-keys44-bad_electrodes": ("mesh", {"electrodes": 1}, "bad_electrodes"),
+    "mesh-keys45-bad_electrodes": ("mesh", {"electrodes": 0}, "bad_electrodes"),
+    "synth-keys46-bad_radius": ("synth", {"radius": 0}, "bad_radius"),
+    "synth-keys47-bad_radius": ("synth", {"radius": -1}, "bad_radius"),
+    "synth-keys48-bad_electrodes": ("synth", {"electrodes": 1}, "bad_electrodes"),
+    # two electrodes leave no measurement: each pattern drives both
+    "mesh-keys49-bad_electrodes": ("mesh", {"electrodes": 2}, "bad_electrodes"),
+    "synth-keys50-bad_electrodes": ("synth", {"electrodes": 2}, "bad_electrodes"),
+    "ep-keys51-bad_electrodes": ("ep", {"problem": "eit", "electrodes": 2, "mesh": TWO_ELECTRODE_MESH}, "bad_electrodes"),
+    # zero current: synth wrote pure noise and ep returned the prior
+    "synth-keys52-bad_amplitude": ("synth", {"amplitude": 0}, "bad_amplitude"),
+    "synth-keys53-bad_amplitude": ("synth", {"amplitude": "-0.0"}, "bad_amplitude"),
+    "ep-keys54-bad_amplitude": ("ep", {"problem": "eit", "amplitude": 0}, "bad_amplitude"),
+    "mcmc-keys55-bad_amplitude": ("mcmc", {"problem": "eit", "amplitude": 0}, "bad_amplitude"),
+    # a negative spread was read as none: every chain at the centre
+    "mcmc-keys56-bad_mcmc_init_spread": ("mcmc", {**LINEAR_6x4, "mcmc_init_spread": -0.3}, "bad_mcmc_init_spread"),
+}
+
+
+@pytest.mark.parametrize("command, keys, code", list(BAD_USER_INPUT.values()), ids=list(BAD_USER_INPUT))
 def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, code):
     _, mesh_path, data_path = workspace
     if keys.get("mesh") == TWO_ELECTRODE_MESH:

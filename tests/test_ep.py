@@ -601,7 +601,8 @@ def test_run_ep_global_not_pd():
 
     base = NaturalGaussian(np.zeros(2), -2.0 * np.eye(2))
     sites = [Site(np.eye(2)[i : i + 1], LaplacePositivityFactor(1.0, 0.0)) for i in range(2)]
-    with pytest.raises(GlobalNotPD):
+    # the entry snapshot fails: sweep 0
+    with pytest.raises(GlobalNotPD, match=r"^sweep 0: maximum diagonal entry is not positive$"):
         run_ep(base, sites, EPOptions(max_sweeps=1))
 
 
@@ -611,7 +612,7 @@ def test_run_ep_global_not_pd_after_a_sweep_leaves_the_assembled_parameters():
     # the parallel refit takes the whole precision 0.5 + 1 down to ~1e-20
     base = NaturalGaussian(np.zeros(1), np.array([[0.5]]))
     s = Site(np.array([[1.0]]), BlowupFactor(0.0, 1.0))
-    with pytest.raises(GlobalNotPD):
+    with pytest.raises(GlobalNotPD, match=r"^sweep 2: maximum diagonal entry is not positive$"):
         run_ep(base, [s], EPOptions(max_sweeps=3, sweep_mode="parallel"))
     assert s.tau == 1e-20 - 0.5 and s.nu == 0.0
 

@@ -72,10 +72,12 @@ def test_laplace_positivity_trivial_limit():
 
 
 @pytest.mark.parametrize("field, value", [("lam", math.nan), ("lam", -1.0), ("sigma_bg", math.nan),
+                                          ("sigma_bg", math.inf), ("sigma_bg", -math.inf),
                                           ("floor", math.nan), ("floor", math.inf)])
 def test_laplace_positivity_rejects_nan_parameters(field, value):
     # a NaN parameter was accepted; its moments then raised an untyped
-    # ValueError or DegenerateSupport
+    # ValueError or DegenerateSupport.  An infinite sigma_bg was accepted
+    # too, and its flat moments warned of an invalid logaddexp
     params = {"lam": 1.0, "sigma_bg": 0.0, "floor": -1.0, field: value}
     with pytest.raises(ValueError, match=field):
         LaplacePositivityFactor(**params)

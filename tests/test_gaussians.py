@@ -135,8 +135,8 @@ def test_product_adds_parameters():
     h = base.h + sum(s.nu * s.U[0] for s in sites)
     assert np.allclose(g.h, h, rtol=1e-14, atol=0.0)
     assert np.allclose(g.K, K, rtol=1e-13, atol=1e-14)
-    F = chol.cholesky(g.K)
-    assert np.allclose(F.L @ F.L.T, K, rtol=1e-12, atol=1e-12)
+    L = chol.cholesky(g.K)
+    assert np.allclose(L @ L.T, K, rtol=1e-12, atol=1e-12)
 
 
 def _grid_density_product(gaussians, grid):

@@ -4,7 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from epinverse import EPOptions, GaussianFactor1D, LaplacePositivityFactor, NonFiniteIterate, Site, nonlinear
+from epinverse import (
+    EPOptions,
+    GaussianFactor1D,
+    GlobalNotPD,
+    LaplacePositivityFactor,
+    NonFiniteIterate,
+    Site,
+    nonlinear,
+)
+from epinverse.factors import TiltedMoments
 from epinverse.nonlinear import (
     ForwardModel,
     LinearModel,
@@ -230,6 +239,27 @@ def test_nonlinear_options_reject_a_non_positive_outer_tol(outer_tol):
 def test_nonlinear_options_reject_a_non_positive_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):
         NonlinearOptions(alpha=alpha)
+
+
+class Widening(GaussianFactor1D):
+    """Tilted moments twice as wide as the cavity: a sweep fits the site
+    precision -K0 / 2, which leaves K0 / 2 against the base K0 it was fitted
+    on, but not against a base less than half as steep."""
+
+    def moments(self, m, v):
+        return TiltedMoments(0.0, m, 2.0 * v)
+
+
+@pytest.mark.parametrize("mode", ["serial", "parallel"])
+def test_global_not_pd_names_the_outer_iteration_and_the_sweep(mode):
+    # F(x) = x^2 from x = 1: outer 1 fits tau = -2 against K0 = 4; the warm
+    # site meets the flatter base of outer 2 at its entry snapshot
+    s = Site(np.ones((1, 1)), Widening(0.0, 1.0))
+    opts = NonlinearOptions(alpha=1.0, max_outer=3, outer_tol=1e-300,
+                            inner=EPOptions(max_sweeps=2, site_tol=1e-12, sweep_mode=mode))
+    with pytest.raises(GlobalNotPD, match=r"^outer iteration 2, sweep 0: maximum diagonal entry is not positive$"):
+        run_nonlinear(ScalarPower(2), np.array([0.04]), [s], opts, np.array([1.0]))
+    assert s.tau == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_skipped_sites_cover_every_outer_iteration():
