@@ -22,7 +22,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from . import config as cfgmod
 from . import nonlinear
 from .config import ConfigKeyError, get
 from .ep import EPOptions, Site
-from .errors import ElectrodeCountMismatch, EpinverseError, MeshFileError
+from .errors import AdaptFailed, ElectrodeCountMismatch, EpinverseError, MeshFileError
 from .factors import LaplacePositivityFactor
 from .mcmc import (
     ACCEPTANCE_BAND,
@@ -49,7 +49,7 @@ from .nonlinear import ForwardModel, LinearModel, NonlinearOptions, run_nonlinea
 from .eit import cem
 from .eit.mesh import gen_disk_mesh, read_mesh, write_mesh
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 # The OpenBLAS builds bundled with numpy and scipy, and their thread-count
 # entry points (set, get): matrix products run on numpy's, the LAPACK and
@@ -314,6 +314,7 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
             for outer, s in res.skipped_sites
         ],
         "tau": [r.tau for r in res.outer_records],
+        "outer": [asdict(r) for r in res.outer_records],
     }
 
 
@@ -345,8 +346,16 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     pilots: list[tuple[ChainConfig, ChainSummary]] = []
     # the pilots tune the scale where the chains run, not at the centre,
     # which on the linear problem is the floor corner
-    adapted = adapt_proposal(post, inits[0], std0, pilot_steps=pilot_steps, seed=seed,
-                             on_pilot=lambda c, s: pilots.append((c, s)))
+
+    def pilot_rows() -> list[dict]:
+        return [{"scale": c.proposal_std, "acceptance": s.acceptance_rate} for c, s in pilots]
+
+    try:
+        adapted = adapt_proposal(post, inits[0], std0, pilot_steps=pilot_steps, seed=seed,
+                                 on_pilot=lambda c, s: pilots.append((c, s)))
+    except AdaptFailed as exc:
+        exc.summary = {"pilots": pilot_rows()}
+        raise
     chain_cfgs = [
         ChainConfig(
             steps=steps,
@@ -378,7 +387,7 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
         "chains": n_chains,
         "steps": steps,
         "proposal_std": adapted,
-        "pilots": [{"scale": c.proposal_std, "acceptance": s.acceptance_rate} for c, s in pilots],
+        "pilots": pilot_rows(),
         "mh_steps": sum(c.steps for c, _ in pilots) + sum(c.steps for c in chain_cfgs),
         "acceptance_rates": rep.acceptance_rates,
         "mean_err": rep.mean_err,
@@ -543,6 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         summary["error_detail"] = str(exc)
         code = 2
     except EpinverseError as exc:
+        summary.update(exc.summary or {})
         summary["error"] = type(exc).__name__
         summary["error_detail"] = str(exc)
         code = 1

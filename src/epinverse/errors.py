@@ -2,7 +2,11 @@
 
 
 class EpinverseError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  ``summary``, when set, holds what
+    the failing command had made before the error, which the CLI writes into
+    summary.json beside it."""
+
+    summary: dict | None = None
 
 
 class NotPositiveDefinite(EpinverseError):

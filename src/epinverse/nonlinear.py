@@ -4,14 +4,16 @@ step control.
 Each outer iteration linearizes the forward map around the current mean,
 runs the projection EP engine on the linearized Gaussian base plus the prior
 sites, and moves the mean along the EP direction with a Barzilai-Borwein step.
-Sites are warm-started across outer iterations.
+Sites are warm-started across outer iterations.  After the first, each
+outer iteration solves its EP problem only as accurately as its step can
+use: its sweeps stop at a site tolerance set by the previous step (FORCING).
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,6 +93,7 @@ class OuterRecord:
     inner_sweeps: int
     ep_converged: bool
     residual_norm: float
+    site_tol: float  # the tolerance the iteration's (last) EP run stopped against
 
 
 @dataclass
@@ -136,6 +139,20 @@ def _effective_tau(mu_k, mu_km1, d_k, d_km1) -> float:
     return 1.0
 
 
+# The forcing term of the inexact inner solve (Dembo, Eisenstat and Steihaug
+# 1982; Eisenstat and Walker 1996): outer iteration k >= 2 stops its EP sweeps
+# once no site moves by FORCING times the relative mean change of iteration
+# k - 1, or by site_tol if that is larger.  The change is capped at 1, which
+# bounds the tolerance by FORCING: from mu0 = 0 the first change is about
+# 1e299 (_rel's floor).
+FORCING = 0.3
+
+
+def _inner_site_tol(site_tol: float, rel_mean_change: float) -> float:
+    """The site tolerance of an outer iteration after the first."""
+    return max(site_tol, FORCING * min(rel_mean_change, 1.0))
+
+
 def run_nonlinear(
     model: ForwardModel,
     data: np.ndarray,
@@ -147,9 +164,15 @@ def run_nonlinear(
 
     The first outer step uses tau = 1.  Iterates are projected onto the
     admissibility floor before each linearization.  Sites are warm-started
-    from the previous outer iteration (updated in place by run_ep).  The run
-    converges when the mean moves by less than ``outer_tol`` and the last EP
-    sweep of that outer iteration refit every site.
+    from the previous outer iteration (updated in place by run_ep).  The
+    first outer iteration's EP run stops at ``opts.inner.site_tol``; each
+    later one at the looser _inner_site_tol of the previous iteration's
+    mean change.  The run converges when the mean moves by less than
+    ``outer_tol``, the last EP sweep of that outer iteration refit every
+    site, and its EP run did not stop on a loosened tolerance: when the
+    step passes the test on such a run, the run is finished at
+    ``opts.inner.site_tol`` within the iteration's ``max_sweeps`` and the
+    step is taken again from its mean.
 
     Raises
     ------
@@ -161,6 +184,7 @@ def run_nonlinear(
         From run_ep, its message led by the outer iteration.
     """
     mu = np.maximum(np.asarray(mu0, dtype=float), opts.floor)
+    site_tol, max_sweeps = opts.inner.site_tol, opts.inner.max_sweeps
 
     prev_mu = None
     prev_d = None
@@ -169,38 +193,53 @@ def run_nonlinear(
     trace = _Trace()
     converged = False
     outer_iters = 0
+    rel_change = 0.0  # so that the first outer iteration stops at site_tol
+    done = 0  # sweeps of this outer iteration before the current EP run
+
+    def on_snapshot(sweep: int, snap: MomentGaussian) -> None:
+        # a finishing run's entry snapshot is the last sweep's again
+        if sweep or not done:
+            trace.add(done + sweep, snap)
 
     for k in range(1, opts.max_outer + 1):
         outer_iters = k
         base = linearize(model, mu, data, opts.alpha)
         if not (np.isfinite(base.h).all() and np.isfinite(base.K).all()):
             raise NonFiniteIterate(f"the linearization at outer iterate {k} is not finite")
-        try:
-            ep_result = run_ep(base, sites, opts.inner, trace.add)
-        except GlobalNotPD as exc:
-            raise GlobalNotPD(f"outer iteration {k}, {exc}") from exc
-        skipped.extend((k, s) for s in ep_result.skipped_sites)
+        inner = replace(opts.inner, site_tol=_inner_site_tol(site_tol, rel_change))
+        done = 0
+        while True:
+            try:
+                ep_result = run_ep(base, sites, inner, on_snapshot)
+            except GlobalNotPD as exc:
+                raise GlobalNotPD(f"outer iteration {k}, {exc}") from exc
+            skipped.extend((k, replace(s, sweep=done + s.sweep)) for s in ep_result.skipped_sites)
+            # as in run_ep: a step whose last sweep skipped a site is not converged
+            refit_all = all(s.sweep < ep_result.sweeps_used for s in ep_result.skipped_sites)
+            done += ep_result.sweeps_used
+            ep_converged = ep_result.converged
+            # stopped on a loosened tolerance, with sweeps left to finish at site_tol
+            loose = ep_converged and ep_result.metrics[-1].max_site_change >= site_tol and done < max_sweeps
+            d = ep_result.mean - mu
+            # its covariance is the trace's last snapshot until the next run
+            # makes one: held past that, it would be one n x n array more
+            del ep_result
 
-        mu_star = ep_result.mean
-        d = mu_star - mu
-        tau = 1.0 if prev_mu is None else _effective_tau(mu, prev_mu, d, prev_d)
-        prev_mu, prev_d = mu.copy(), d
-        mu_new = mu + tau * d
-        if not np.all(np.isfinite(mu_new)):
-            raise NonFiniteIterate(f"outer iterate {k} is not finite")
-        mu_new = np.maximum(mu_new, opts.floor)
-        rel_change = float(np.linalg.norm(mu_new - mu)) / max(float(np.linalg.norm(mu)), 1e-300)
+            tau = 1.0 if prev_mu is None else _effective_tau(mu, prev_mu, d, prev_d)
+            mu_new = mu + tau * d
+            if not np.all(np.isfinite(mu_new)):
+                raise NonFiniteIterate(f"outer iterate {k} is not finite")
+            mu_new = np.maximum(mu_new, opts.floor)
+            rel_change = float(np.linalg.norm(mu_new - mu)) / max(float(np.linalg.norm(mu)), 1e-300)
+            passed = rel_change < opts.outer_tol and refit_all
+            if not (passed and loose):
+                break
+            inner = replace(opts.inner, max_sweeps=max_sweeps - done)
+        prev_mu, prev_d = mu, d
         residual = float(np.linalg.norm(model.evaluate(mu_new) - data))
         mu = mu_new
-        outer_records.append(
-            OuterRecord(k, tau, rel_change, ep_result.sweeps_used, ep_result.converged, residual)
-        )
-        # as in run_ep: a step whose last sweep skipped a site is not converged
-        refit_all = all(sk.sweep < ep_result.sweeps_used for sk in ep_result.skipped_sites)
-        # its covariance is the trace's last snapshot until the next run
-        # makes one: held past that, it would be one n x n array more
-        del ep_result
-        if rel_change < opts.outer_tol and refit_all:
+        outer_records.append(OuterRecord(k, tau, rel_change, done, ep_converged, residual, inner.site_tol))
+        if passed and not loose:
             converged = True
             break
 

@@ -256,6 +256,20 @@ def test_mcmc_counts_its_steps_and_lists_its_pilots(tmp_path, monkeypatch):
     assert again == s
 
 
+def test_mcmc_adapt_failed_lists_its_pilots(tmp_path):
+    # one step per pilot: every pilot accepts 0 or 1 of it, never a rate in
+    # the band, so all max_pilots pilots run and the adaptation fails
+    out = tmp_path / "out"
+    keys = dict(problem="linear", linear_m=10, linear_n=4, alpha=100.0, seed=5, mcmc_chains=2,
+                mcmc_steps=100, mcmc_pilot_steps=1, **{"lambda": 1.0})
+    assert main(["mcmc", "--config", write_cfg(tmp_path / "m.cfg", **keys, out=out)]) == 1
+    s = load_summary(out)
+    assert s["ok"] is False and s["error"] == "AdaptFailed" and "after 40 pilots" in s["error_detail"]
+    assert len(s["pilots"]) == 40
+    assert all(p["acceptance"] in (0.0, 1.0) and p["scale"] > 0.0 for p in s["pilots"])
+    assert not (out / "chain_0.csv").exists()
+
+
 def test_compare_identical_inputs_zero(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -551,7 +565,7 @@ def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, co
     assert main([command, "--config", write_cfg(tmp_path / "c.cfg", **keys, out=out)]) == 2
     s = load_summary(out)
     assert s["ok"] is False and s["error"] == code
-    assert s["schema_version"] == 6
+    assert s["schema_version"] == 7
 
 
 @pytest.mark.parametrize(
@@ -955,7 +969,7 @@ def test_blas_runs_on_one_thread_after_main_when_unset(tmp_path, monkeypatch):
     assert main(["ep", "--config", write_cfg(tmp_path / "e.cfg", **LINEAR_6x4, out=out)]) == 0
     assert [int(get()) for _, get in cli._openblas_entry_points()] == [1] * len(cli._openblas_entry_points())
     s = load_summary(out)
-    assert s["blas_threads"] == 1 and s["schema_version"] == 6
+    assert s["blas_threads"] == 1 and s["schema_version"] == 7
 
 
 @pytest.mark.parametrize("var", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])

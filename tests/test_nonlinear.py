@@ -20,6 +20,7 @@ from epinverse.nonlinear import (
     NonlinearOptions,
     TraceRow,
     _effective_tau,
+    _inner_site_tol,
     linearize,
     run_nonlinear,
 )
@@ -292,6 +293,97 @@ def test_trace_rows_are_tagged_by_outer_and_inner():
     assert last.e_f_mu == 0.0 and last.e_f_C == 0.0
 
 
+def test_inner_site_tol_is_forcing_times_the_last_mean_change_and_bounded():
+    eta = nonlinear.FORCING
+    assert 0.0 < eta < 1.0
+    # outer iteration 1 (no change yet) and a small change get site_tol
+    assert _inner_site_tol(1e-4, 0.0) == 1e-4
+    assert _inner_site_tol(1e-4, 1e-5) == 1e-4
+    assert _inner_site_tol(1e-4, 0.01) == eta * 0.01
+    # from mu0 = 0 the first change is about 1e299: the tolerance stays eta
+    assert _inner_site_tol(1e-4, 1e299) == _inner_site_tol(1e-4, math.inf) == eta
+
+
+class Quadratic(ForwardModel):
+    """F(x) = A (x + c x^2), mildly nonlinear."""
+
+    def __init__(self, A, c):
+        self.A, self.c = A, c
+        self.m, self.n = A.shape
+
+    def evaluate(self, x):
+        return self.A @ (x + self.c * x * x)
+
+    def jacobian(self, x):
+        return self.A * (1.0 + 2.0 * self.c * x)
+
+
+def _recorded_quadratic_run(monkeypatch):
+    """A run whose third outer step passes the outer test on a loosened EP
+    run; returns the result, the options and, per run_ep call, (site_tol,
+    max_sweeps, sweeps used, converged, last site change)."""
+    calls = []
+    real_run_ep = nonlinear.run_ep
+
+    def recording_run_ep(base, sites, opts, on_snapshot):
+        r = real_run_ep(base, sites, opts, on_snapshot)
+        calls.append((opts.site_tol, opts.max_sweeps, r.sweeps_used, r.converged, r.metrics[-1].max_site_change))
+        return r
+
+    monkeypatch.setattr(nonlinear, "run_ep", recording_run_ep)
+    rng = np.random.default_rng(0)
+    n = 4
+    model = Quadratic(rng.standard_normal((6, n)), 0.05)
+    data = model.evaluate(np.array([0.5, 0.0, 1.0, 0.2])) + 0.01 * rng.standard_normal(6)
+    sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(1.0, 0.0, -2.0)) for i in range(n)]
+    opts = NonlinearOptions(alpha=10.0, max_outer=10, outer_tol=1e-3,
+                            inner=EPOptions(max_sweeps=40, site_tol=1e-6, sweep_mode="parallel"))
+    return run_nonlinear(model, data, sites, opts, np.full(n, 0.3)), opts, calls
+
+
+def test_each_outer_iteration_after_the_first_stops_at_the_forcing_tolerance(monkeypatch):
+    res, opts, calls = _recorded_quadratic_run(monkeypatch)
+    site_tol = opts.inner.site_tol
+    records = res.outer_records
+    assert records[0].site_tol == calls[0][0] == site_tol
+    for k in range(1, len(records)):
+        assert calls[k][0] == max(site_tol, nonlinear.FORCING * min(records[k - 1].rel_mean_change, 1.0))
+    # the first change (from 0.3 to about 1.3) is capped at 1
+    assert records[0].rel_mean_change > 1.0 and records[1].site_tol == nonlinear.FORCING
+
+
+def test_a_step_on_a_loosened_ep_run_does_not_end_the_run(monkeypatch):
+    """The third step moves the mean by less than outer_tol, but its EP run
+    stopped at the loosened tolerance with sites still moving by more than
+    site_tol: the run goes on, finishes that EP run at site_tol and takes
+    the step again.  Stopping on the loosened run would report a run
+    converged whose last sweep moved a site by 3e-4 against site_tol 1e-6."""
+    res, opts, calls = _recorded_quadratic_run(monkeypatch)
+    site_tol, max_sweeps = opts.inner.site_tol, opts.inner.max_sweeps
+    assert res.converged and res.outer_iters == 3 and len(calls) == 4
+    loose_tol, _, loose_sweeps, loose_converged, loose_change = calls[2]
+    assert loose_tol > site_tol and loose_converged and loose_change >= site_tol
+    # the finishing run: site_tol, within the iteration's sweep cap
+    tol, sweeps_left, sweeps, converged, change = calls[3]
+    assert tol == site_tol and sweeps_left == max_sweeps - loose_sweeps
+    assert converged and change < site_tol
+    last = res.outer_records[-1]
+    assert last.site_tol == site_tol and last.ep_converged and last.rel_mean_change < opts.outer_tol
+    assert last.inner_sweeps == loose_sweeps + sweeps
+    # the finishing run's entry snapshot is not a trace row; its sweeps
+    # number on from the loosened run's
+    assert [r.inner for r in res.trace if r.outer == 3] == list(range(1, last.inner_sweeps + 1))
+    assert len(res.trace) == sum(r.inner_sweeps for r in res.outer_records)
+
+
+def test_the_forcing_rule_off_keeps_every_outer_iteration_at_site_tol(monkeypatch):
+    monkeypatch.setattr(nonlinear, "FORCING", 0.0)
+    res, opts, calls = _recorded_quadratic_run(monkeypatch)
+    assert res.converged and len(calls) == res.outer_iters
+    assert all(tol == opts.inner.site_tol for tol, *_ in calls)
+    assert all(r.site_tol == opts.inner.site_tol for r in res.outer_records)
+
+
 def _full_rel(a, b):
     return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
 
@@ -304,6 +396,7 @@ def test_trace_rows_equal_the_rows_of_the_full_snapshots(monkeypatch, full_cov_m
     snapshot first), e_f against the last; above FULL_COV_MAX_N unknowns
     the rows compare diagonals."""
     monkeypatch.setattr(nonlinear, "FULL_COV_MAX_N", full_cov_max_n)  # 3: the diagonal path
+    monkeypatch.setattr(nonlinear, "FORCING", 0.0)  # every EP run sweeps to its cap
     histories = []
     real_run_ep = nonlinear.run_ep
 
@@ -361,10 +454,11 @@ def _traced_peak_bytes(n: int, max_outer: int, max_sweeps: int) -> int:
     return peak
 
 
-def test_each_kept_sweep_costs_about_half_a_covariance():
+def test_each_kept_sweep_costs_about_half_a_covariance(monkeypatch):
     """With the inner sweep cap fixed, each sweep more outer iterations keep
     raises the peak by its mean and packed covariance, about half of 8 n^2
     bytes; a full covariance per sweep would be 8 n^2 or more."""
+    monkeypatch.setattr(nonlinear, "FORCING", 0.0)  # every EP run sweeps to its cap
     n, sweeps = 150, 3
     slope = (_traced_peak_bytes(n, 4, sweeps) - _traced_peak_bytes(n, 2, sweeps)) / (2 * sweeps)
     assert slope <= 0.6 * 8 * n * n
