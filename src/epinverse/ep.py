@@ -435,7 +435,8 @@ def _parallel_sweep(snap: MomentGaussian, sites: SiteSet) -> tuple[np.ndarray, n
 
 
 def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = None,
-           on_snapshot: Callable[[int, MomentGaussian], None] | None = None) -> EPResult:
+           on_snapshot: Callable[[int, MomentGaussian], None] | None = None,
+           snap: MomentGaussian | None = None) -> EPResult:
     """Sweep all sites until their parameters stop moving.
 
     Each sweep refits every site from its cavity against the snapshot of
@@ -444,8 +445,10 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
     itself, in array form.  Either mode then makes the next snapshot from
     the refit parameters (_snapshot) and hands it, unchanged thereafter, to
     ``on_snapshot(sweep, snap)``, the entry snapshot as sweep 0; the run
-    keeps no history.  A site whose cavity, moments or (serial) downdate
-    fails is skipped: it keeps its parameters and is listed in
+    keeps no history.  A caller holding the snapshot of ``base`` and the
+    sites' parameters passes it as ``snap``: the run starts from it and
+    makes no entry snapshot.  A site whose cavity, moments or (serial)
+    downdate fails is skipped: it keeps its parameters and is listed in
     ``skipped_sites``.  A sweep converges when no refit site moved by
     ``site_tol`` or more and no site was skipped.  The sweeps read a SiteSet
     built on entry; its parameters are written into the sites when the run
@@ -471,8 +474,9 @@ def run_ep(base: NaturalGaussian, sites: list[Site], opts: EPOptions | None = No
         base = NaturalGaussian(base.h, 0.5 * (base.K + base.K.T))
     sweep = 0
     try:
-        snap = _snapshot(base, site_set)
-        on_snapshot(0, snap)
+        if snap is None:
+            snap = _snapshot(base, site_set)
+            on_snapshot(0, snap)
         metrics: list[SweepMetrics] = []
         skipped: list[SkippedSite] = []
         converged = False

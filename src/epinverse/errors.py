@@ -26,7 +26,8 @@ class GlobalNotPD(EpinverseError):
 
 
 class DegenerateSupport(EpinverseError):
-    """A tilted factor has no numerically reachable probability mass."""
+    """A tilted factor has no numerically reachable probability mass: its
+    log normalizer is not finite.  A finite one, however small, is reachable."""
 
 
 class QuadratureNotConverged(EpinverseError):

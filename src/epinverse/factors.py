@@ -33,8 +33,6 @@ from .gaussians import log_density_1d
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
-# log Z below the double-precision floor of exp(): no reachable mass.
-LOGZ_FLOOR = -745.0
 # The quadrature oracle's window ends where the integrand lies this far below
 # its peak (e^-60 ~ 1e-26); each side is widened by the window's width at most
 # this many times to get there.
@@ -463,10 +461,9 @@ def _unreachable(logz: float) -> DegenerateSupport:
 
 
 def _reachable(logz, mean, var) -> TiltedMoments:
-    """TiltedMoments in floats, or DegenerateSupport if logZ is not finite or
-    is below LOGZ_FLOOR."""
+    """TiltedMoments in floats, or DegenerateSupport if logZ is not finite."""
     logz = float(logz)
-    if logz < LOGZ_FLOOR or not math.isfinite(logz):
+    if not math.isfinite(logz):
         raise _unreachable(logz)
     return TiltedMoments(logz, float(mean), float(var))
 
@@ -521,15 +518,16 @@ def moments_laplace_positivity(f: LaplacePositivityFactor, m: float, v: float) -
     Raises
     ------
     DegenerateSupport
-        If logZ < -745 (mass numerically unreachable; the caller may pin the
-        site at the floor).
+        If logZ is not finite (no reachable mass, as when a bound overflows);
+        a finite logZ, however far below exp's range, keeps its moments.
     """
     if v <= 0.0:
         raise ValueError("cavity variance must be positive")
     if f.lam == 0.0 and f.floor == -math.inf:
         return TiltedMoments(0.0, m, v)
-    # a dropped lower piece may pass through inf - inf on its way out
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a standardized bound may overflow to inf on its way to a dropped piece,
+    # and a dropped lower piece pass through inf - inf on its way out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pieces = _laplace_pieces(f, float(m), float(v), trunc_gauss_std, _pick)
     return _reachable(*pieces)
 
@@ -538,8 +536,8 @@ def moments_laplace_positivity_many(
     f: LaplacePositivityFactor, m: np.ndarray, v: np.ndarray
 ) -> TiltedMomentsMany:
     """moments_laplace_positivity elementwise over 1-D arrays (m, v), through
-    trunc_gauss_std_many.  Elements with logZ < LOGZ_FLOOR or a non-finite
-    logZ are reported in ``errors`` with the scalar kernel's
+    trunc_gauss_std_many.  Elements whose logZ is not finite, and only
+    those, are reported in ``errors`` with the scalar kernel's
     DegenerateSupport."""
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -551,7 +549,7 @@ def moments_laplace_positivity_many(
     # to the flag below, and a dropped lower piece on its way out
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logz, mean, var = _laplace_pieces(f, m, v, trunc_gauss_std_many, np.where)
-    bad = ~np.isfinite(logz) | (logz < LOGZ_FLOOR)
+    bad = ~np.isfinite(logz)
     errors = {k: _unreachable(float(logz[k])) for k in np.flatnonzero(bad).tolist()}
     if errors:
         logz, mean, var = (np.where(bad, np.nan, x) for x in (logz, mean, var))
@@ -645,7 +643,4 @@ def moments_quadrature(
     ref = float(grid[int(np.argmax(logg))])
     mean = ref + _quad(lambda x: (x - ref) * f0(x), sd * i0) / i0
     var = _quad(lambda x: (x - mean) ** 2 * f0(x), 0.0) / i0
-    logz = gmax + math.log(i0)
-    if logz < LOGZ_FLOOR:
-        raise DegenerateSupport(f"no numerically reachable mass (logZ = {logz:.1f})")
-    return TiltedMoments(logz, mean, var)
+    return TiltedMoments(gmax + math.log(i0), mean, var)

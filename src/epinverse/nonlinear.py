@@ -197,9 +197,7 @@ def run_nonlinear(
     done = 0  # sweeps of this outer iteration before the current EP run
 
     def on_snapshot(sweep: int, snap: MomentGaussian) -> None:
-        # a finishing run's entry snapshot is the last sweep's again
-        if sweep or not done:
-            trace.add(done + sweep, snap)
+        trace.add(done + sweep, snap)
 
     for k in range(1, opts.max_outer + 1):
         outer_iters = k
@@ -210,7 +208,8 @@ def run_nonlinear(
         done = 0
         while True:
             try:
-                ep_result = run_ep(base, sites, inner, on_snapshot)
+                # a finishing run starts from the loosened run's last snapshot
+                ep_result = run_ep(base, sites, inner, on_snapshot, trace.last if done else None)
             except GlobalNotPD as exc:
                 raise GlobalNotPD(f"outer iteration {k}, {exc}") from exc
             skipped.extend((k, replace(s, sweep=done + s.sweep)) for s in ep_result.skipped_sites)

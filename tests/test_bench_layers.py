@@ -67,9 +67,9 @@ def test_run_ep_hook_reads_a_real_run_ep_call(monkeypatch):
     rng = np.random.default_rng(4)
     n = 4
     model = LinearModel(rng.standard_normal((6, n)))
-    # the last site's factor has no mass near the data: DegenerateSupport
+    # the last site's floor overflows its tilted logZ to -inf: DegenerateSupport
     sites = [Site(np.eye(1, n, i), LaplacePositivityFactor(1.0, 0.0, -1.0)) for i in range(n - 1)]
-    sites.append(Site(np.eye(1, n, n - 1), LaplacePositivityFactor(1.0, 0.0, floor=60.0)))
+    sites.append(Site(np.eye(1, n, n - 1), LaplacePositivityFactor(1.0, 0.0, floor=1e308)))
     opts = NonlinearOptions(alpha=10.0, max_outer=2, outer_tol=1e-300, inner=EPOptions(max_sweeps=3))
     run_nonlinear(model, model.evaluate(np.full(n, 0.5)), sites, opts, np.zeros(n))
     assert len(calls) == 2

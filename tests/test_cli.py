@@ -755,12 +755,12 @@ def test_electrode_count_mismatch_is_a_config_error(
 
 
 def test_ep_skipped_sites_are_tagged_by_outer(tmp_path):
-    # a steep Laplace prior against data of scale 1e4 puts every site's
-    # tilted mass out of reach, in every sweep of every outer iteration;
-    # the mean then stops moving, which is not convergence
+    # a Laplace prior of rate 1e308 overflows every site's tilted logZ to
+    # -inf, in every sweep of every outer iteration; the mean then stops
+    # moving, which is not convergence
     out = tmp_path / "skip"
     cfg = write_cfg(
-        tmp_path / "skip.cfg", **LINEAR_6x4, linear_amplitude=1e4, **{"lambda": 10.0},
+        tmp_path / "skip.cfg", **LINEAR_6x4, **{"lambda": 1e308},
         ep_max_sweeps=2, ep_max_outer=2, out=out,
     )
     assert main(["ep", "--config", cfg]) == 0
@@ -770,6 +770,24 @@ def test_ep_skipped_sites_are_tagged_by_outer(tmp_path):
         (k, j) for k in (1, 2) for j in (1, 2) for _ in range(4)
     ]
     assert all(e["reason"].startswith("DegenerateSupport") for e in s["skipped_sites"])
+
+
+def test_a_finishing_ep_run_starts_from_the_last_snapshot(tmp_path, monkeypatch):
+    # at --seed 2 outer iteration 2's EP run stops on the loosened tolerance
+    # after 1 sweep and is finished at site_tol in 2 more: 2 + 8 snapshots,
+    # one per EP run's entry and one per sweep, the finishing run's entry
+    # being the loosened run's last
+    from epinverse import ep
+
+    calls = []
+    snapshot = ep._snapshot
+    monkeypatch.setattr(ep, "_snapshot", lambda *a: calls.append(a) or snapshot(*a))
+    out = tmp_path / "out"
+    assert main(["ep", "--config", write_cfg(tmp_path / "c.cfg", problem="linear", out=out), "--seed", "2"]) == 0
+    s = load_summary(out)
+    assert [(o["inner_sweeps"], o["site_tol"]) for o in s["outer"]] == [(5, 1e-4), (3, 1e-4)]
+    assert len(calls) == s["outer_iterations"] + s["total_inner_sweeps"] == 10
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + s["total_inner_sweeps"]
 
 
 @pytest.mark.parametrize("mode", ["parallel", "serial"])

@@ -647,9 +647,10 @@ def test_run_ep_cavity_invalid_skips():
 
 
 def test_run_ep_sweep_with_skipped_sites_does_not_converge():
-    # every site is skipped, so no site moves; that is not convergence
+    # every site is skipped (the floor overflows its tilted logZ to -inf), so
+    # no site moves; that is not convergence
     base = NaturalGaussian(np.zeros(4), np.eye(4))
-    sites = [Site(np.eye(1, 4, i), LaplacePositivityFactor(1.0, 0.0, floor=60.0)) for i in range(4)]
+    sites = [Site(np.eye(1, 4, i), LaplacePositivityFactor(1.0, 0.0, floor=1e308)) for i in range(4)]
     res = run_ep(base, sites, EPOptions(max_sweeps=3, site_tol=1e-8))
     assert not res.converged
     assert res.sweeps_used == 3
@@ -659,9 +660,10 @@ def test_run_ep_sweep_with_skipped_sites_does_not_converge():
 
 def test_run_ep_degenerate_support_skips():
     base = NaturalGaussian(np.zeros(1), np.array([[1.0]]))
-    s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0, floor=60.0))
+    s = Site(np.array([[1.0]]), LaplacePositivityFactor(1.0, 0.0, floor=1e308))
     res = run_ep(base, [s], EPOptions(max_sweeps=1, site_tol=1e-8))
-    assert any("DegenerateSupport" in sk.reason for sk in res.skipped_sites)
+    assert any(sk.reason == "DegenerateSupport: no numerically reachable mass (logZ = -inf)"
+               for sk in res.skipped_sites)
 
 
 def test_serial_and_parallel_agree_single_site():
@@ -947,7 +949,7 @@ def _parallel_cases():
             [
                 Site(np.eye(1, 4, 0), lap, tau=3.0),  # with the next site: CavityInvalid
                 Site(np.eye(1, 4, 0), lap, tau=-2.0),
-                Site(np.eye(1, 4, 1), LaplacePositivityFactor(1.0, 0.0, floor=60.0)),  # DegenerateSupport
+                Site(np.eye(1, 4, 1), LaplacePositivityFactor(1.0, 0.0, floor=1e308)),  # DegenerateSupport
                 Site(np.eye(1, 4, 2), ZeroVarianceFactor(0.0, 1.0)),  # NotPositiveDefinite
                 Site(np.eye(1, 4, 3), lap),
                 Site(np.eye(1, 4, 2), lap),

@@ -106,9 +106,27 @@ def test_laplace_positivity_extreme_tilt_no_overflow():
 
 
 def test_laplace_positivity_degenerate_support():
-    f = LaplacePositivityFactor(lam=1.0, sigma_bg=0.0, floor=50.0)
-    with pytest.raises(DegenerateSupport):
+    # the floor's standardized bound squares to +inf: logZ = -inf
+    f = LaplacePositivityFactor(lam=1.0, sigma_bg=0.0, floor=1e308)
+    with pytest.raises(DegenerateSupport, match=r"no numerically reachable mass \(logZ = -inf\)"):
         moments_laplace_positivity(f, 0.0, 1.0)
+
+
+def test_laplace_positivity_extreme_cavities_of_the_eit_prior():
+    # cavities of the high-contrast EIT problems, 35-530 sigma_bg above the
+    # background with sds of 1.1e-3 to 5.5e-3: logZ runs from -44 to -2.2e4,
+    # mostly below exp's range, yet the moments a site update reads are exact
+    f = LaplacePositivityFactor(lam=3e4, sigma_bg=1.41e-3, floor=1e-5)
+    m, sd = (x.ravel() for x in np.meshgrid([0.05, 0.2, 0.75], [1.1e-3, 2.5e-3, 5.5e-3]))
+    many = f.moments_many(m, sd * sd)
+    assert not many.errors
+    for k, (mk, sdk) in enumerate(zip(m.tolist(), sd.tolist())):
+        tm = moments_laplace_positivity(f, mk, sdk * sdk)
+        assert (tm.logZ, tm.mean, tm.var) == (many.logZ[k], many.mean[k], many.var[k])
+        ora = moments_quadrature(f, mk, sdk * sdk)
+        assert abs(tm.mean - ora.mean) <= 1e-9 * sdk
+        assert rel(tm.var, ora.var) <= 1e-9
+    assert min(many.logZ) < -2e4 and max(many.logZ) > -50.0
 
 
 def test_laplace_positivity_flat_zero_tilt_matches_large_v_limit():
@@ -145,9 +163,15 @@ def test_laplace_positivity_flat_pure_exponential():
 
 
 def test_laplace_positivity_flat_unreachable_mass_is_degenerate():
-    # one shifted-exponential piece with logZ = -1000 - log(1000)
-    f = LaplacePositivityFactor(lam=1e3, sigma_bg=0.0, floor=1.0)
-    with pytest.raises(DegenerateSupport, match=r"no numerically reachable mass \(logZ = -1006.9\)"):
+    # one shifted-exponential piece with logZ = -1000 - log(1000), far below
+    # exp's range but finite: its moments are returned
+    tm = LaplacePositivityFactor(lam=1e3, sigma_bg=0.0, floor=1.0).moments_flat(0.0)
+    assert tm.logZ == pytest.approx(-1000.0 - math.log(1000.0), rel=1e-15)
+    assert tm.mean == pytest.approx(1.001, rel=1e-15)
+    assert tm.var == pytest.approx(1e-6, rel=1e-15)
+    # a floor whose log weight lam * (bg - floor) overflows has none
+    f = LaplacePositivityFactor(lam=1e3, sigma_bg=0.0, floor=1e308)
+    with pytest.raises(DegenerateSupport, match=r"no numerically reachable mass \(logZ = -inf\)"):
         f.moments_flat(0.0)
 
 
@@ -213,9 +237,12 @@ def test_laplace_positivity_floor_within_rounding_of_bg_drops_the_lower_piece():
     assert sorted(many.errors) == np.flatnonzero(np.isnan(want[0])).tolist()
     # where the lower piece survives, its sliver of standardized width ~1e-15
     # takes the Gauss-Legendre rule, and its ~1e-14 weight moves no moment
-    # past roundoff
+    # past roundoff.  The mixture weights exp(logw - logZ) carry logZ's
+    # roundoff, |logZ| eps relative: 1e-12 holds up to |logZ| = 1125, and the
+    # points below (logZ down to -5.4e4) are held to 4 |logZ| eps
+    rtol = np.maximum(1e-12, 4.0 * np.abs(want[0]) * np.finfo(float).eps)
     for got in (scalar, np.array([many.logZ, many.mean, many.var])):
-        np.testing.assert_allclose(got, want, rtol=1e-12, equal_nan=True)
+        assert np.isclose(got, want, rtol=rtol, atol=0.0, equal_nan=True).all()
     flat, flat_at = near.moments_flat(0.0), at.moments_flat(0.0)
     assert flat_at.mean == 0.8
     np.testing.assert_allclose([flat.logZ, flat.mean, flat.var], [flat_at.logZ, flat_at.mean, flat_at.var], rtol=1e-12)
@@ -526,7 +553,8 @@ LAPLACE_REGIMES = {
     "floor_above_bg": (2.0, 0.5, 1.5, 0.3, np.linspace(-4.0, 4.0, 9), None),
     "lam_zero": (0.0, 0.5, 0.0, 2.0, np.linspace(-4.0, 4.0, 9), None),
     "lam_zero_no_floor": (0.0, 0.5, -math.inf, 2.0, np.linspace(-4.0, 4.0, 9), None),
-    "degenerate": (1.0, 0.0, 60.0, 1.0, np.array([0.0, 20.0, 30.0, 61.0]), None),
+    # logZ overflows to -inf below the floor, and not at a cavity mean on it
+    "degenerate": (1.0, 0.0, 1e308, 1.0, np.array([0.0, 20.0, 30.0, 61.0, 1e308]), None),
 }
 
 

@@ -264,12 +264,12 @@ def test_global_not_pd_names_the_outer_iteration_and_the_sweep(mode):
 
 
 def test_skipped_sites_cover_every_outer_iteration():
-    # site 1's floor puts its tilted mass out of reach in every EP sweep
+    # site 1's floor overflows its tilted logZ to -inf in every EP sweep
     rng = np.random.default_rng(4)
     model = LinearModel(rng.standard_normal((5, 2)))
     sites = [
         Site(np.eye(1, 2, 0), LaplacePositivityFactor(1.0, 0.0, -5.0)),
-        Site(np.eye(1, 2, 1), LaplacePositivityFactor(1.0, 0.0, floor=60.0)),
+        Site(np.eye(1, 2, 1), LaplacePositivityFactor(1.0, 0.0, floor=1e308)),
     ]
     opts = NonlinearOptions(alpha=10.0, max_outer=3, outer_tol=1e-300,
                             inner=EPOptions(max_sweeps=2, site_tol=1e-8))
@@ -325,8 +325,8 @@ def _recorded_quadratic_run(monkeypatch):
     calls = []
     real_run_ep = nonlinear.run_ep
 
-    def recording_run_ep(base, sites, opts, on_snapshot):
-        r = real_run_ep(base, sites, opts, on_snapshot)
+    def recording_run_ep(base, sites, opts, on_snapshot, start=None):
+        r = real_run_ep(base, sites, opts, on_snapshot, start)
         calls.append((opts.site_tol, opts.max_sweeps, r.sweeps_used, r.converged, r.metrics[-1].max_site_change))
         return r
 
@@ -370,8 +370,8 @@ def test_a_step_on_a_loosened_ep_run_does_not_end_the_run(monkeypatch):
     last = res.outer_records[-1]
     assert last.site_tol == site_tol and last.ep_converged and last.rel_mean_change < opts.outer_tol
     assert last.inner_sweeps == loose_sweeps + sweeps
-    # the finishing run's entry snapshot is not a trace row; its sweeps
-    # number on from the loosened run's
+    # the finishing run starts from the loosened run's last snapshot and
+    # makes no entry snapshot; its sweeps number on from the loosened run's
     assert [r.inner for r in res.trace if r.outer == 3] == list(range(1, last.inner_sweeps + 1))
     assert len(res.trace) == sum(r.inner_sweeps for r in res.outer_records)
 
@@ -400,14 +400,14 @@ def test_trace_rows_equal_the_rows_of_the_full_snapshots(monkeypatch, full_cov_m
     histories = []
     real_run_ep = nonlinear.run_ep
 
-    def recording_run_ep(base, sites, opts, on_snapshot):
+    def recording_run_ep(base, sites, opts, on_snapshot, start=None):
         histories.append([])
 
         def record(sweep, snap):
             histories[-1].append((sweep, snap.mu, snap.C))
             on_snapshot(sweep, snap)
 
-        return real_run_ep(base, sites, opts, record)
+        return real_run_ep(base, sites, opts, record, start)
 
     monkeypatch.setattr(nonlinear, "run_ep", recording_run_ep)
     rng = np.random.default_rng(8)
