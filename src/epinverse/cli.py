@@ -49,7 +49,7 @@ from .nonlinear import ForwardModel, LinearModel, NonlinearOptions, run_nonlinea
 from .eit import cem
 from .eit.mesh import gen_disk_mesh, read_mesh, write_mesh
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 # The OpenBLAS builds bundled with numpy and scipy, and their thread-count
 # entry points (set, get): matrix products run on numpy's, the LAPACK and
@@ -313,7 +313,6 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
             {"outer": outer, "sweep": s.sweep, "site": s.index, "reason": s.reason}
             for outer, s in res.skipped_sites
         ],
-        "tau": [r.tau for r in res.outer_records],
         "outer": [asdict(r) for r in res.outer_records],
     }
 

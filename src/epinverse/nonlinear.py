@@ -21,9 +21,9 @@ from .ep import EPOptions, Site, SkippedSite, run_ep
 from .errors import GlobalNotPD, NonFiniteIterate
 from .gaussians import MomentGaussian, NaturalGaussian
 
-# Up to this many unknowns the trace keeps every sweep's full covariance (as
-# its packed lower triangle) and the CLI writes cov.csv; above it the trace
-# keeps diagonals.
+# Up to this many unknowns the trace keeps the strict lower triangle of every
+# sweep's covariance beside its diagonal, and the CLI writes cov.csv; above
+# it the trace keeps diagonals only.
 FULL_COV_MAX_N = 1000
 
 
@@ -260,23 +260,20 @@ class _Trace:
     the snapshot before it, ``last``, the one snapshot held in full (at the
     end, the run's final one), and e_f against the final snapshot.
 
-    For e_f each sweep keeps its mean and, up to FULL_COV_MAX_N unknowns,
-    its covariance as the packed lower triangle, n (n + 1) / 2 floats;
-    chol.inverse makes every covariance bitwise symmetric, so mirroring the
-    triangle back restores every bit.  Above FULL_COV_MAX_N the rows
-    compare diagonals, and each sweep keeps its diagonal.
+    A covariance is compared through two parts, its strict lower triangle
+    and its diagonal: chol.inverse makes every covariance bitwise symmetric,
+    so ||C||_F^2 = 2 ||strict||^2 + ||diag||^2.  For e_f each sweep keeps its
+    mean and both parts, n (n + 1) / 2 floats.  Above FULL_COV_MAX_N
+    unknowns the strict part is empty, and the rows compare diagonals.
     """
 
     def __init__(self) -> None:
-        # (outer, inner, e_p_mu, e_p_C, mean, packed covariance or diagonal)
-        self._kept: list[tuple[int, int, float, float, np.ndarray, np.ndarray]] = []
+        # (outer, inner, e_p_mu, e_p_C, mean, strict lower triangle, diagonal)
+        self._kept: list[tuple[int, int, float, float, np.ndarray, np.ndarray, np.ndarray]] = []
         self._outer = 0
         self.last: MomentGaussian | None = None
-        self._lower: np.ndarray | None = None  # the lower triangle's mask
-
-    def _compared(self, C: np.ndarray) -> np.ndarray:
-        """The covariance as the rows compare it: whole, or its diagonal."""
-        return C if self._lower is not None else np.diag(C)
+        self._parts: tuple[np.ndarray, np.ndarray] | None = None  # last's strict lower triangle and diagonal
+        self._strict: np.ndarray | None = None  # the mask of the strict lower triangle kept
 
     def add(self, sweep: int, snap: MomentGaussian) -> None:
         """One EP snapshot; an entry snapshot (sweep 0) starts the next
@@ -285,26 +282,33 @@ class _Trace:
             self._outer += 1
             if self.last is not None:
                 return
-            self._lower = np.tri(snap.n, dtype=bool) if snap.n <= FULL_COV_MAX_N else None
-        else:
-            C, C_p = self._compared(snap.C), self._compared(self.last.C)
-            kept = C[self._lower] if self._lower is not None else C.copy()
-            self._kept.append((self._outer, sweep, _rel(snap.mu, self.last.mu), _rel(C, C_p), snap.mu, kept))
-        self.last = snap
+            n = snap.n
+            self._strict = np.tri(n, k=-1 if n <= FULL_COV_MAX_N else -n, dtype=bool)  # -n: none of it
+        parts = snap.C[self._strict], snap.C.diagonal().copy()
+        if sweep:
+            self._kept.append((self._outer, sweep, _rel(snap.mu, self.last.mu), _rel_sym(parts, self._parts),
+                               snap.mu, *parts))
+        self.last, self._parts = snap, parts
 
     def rows(self) -> list[TraceRow]:
-        """The rows, each covariance unpacked into one reused buffer."""
-        mu_fin, C_fin = self.last.mu, self._compared(self.last.C)
-        full = np.empty_like(C_fin)
-        rows = []
-        for outer, inner, e_p_mu, e_p_C, mu, C in self._kept:
-            if self._lower is not None:
-                full[self._lower] = C
-                full.T[self._lower] = C
-                C = full
-            rows.append(TraceRow(outer, inner, e_p_mu, _rel(mu, mu_fin), e_p_C, _rel(C, C_fin)))
-        return rows
+        mu_fin, parts_fin = self.last.mu, self._parts
+        return [
+            TraceRow(outer, inner, e_p_mu, _rel(mu, mu_fin), e_p_C, _rel_sym(parts, parts_fin))
+            for outer, inner, e_p_mu, e_p_C, mu, *parts in self._kept
+        ]
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
+
+
+def _rel_sym(a, b) -> float:
+    """_rel of two symmetric matrices, each given as (strict lower triangle,
+    diagonal)."""
+    (s, d), (s_b, d_b) = a, b
+    return _frobenius(s - s_b, d - d_b) / max(_frobenius(s_b, d_b), 1e-300)
+
+
+def _frobenius(strict: np.ndarray, diag: np.ndarray) -> float:
+    # x.dot(x), as np.linalg.norm takes it: with no strict part, np.linalg.norm(diag) bit for bit
+    return math.sqrt(2.0 * float(strict.dot(strict)) + float(diag.dot(diag)))

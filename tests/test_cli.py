@@ -565,7 +565,7 @@ def test_bad_user_input_is_a_config_error(workspace, tmp_path, command, keys, co
     assert main([command, "--config", write_cfg(tmp_path / "c.cfg", **keys, out=out)]) == 2
     s = load_summary(out)
     assert s["ok"] is False and s["error"] == code
-    assert s["schema_version"] == 7
+    assert s["schema_version"] == 8
 
 
 @pytest.mark.parametrize(
@@ -867,12 +867,17 @@ def test_ep_above_full_cov_max_n_keeps_only_diagonals(tmp_path, monkeypatch, mod
 
     # the one bound, read by the trace and by the CLI, moves below n = 4
     monkeypatch.setattr(nonlinear, "FULL_COV_MAX_N", 3)
-    traces = []
+    traces, diagonals = [], []
 
     class RecordingTrace(nonlinear._Trace):
         def __init__(self):
             super().__init__()
             traces.append(self)
+
+        def add(self, sweep, snap):
+            if sweep or not diagonals:  # the snapshots the rows read: every sweep's and the first entry one
+                diagonals.append(np.diag(snap.C).copy())
+            super().add(sweep, snap)
 
     monkeypatch.setattr(nonlinear, "_Trace", RecordingTrace)
     assert main(["ep", "--config", cfg, "--out", str(diag)]) == 0
@@ -880,11 +885,19 @@ def test_ep_above_full_cov_max_n_keeps_only_diagonals(tmp_path, monkeypatch, mod
     assert (full / "cov.csv").is_file() and not (diag / "cov.csv").exists()
     for name in ("mean.csv", "std.csv"):
         assert (diag / name).read_bytes() == (full / name).read_bytes()
-    assert len(traces) == 1 and traces[0]._kept and all(C.shape == (4,) for *_, C in traces[0]._kept)
+    assert len(traces) == 1 and traces[0]._kept
+    assert all(strict.size == 0 and d.shape == (4,) for *_, strict, d in traces[0]._kept)
     trace_full = np.loadtxt(full / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
     trace_diag = np.loadtxt(diag / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
     assert np.all(np.isfinite(trace_diag)) and trace_diag.shape == trace_full.shape
     assert np.array_equal(trace_diag[:, :4], trace_full[:, :4])  # outer, inner and the two mu columns
+
+    # the C columns are the relative norms of the diagonal differences, bit for bit
+    def rel(a, b):
+        return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
+
+    want = [[rel(d, d_p), rel(d, diagonals[-1])] for d_p, d in zip(diagonals, diagonals[1:])]
+    assert trace_diag[:, 4:].tolist() == want
 
 
 def test_unexpected_failure_writes_internal_error(tmp_path, monkeypatch):
@@ -987,7 +1000,7 @@ def test_blas_runs_on_one_thread_after_main_when_unset(tmp_path, monkeypatch):
     assert main(["ep", "--config", write_cfg(tmp_path / "e.cfg", **LINEAR_6x4, out=out)]) == 0
     assert [int(get()) for _, get in cli._openblas_entry_points()] == [1] * len(cli._openblas_entry_points())
     s = load_summary(out)
-    assert s["blas_threads"] == 1 and s["schema_version"] == 7
+    assert s["blas_threads"] == 1 and s["schema_version"] == 8
 
 
 @pytest.mark.parametrize("var", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])

@@ -1,54 +1,41 @@
 """Stress test of `epinverse ep` on the desk-scale EIT case with a
 conductive inclusion, with a moderately conductive and a strongly resistive
-control, close to problems of the convergence map (tools/convergence_map.py).
+control, close to problems of the convergence map.
 
-The inputs are made as the benchmark's eit_ep inputs are: an inversion mesh
-of ~300 target nodes, a data mesh of ~1200 with one inclusion at (0.05,
-0.02) of radius 0.035, and noise seed 42 unless a test names another; the
-inclusion value and the noise seed vary.  EP runs with default keys and
---seed 42 on one BLAS thread.
+The inputs are made by the map's own builders (tools/convergence_map.py):
+an inversion mesh of ~300 target nodes, a data mesh of ~1200 with one
+inclusion at (0.05, 0.02) of radius 0.035, and noise seed 42 unless a test
+names another; the inclusion value and the noise seed vary.  EP runs with
+default keys and --seed 42 on one BLAS thread.
 """
 
-import json
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from epinverse.cli import main
 from epinverse.eit import SIGMA_BG
 
+_spec = importlib.util.spec_from_file_location(
+    "convergence_map", Path(__file__).resolve().parent.parent / "tools" / "convergence_map.py"
+)
+convergence_map = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(convergence_map)
+
 CONDUCTIVE = 0.0075  # about 5.3 sigma_bg
-
-
-def _write_cfg(path, **kv):
-    path.write_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
-    return str(path)
 
 
 @pytest.fixture(scope="module")
 def mesh_path(tmp_path_factory):
-    out = tmp_path_factory.mktemp("mesh")
-    assert main(["mesh", "--config", _write_cfg(out / "mesh.cfg", target_nodes=300), "--out", str(out),
-                 "--seed", "42"]) == 0
-    return out / "mesh.txt"
-
-
-def _data_path(root, value, noise_seed):
-    out = root / f"synth_{value!r}_s{noise_seed}"
-    if not (out / "data.csv").is_file():
-        cfg = _write_cfg(root / f"{out.name}.cfg", fine_target_nodes=1200, inclusion_cx=0.05,
-                         inclusion_cy=0.02, inclusion_radius=0.035, inclusion_value=repr(value))
-        assert main(["synth", "--config", cfg, "--out", str(out), "--seed", str(noise_seed)]) == 0
-    return out / "data.csv"
+    return convergence_map.make_mesh(main, tmp_path_factory.mktemp("mesh"))
 
 
 def _run_ep(tmp_path, monkeypatch, mesh_path, value, mode, noise_seed=42):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    data = _data_path(mesh_path.parent, value, noise_seed)
-    out = tmp_path / "ep"
-    cfg = _write_cfg(tmp_path / "ep.cfg", problem="eit", mesh=mesh_path, data=data, ep_sweep_mode=mode)
-    code = main(["ep", "--config", cfg, "--out", str(out), "--seed", "42"])
-    summary = json.loads((out / "summary.json").read_text())
+    data = convergence_map.make_data(main, mesh_path.parent, value, noise_seed)
+    code, summary = convergence_map.run_ep(main, mesh_path, data, mode, tmp_path / "ep")
     assert summary["blas_threads"] in (1, None)
     return code, summary
 

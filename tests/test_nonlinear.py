@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from epinverse import (
     nonlinear,
 )
 from epinverse.factors import TiltedMoments
+from epinverse.gaussians import MomentGaussian
 from epinverse.nonlinear import (
     ForwardModel,
     LinearModel,
@@ -390,11 +392,13 @@ def _full_rel(a, b):
 
 @pytest.mark.parametrize("full_cov_max_n", [nonlinear.FULL_COV_MAX_N, 3])
 def test_trace_rows_equal_the_rows_of_the_full_snapshots(monkeypatch, full_cov_max_n):
-    """The trace streams e_p and keeps packed covariances for e_f; its rows
-    are, bit for bit, the rows that every sweep's full snapshot gives: e_p
-    against the snapshot before it (the first outer iteration's entry
-    snapshot first), e_f against the last; above FULL_COV_MAX_N unknowns
-    the rows compare diagonals."""
+    """The trace streams e_p and keeps each covariance's strict lower
+    triangle and diagonal for e_f; its rows are the rows that every sweep's
+    full snapshot gives: e_p against the snapshot before it (the first outer
+    iteration's entry snapshot first), e_f against the last.  Above
+    FULL_COV_MAX_N unknowns the rows compare diagonals, bit for bit; below
+    it the C columns sum the same Frobenius norms in another order, so they
+    agree to roundoff and the other columns bit for bit."""
     monkeypatch.setattr(nonlinear, "FULL_COV_MAX_N", full_cov_max_n)  # 3: the diagonal path
     monkeypatch.setattr(nonlinear, "FORCING", 0.0)  # every EP run sweeps to its cap
     histories = []
@@ -433,7 +437,12 @@ def test_trace_rows_equal_the_rows_of_the_full_snapshots(monkeypatch, full_cov_m
         for (*_, mu_p, C_p), (outer, inner, mu, C) in zip(snapshots, snapshots[1:])
     ]
     assert len(want) == sum(r.inner_sweeps for r in res.outer_records) == 12
-    assert res.trace == want
+    if n > full_cov_max_n:
+        assert res.trace == want
+    else:
+        assert [r[:4] for r in map(astuple, res.trace)] == [w[:4] for w in map(astuple, want)]
+        got, exact = (np.array([(r.e_p_C, r.e_f_C) for r in rows]) for rows in (res.trace, want))
+        np.testing.assert_allclose(got, exact, rtol=1e-14, atol=0.0)
 
 
 def _traced_peak_bytes(n: int, max_outer: int, max_sweeps: int) -> int:
@@ -462,6 +471,25 @@ def test_each_kept_sweep_costs_about_half_a_covariance(monkeypatch):
     n, sweeps = 150, 3
     slope = (_traced_peak_bytes(n, 4, sweeps) - _traced_peak_bytes(n, 2, sweeps)) / (2 * sweeps)
     assert slope <= 0.6 * 8 * n * n
+
+
+def test_trace_rows_allocate_less_than_one_covariance():
+    """rows() reads each kept sweep through its strict lower triangle and
+    diagonal, with no n x n buffer to unpack into and no n x n difference:
+    its peak stays below one covariance, 8 n^2 bytes."""
+    n, rng = 150, np.random.default_rng(3)
+    trace = nonlinear._Trace()
+    for sweep in range(5):
+        A = rng.standard_normal((n, n))
+        trace.add(sweep, MomentGaussian(rng.standard_normal(n), A @ A.T))
+    tracemalloc.start()
+    try:
+        rows = trace.rows()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(r.outer, r.inner) for r in rows] == [(1, 1), (1, 2), (1, 3), (1, 4)]
+    assert peak < 8 * n * n
 
 
 def test_bb_step_always_clamped_property():

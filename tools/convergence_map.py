@@ -4,15 +4,16 @@ in both sweep modes, one BLAS thread.
 Every change to EP's step or stop policy is judged on this grid: a problem
 that converges before the change must not crash or stop converging after it.
 
-The problems are made through the CLI as tests/test_conductive_inclusion.py
-makes them: one inversion mesh (target_nodes = 300, --seed 42) and, per
-problem, a data mesh of ~1200 nodes with one disk inclusion at (0.05, 0.02),
-radius 0.035, of value r * SIGMA_BG.  The grid is
+The problems are made through the CLI by the builders below, which
+tests/test_conductive_inclusion.py imports too: one inversion mesh
+(target_nodes = 300, --seed 42, make_mesh) and, per problem, a data mesh of
+~1200 nodes with one disk inclusion at (0.05, 0.02), radius 0.035, of value
+r * SIGMA_BG (make_data).  The grid is
 
     r in (0.07, 0.15, 0.25, 0.5, 2, 3, 4, 5.3, 8), noise seed in (42, 1, 2),
 
-and `ep` runs with default keys and --seed 42.  The grid, the seeds and the
-keys are fixed: do not drop or swap a problem.
+and `ep` runs with default keys and --seed 42 (run_ep).  The grid, the seeds
+and the keys are fixed: do not drop or swap a problem.
 
 Usage, from the root of a checkout:
 
@@ -54,24 +55,40 @@ def _run(main, command: str, cfg: str, out: Path, seed: int) -> tuple[int, dict]
     return code, json.loads((out / "summary.json").read_text())
 
 
+def make_mesh(main, work: Path) -> Path:
+    """The inversion mesh, made in ``work``; returns its mesh.txt."""
+    if _run(main, "mesh", _write_cfg(work / "mesh.cfg", target_nodes=300), work, 42)[0] != 0:
+        raise RuntimeError("the inversion mesh could not be made")
+    return work / "mesh.txt"
+
+
+def make_data(main, work: Path, value: float, noise_seed: int) -> Path:
+    """The data of an inclusion of conductivity ``value`` at one noise seed,
+    made under ``work`` unless an earlier call made it; returns its data.csv."""
+    out = work / f"synth_{value!r}_s{noise_seed}"
+    if not (out / "data.csv").is_file():
+        cfg = _write_cfg(work / f"{out.name}.cfg", fine_target_nodes=1200, inclusion_cx=0.05,
+                         inclusion_cy=0.02, inclusion_radius=0.035, inclusion_value=repr(value))
+        if _run(main, "synth", cfg, out, noise_seed)[0] != 0:
+            raise RuntimeError(f"the data for {value!r} at noise seed {noise_seed} could not be made")
+    return out / "data.csv"
+
+
+def run_ep(main, mesh: Path, data: Path, mode: str, out: Path) -> tuple[int, dict]:
+    """`epinverse ep` on one problem in one sweep mode, writing to ``out``:
+    its exit code and summary.json."""
+    cfg = _write_cfg(out.parent / f"{out.name}.cfg", problem="eit", mesh=mesh, data=data, ep_sweep_mode=mode)
+    return _run(main, "ep", cfg, out, EP_SEED)
+
+
 def run_map(main, sigma_bg: float, work: Path) -> dict:
-    code, _ = _run(main, "mesh", _write_cfg(work / "mesh.cfg", target_nodes=300), work, 42)
-    if code != 0:
-        sys.exit("error: the inversion mesh could not be made")
+    mesh = make_mesh(main, work)
     records = []
     for ratio in RATIOS:
         for noise_seed in NOISE_SEEDS:
-            synth = work / f"synth_r{ratio}_s{noise_seed}"
-            cfg = _write_cfg(work / f"{synth.name}.cfg", fine_target_nodes=1200, inclusion_cx=0.05,
-                             inclusion_cy=0.02, inclusion_radius=0.035,
-                             inclusion_value=repr(ratio * sigma_bg))
-            if _run(main, "synth", cfg, synth, noise_seed)[0] != 0:
-                sys.exit(f"error: the data for r = {ratio}, noise seed {noise_seed} could not be made")
+            data = make_data(main, work, ratio * sigma_bg, noise_seed)
             for mode in MODES:
-                out = work / f"ep_r{ratio}_s{noise_seed}_{mode}"
-                cfg = _write_cfg(work / f"{out.name}.cfg", problem="eit", mesh=work / "mesh.txt",
-                                 data=synth / "data.csv", ep_sweep_mode=mode)
-                code, s = _run(main, "ep", cfg, out, EP_SEED)
+                code, s = run_ep(main, mesh, data, mode, work / f"ep_r{ratio}_s{noise_seed}_{mode}")
                 skipped = Counter(site["reason"].split(":", 1)[0] for site in s.get("skipped_sites", []))
                 records.append({
                     "ratio": ratio,
