@@ -38,7 +38,6 @@ from .mcmc import (
     RHAT_MIXED,
     ChainConfig,
     ChainSummary,
-    LaplacePositivityPrior,
     Posterior,
     adapt_proposal,
     multi_chain_report,
@@ -222,15 +221,14 @@ def _read_mesh_key(cfg: dict[str, str], key: str):
 @dataclass
 class _Problem:
     """One posterior as both ep and mcmc see it, plus the MH chain centre and
-    initial proposal scale for it."""
+    initial proposal scale for it.  ``prior`` is both EP's site factor and
+    the MH prior."""
 
     name: str
     model: ForwardModel
     data: np.ndarray
     alpha: float
-    lam: float
-    bg: float
-    floor: float
+    prior: LaplacePositivityFactor
     node_ids: np.ndarray
     center: np.ndarray
     proposal_std: float
@@ -248,6 +246,7 @@ def _build_linear_problem(cfg: dict[str, str], seed: int) -> _Problem:
     lam = get(cfg, "lambda", 2.0)
     floor = get(cfg, "floor", 0.0)
     bg = get(cfg, "sigma_bg", 0.0)
+    prior = LaplacePositivityFactor(lam, bg, floor)
     rng = np.random.default_rng(seed)
     if get(cfg, "linear_diagonal"):
         if m != n:
@@ -261,7 +260,7 @@ def _build_linear_problem(cfg: dict[str, str], seed: int) -> _Problem:
     noise_std = 1.0 / math.sqrt(alpha)
     data = A @ x_true + noise_std * rng.standard_normal(m)
     center = np.full(n, max(bg, floor))
-    return _Problem("linear", LinearModel(A), data, alpha, lam, bg, floor, np.arange(n), center, 0.1)
+    return _Problem("linear", LinearModel(A), data, alpha, prior, np.arange(n), center, 0.1)
 
 
 def _build_problem(cfg: dict[str, str], seed: int) -> _Problem:
@@ -272,9 +271,10 @@ def _build_problem(cfg: dict[str, str], seed: int) -> _Problem:
     cem_cfg = _cem_config_from(cfg)
     data = _read_data_csv(get(cfg, "data"), cem_cfg)
     alpha, lam, floor, bg = (get(cfg, key) for key in ("alpha", "lambda", "floor", "sigma_bg"))
-    model = cem.EITForwardModel(mesh, cem_cfg, bg, floor)
+    prior = LaplacePositivityFactor(lam, bg, floor)
+    model = cem.EITForwardModel(mesh, cem_cfg, prior.sigma_bg, prior.floor)
     center = np.full(model.n, bg)
-    return _Problem("eit", model, data, alpha, lam, bg, floor, mesh.interior_node_ids, center, 0.05 * bg)
+    return _Problem("eit", model, data, alpha, prior, mesh.interior_node_ids, center, 0.05 * bg)
 
 
 def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
@@ -285,16 +285,15 @@ def cmd_ep(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     )
     p = _build_problem(cfg, seed)
     n = p.model.n
-    prior = LaplacePositivityFactor(p.lam, p.bg, p.floor)
-    sites = [Site(np.eye(1, n, i), prior) for i in range(n)]
+    sites = [Site(np.eye(1, n, i), p.prior) for i in range(n)]
     opts = NonlinearOptions(
         alpha=p.alpha,
         max_outer=get(cfg, "ep_max_outer"),
         outer_tol=get(cfg, "ep_outer_tol"),
         inner=inner,
-        floor=p.floor,
+        floor=p.prior.floor,
     )
-    res = run_nonlinear(p.model, p.data, sites, opts, np.full(n, p.bg))
+    res = run_nonlinear(p.model, p.data, sites, opts, np.full(n, p.prior.sigma_bg))
 
     std = np.sqrt(np.diag(res.cov))
     _write_vector_csv(out / "mean.csv", p.node_ids, res.mean, "mean")
@@ -321,8 +320,7 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     if threads < 1:
         raise ConfigKeyError(f"--threads must be >= 1, got {threads}", "bad_threads")
     p = _build_problem(cfg, seed)
-    prior = LaplacePositivityPrior(lam=p.lam, bg=p.bg, floor=p.floor)
-    post = Posterior(p.model.evaluate, p.data, p.alpha, prior)
+    post = Posterior(p.model.evaluate, p.data, p.alpha, p.prior)
 
     n_chains = get(cfg, "mcmc_chains")
     steps = get(cfg, "mcmc_steps")
@@ -334,7 +332,7 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     init_spread = get(cfg, "mcmc_init_spread")
 
     inits = (
-        overdispersed_inits(p.center, init_spread, n_chains, seed=seed, floor=p.floor)
+        overdispersed_inits(p.center, init_spread, n_chains, seed=seed, floor=p.prior.floor)
         if init_spread > 0.0
         else [p.center.copy() for _ in range(n_chains)]
     )

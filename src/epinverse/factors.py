@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr
@@ -294,9 +294,12 @@ def _trunc_exp_moments(c: float, big_d: float) -> tuple[float, float]:
         mean = big_d * (0.5 - z / 12.0 + z**3 / 720.0)
         var = big_d * big_d * (1.0 / 12.0 - z * z / 240.0 + z**4 / 6048.0)
         return mean, var
-    em1 = math.expm1(z)
-    mean = 1.0 / c - big_d / em1
-    var = 1.0 / (c * c) - big_d * big_d * math.exp(z) / (em1 * em1)
+    # in e^-|z| and 1 - e^-|z|, which cannot overflow: D / (e^z - 1) is
+    # D e^-z / (1 - e^-z) for z > 0 and -D / (1 - e^z) for z < 0, and
+    # e^z / (e^z - 1)^2 is even in z
+    e, em1 = math.exp(-abs(z)), -math.expm1(-abs(z))
+    mean = 1.0 / c - (big_d * e / em1 if z > 0.0 else -big_d / em1)
+    var = 1.0 / (c * c) - big_d * big_d * e / (em1 * em1)
     return mean, var
 
 
@@ -354,11 +357,16 @@ class LaplacePositivityFactor(FactorFamily):
     """t(s) = exp(-lam |s - sigma_bg|) * indicator[s >= floor].
 
     lam = 0 and floor = -inf are accepted as limits (factor identically one).
+    The same object is EP's site factor and the MH prior of
+    ``mcmc.log_posterior``.
     """
 
     lam: float
     sigma_bg: float
     floor: float = -math.inf
+    # sigma_bg as a 0-d float array, made once for mcmc.log_posterior: numpy
+    # subtracts it from an array faster than a Python float, with the same bits
+    _bg: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.lam >= 0.0:
@@ -368,6 +376,7 @@ class LaplacePositivityFactor(FactorFamily):
         if not self.floor < math.inf:
             raise ValueError("floor must be a number < +inf")
         object.__setattr__(self, "support", (self.floor, math.inf))
+        object.__setattr__(self, "_bg", np.asarray(self.sigma_bg, dtype=float))
 
     def moments(self, m: float, v: float) -> TiltedMoments:
         return moments_laplace_positivity(self, m, v)
@@ -395,13 +404,14 @@ class LaplacePositivityFactor(FactorFamily):
                 logw = eta * b + math.log(big_d)
                 mu, vu = 0.5 * big_d, big_d * big_d / 12.0
             else:
-                # integral of e^{c s - lam b} over [lo, b), u = b - s ~ TruncExp(c)
+                # integral of e^{c s - lam b} over [lo, b), u = b - s ~ TruncExp(c),
+                # log((1 - e^{-cD}) / c); for c < 0, x + log((1 - e^-x) / |c|)
+                # with x = |c| D, as log(e^x - 1) overflows past x = 709
                 if big_d == math.inf:
                     logw = eta * b - math.log(c)
-                elif c > 0.0:
-                    logw = eta * b + math.log(-math.expm1(-c * big_d)) - math.log(c)
                 else:
-                    logw = eta * b + math.log(math.expm1(-c * big_d)) - math.log(-c)
+                    x = abs(c) * big_d
+                    logw = eta * b + math.log(-math.expm1(-x)) + (x if c < 0.0 else 0.0) - math.log(abs(c))
                 mu, vu = _trunc_exp_moments(c, big_d)
             logz, off, var = _mix(logz, off, var, logw, -mu, vu)
         return _reachable(logz, b + off, var)

@@ -119,24 +119,16 @@ def linearize(model: ForwardModel, mu_k: np.ndarray, data: np.ndarray, alpha: fl
 
 
 def _effective_tau(mu_k, mu_km1, d_k, d_km1) -> float:
-    """Driver step policy, a Barzilai-Borwein step from successive iterates
-    and EP directions.  The raw BB value, clamped to 1, is used when
-    positive.  A negative raw value means the local d-map slope is negative
-    (the relinearized iteration is contracting or oscillating), where a zero
-    step would stall convergence; there the classical BB magnitude -1/raw,
-    clamped to 1, is used instead: it is 1 for linear problems and dead-beat
-    damps a linear oscillation.  Coincident iterates and a zero raw value
-    fall back to tau = 1."""
+    """Driver step policy, the Barzilai-Borwein magnitude min(1, 1/|raw|)
+    from successive iterates and EP directions, where raw = s.(d_k - d_km1)
+    / s.s is the local slope of the d-map along s = mu_k - mu_km1.  It is 1
+    for linear problems, dead-beat damps a linear oscillation, and shortens
+    the step wherever the d-map is steeper than 1.  Coincident iterates and
+    a zero raw value fall back to tau = 1."""
     s = mu_k - mu_km1
     ss = float(s @ s)
-    if ss == 0.0:
-        return 1.0
-    raw = float(s @ (d_k - d_km1)) / ss
-    if raw > 0.0:
-        return min(raw, 1.0)
-    if raw < 0.0:
-        return min(1.0, -1.0 / raw)
-    return 1.0
+    raw = float(s @ (d_k - d_km1)) / ss if ss else 0.0
+    return min(1.0, 1.0 / abs(raw)) if raw else 1.0
 
 
 # The forcing term of the inexact inner solve (Dembo, Eisenstat and Steihaug

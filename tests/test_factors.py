@@ -175,6 +175,29 @@ def test_laplace_positivity_flat_unreachable_mass_is_degenerate():
         f.moments_flat(0.0)
 
 
+def test_flat_moments_steep_lower_piece_does_not_overflow():
+    # c D = 1000 for the lower piece: e^{cD} - 1 overflowed in its moments.
+    # Both pieces are exponentials of rate 1000 away from bg, of equal mass.
+    tm = LaplacePositivityFactor(1000.0, 1.0, 0.0).moments_flat(0.0)
+    assert tm.logZ == pytest.approx(math.log(2e-3), rel=1e-14)
+    assert tm.mean == pytest.approx(1.0, rel=1e-15)
+    assert tm.var == pytest.approx(2e-6, rel=1e-14)
+
+
+def test_flat_moments_steep_negative_tilt_at_the_eit_defaults():
+    # c = lam + eta = -5.7e5 and -c D = 798: log(e^{-cD} - 1) overflowed.
+    # The mass piles on the floor, an exponential of rate -c above it; the
+    # upper piece is e^-798 lighter.
+    from epinverse.eit import cem
+
+    lam, bg, floor, eta = cem.LAMBDA_DEFAULT, cem.SIGMA_BG, cem.SIGMA_FLOOR, -6e5
+    c = lam + eta
+    tm = LaplacePositivityFactor(lam, bg, floor).moments_flat(eta)
+    assert tm.logZ == pytest.approx(eta * floor - lam * (bg - floor) - math.log(-c), rel=1e-13)
+    assert tm.mean == pytest.approx(floor - 1.0 / c, rel=1e-12)
+    assert tm.var == pytest.approx(1.0 / (c * c), rel=1e-12)
+
+
 @pytest.mark.parametrize("lam", [1.0, 1e3])
 @pytest.mark.parametrize("eta", [0.0, 0.5, -3.0])
 def test_laplace_positivity_flat_floor_one_subnormal_below_bg(lam, eta):
@@ -442,6 +465,47 @@ def test_laplace_moment_kernels_contract_and_agree_property(f, cavities):
         assert rel(many.logZ[k], tm.logZ, 1.0) <= 1e-12
         assert rel(many.mean[k], tm.mean, sd) <= 1e-12
         assert rel(many.var[k], tm.var) <= 1e-12
+
+
+def _signed(lo_exp, hi_exp):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), _log_uniform(lo_exp, hi_exp)).map(lambda t: t[0] * t[1])
+
+
+def _answers(logz, mean, var):
+    return math.isfinite(logz) and math.isfinite(mean) and math.isfinite(var) and var > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _log_uniform(-3, 8),
+    _signed(-6, 3),
+    st.one_of(st.none(), st.just(0.0), _log_uniform(-6, 3)),
+    st.lists(st.tuples(_signed(-8, 12), _log_uniform(-30, 12)), min_size=1, max_size=4),
+    _signed(-3, 12),
+)
+def test_every_laplace_kernel_answers_or_reports_degenerate_support_property(lam, bg, below, cavities, eta):
+    # the whole domain: lam 1e-3 to 1e8, |bg| 1e-6 to 1e3, the floor at
+    # -inf, at bg or 1e-6 to 1e3 below it, |m| 1e-8 to 1e12, v 1e-30 to
+    # 1e12 and |eta| 1e-3 to 1e12; warnings are errors
+    f = LaplacePositivityFactor(lam, bg, -math.inf if below is None else bg - below)
+    m = np.array([mk for mk, _ in cavities])
+    v = np.array([vk for _, vk in cavities])
+    many = f.moments_many(m, v)
+    for k in range(len(m)):
+        try:
+            tm = f.moments(float(m[k]), float(v[k]))
+        except DegenerateSupport:
+            tm = None
+        else:
+            assert _answers(tm.logZ, tm.mean, tm.var)
+        assert (k in many.errors) == (tm is None)
+        if k not in many.errors:
+            assert _answers(many.logZ[k], many.mean[k], many.var[k])
+    try:
+        tm = f.moments_flat(eta)
+    except DegenerateSupport:
+        return
+    assert _answers(tm.logZ, tm.mean, tm.var)
 
 
 def test_quadrature_not_converged_on_oscillatory_factor():

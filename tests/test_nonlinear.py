@@ -122,16 +122,18 @@ def test_bb_step_zero_direction_change():
 def test_bb_step_unit():
     mu_k, mu_km1 = np.array([1.0, 2.0]), np.array([0.5, 1.5])
     s = mu_k - mu_km1
+    # raw = 1 and raw = 4: the BB magnitude 1/raw
     assert _effective_tau(mu_k, mu_km1, s, np.zeros(2)) == pytest.approx(1.0)
-    assert _effective_tau(mu_k, mu_km1, 0.25 * s, np.zeros(2)) == pytest.approx(0.25)
+    assert _effective_tau(mu_k, mu_km1, 4.0 * s, np.zeros(2)) == pytest.approx(0.25)
 
 
 def test_bb_step_clamped():
     mu_k, mu_km1 = np.array([1.0]), np.array([0.0])
     s = mu_k - mu_km1
-    # raw > 1 is clamped to 1; raw < 0 takes the BB magnitude min(1, -1/raw)
-    assert _effective_tau(mu_k, mu_km1, 3.0 * s, np.zeros(1)) == 1.0
+    # raw of either sign takes min(1, 1/|raw|)
+    assert _effective_tau(mu_k, mu_km1, 3.0 * s, np.zeros(1)) == 1.0 / 3.0
     assert _effective_tau(mu_k, mu_km1, -2.0 * s, np.zeros(1)) == 0.5
+    assert _effective_tau(mu_k, mu_km1, 0.5 * s, np.zeros(1)) == 1.0
     assert _effective_tau(mu_k, mu_km1, -0.5 * s, np.zeros(1)) == 1.0
 
 
