@@ -5,6 +5,19 @@ import numpy as np
 import pytest
 
 from epinverse import mcmc
+from epinverse.eit import (
+    ALPHA_DEFAULT,
+    ELECTRODE_COVERAGE,
+    LAMBDA_DEFAULT,
+    SIGMA_BG,
+    SIGMA_FLOOR,
+    TANK_RADIUS,
+    EITForwardModel,
+    default_config,
+    gen_disk_mesh,
+    paint_disk_inclusion,
+    synth_data,
+)
 from epinverse.errors import AdaptFailed
 from epinverse.factors import LaplacePositivityFactor
 from epinverse.mcmc import (
@@ -20,6 +33,7 @@ from epinverse.mcmc import (
     overdispersed_inits,
     run_chains,
 )
+from epinverse.nonlinear import LinearModel
 
 
 def gaussian_log_post(mu, prec):
@@ -285,31 +299,56 @@ def _loop_mh_chain(cfg, init, log_post):
     return summary, np.asarray(samples)
 
 
-def _floored_linear_posterior():
+def _floored_linear_posterior(linear_model=False):
+    """One floored problem; with ``linear_model`` its forward map is a
+    LinearModel, whose proposals mh_chain scores by residual increments."""
     rng = np.random.default_rng(31)
     A = rng.standard_normal((8, 5)) / math.sqrt(8)
     data = A @ np.full(5, 0.4) + 0.1 * rng.standard_normal(8)
     prior = LaplacePositivityPrior(lam=2.0, bg=0.0, floor=0.0)
-    return Posterior(lambda x: A @ x, data, 100.0, prior)
+    return Posterior(LinearModel(A) if linear_model else (lambda x: A @ x), data, 100.0, prior)
 
 
 @pytest.mark.parametrize("proposal_std", [0.05, np.linspace(0.02, 0.08, 5)])
 @pytest.mark.parametrize("steps, burn_in, thin", [(3000, 300, 1), (20_000, 1_234, 7)])
 def test_mh_chain_equals_the_loop_reference_bit_for_bit(proposal_std, steps, burn_in, thin):
-    # 20 000 steps cross two noise-block boundaries; the floor makes rejections
-    post = _floored_linear_posterior()
-    cfg = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, proposal_std=proposal_std, seed=17)
-    init = np.full(5, 0.3)
-    want, want_samples = _loop_mh_chain(cfg, init, post)
-    got, got_samples = mh_chain(cfg, init, post, store_samples=True)
-    assert np.array_equal(got.mean, want.mean)
-    assert np.array_equal(got.std, want.std)
-    assert got.acceptance_rate == want.acceptance_rate
-    assert 0.0 < got.acceptance_rate < 1.0
-    assert got.samples_kept == want.samples_kept
-    assert np.array_equal(got_samples, want_samples)
-    plain = mh_chain(cfg, init, post)
-    assert np.array_equal(plain.mean, got.mean) and np.array_equal(plain.std, got.std)
+    # 20 000 steps cross two noise-block boundaries and many chunk starts;
+    # the floor makes rejections
+    for linear_model in (False, True):
+        post = _floored_linear_posterior(linear_model)
+        cfg = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, proposal_std=proposal_std, seed=17)
+        init = np.full(5, 0.3)
+        want, want_samples = _loop_mh_chain(cfg, init, post)
+        got, got_samples = mh_chain(cfg, init, post, store_samples=True)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.std, want.std)
+        assert got.acceptance_rate == want.acceptance_rate
+        assert 0.0 < got.acceptance_rate < 1.0
+        assert got.samples_kept == want.samples_kept
+        assert np.array_equal(got_samples, want_samples)
+        plain = mh_chain(cfg, init, post)
+        assert np.array_equal(plain.mean, got.mean) and np.array_equal(plain.std, got.std)
+
+
+def test_mh_chain_on_the_desk_eit_posterior_equals_the_loop_reference():
+    # the inline scoring of a non-linear forward map: every bit of the loop's
+    # log_posterior calls
+    mesh = gen_disk_mesh(TANK_RADIUS, 16, ELECTRODE_COVERAGE, 300)
+    cfg_cem = default_config()
+    sigma_true = paint_disk_inclusion(mesh, SIGMA_BG, (0.05, 0.02), 0.035, 0.25 * SIGMA_BG)
+    data, _ = synth_data(mesh, cfg_cem, sigma_true, 1.0 / math.sqrt(ALPHA_DEFAULT), seed=42)
+    model = EITForwardModel(mesh, cfg_cem, SIGMA_BG, SIGMA_FLOOR)
+    prior = LaplacePositivityPrior(lam=LAMBDA_DEFAULT, bg=SIGMA_BG, floor=SIGMA_FLOOR)
+    cfg = ChainConfig(steps=100, burn_in=20, thin=5, proposal_std=5e-7, seed=3)
+    init = np.full(model.n, SIGMA_BG)
+    for post in (Posterior(model, data, ALPHA_DEFAULT, prior),
+                 Posterior(model.evaluate, data, ALPHA_DEFAULT, prior)):
+        want, want_samples = _loop_mh_chain(cfg, init, post)
+        got, got_samples = mh_chain(cfg, init, post, store_samples=True)
+        assert np.array_equal(got_samples, want_samples)
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.std, want.std)
+        assert got.acceptance_rate == want.acceptance_rate
+        assert 0.0 < got.acceptance_rate < 1.0
 
 
 @pytest.mark.parametrize(
@@ -322,21 +361,23 @@ def test_mh_chain_equals_the_loop_reference_bit_for_bit(proposal_std, steps, bur
     ],
 )
 def test_mh_chain_keep_index_matches_the_loop_reference(steps, burn_in, thin):
-    # the first kept step of each block is computed once per block; it must
+    # the first kept step of each chunk is computed once per chunk; it must
     # keep the steps that (step - burn_in) % thin == 0 keeps, bit for bit
-    post = _floored_linear_posterior()
-    cfg = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, proposal_std=0.05, seed=23)
-    init = np.full(5, 0.3)
-    want, want_samples = _loop_mh_chain(cfg, init, post)
-    got, got_samples = mh_chain(cfg, init, post, store_samples=True)
-    assert got.samples_kept == want.samples_kept == len(range(burn_in, steps, thin))
-    assert np.array_equal(got_samples, want_samples)
-    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.std, want.std)
-    assert got.acceptance_rate == want.acceptance_rate
+    for linear_model in (False, True):
+        post = _floored_linear_posterior(linear_model)
+        cfg = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, proposal_std=0.05, seed=23)
+        init = np.full(5, 0.3)
+        want, want_samples = _loop_mh_chain(cfg, init, post)
+        got, got_samples = mh_chain(cfg, init, post, store_samples=True)
+        assert got.samples_kept == want.samples_kept == len(range(burn_in, steps, thin))
+        assert np.array_equal(got_samples, want_samples)
+        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.std, want.std)
+        assert got.acceptance_rate == want.acceptance_rate
 
 
-def test_every_posterior_call_goes_through_the_module_log_posterior(monkeypatch):
-    # a tracer wraps mcmc.log_posterior and must see every evaluation a chain makes
+def test_mh_chain_calls_a_posterior_once_and_any_other_callable_at_every_step(monkeypatch):
+    # a Posterior's proposals are scored in the chain loop: mcmc.log_posterior
+    # sees the start point only; any other callable is called at each step
     calls = []
 
     def counted(*args, **kwargs):
@@ -345,7 +386,13 @@ def test_every_posterior_call_goes_through_the_module_log_posterior(monkeypatch)
 
     monkeypatch.setattr(mcmc, "log_posterior", counted)
     cfg = ChainConfig(steps=600, burn_in=0, thin=1, proposal_std=0.05, seed=5)
-    mh_chain(cfg, np.full(5, 0.3), _floored_linear_posterior())
+    for linear_model in (False, True):
+        calls.clear()
+        mh_chain(cfg, np.full(5, 0.3), _floored_linear_posterior(linear_model))
+        assert len(calls) == 1
+    post = _floored_linear_posterior()
+    calls.clear()
+    mh_chain(cfg, np.full(5, 0.3), lambda x: post(x))
     assert len(calls) == cfg.steps + 1  # the start, then one per step
 
 
@@ -535,6 +582,19 @@ def test_run_chains_parallel_workers():
     for a, b in zip(par, seq):
         assert np.array_equal(a.mean, b.mean)
         assert a.acceptance_rate == b.acceptance_rate
+
+
+def test_run_chains_parallel_workers_on_a_linear_model_posterior():
+    # the Posterior with its matrix pickles, and a worker scores by increments too
+    post = _floored_linear_posterior(linear_model=True)
+    cfgs = [ChainConfig(steps=3000, burn_in=300, thin=2, proposal_std=0.05, seed=s) for s in (3, 4)]
+    inits = [np.full(5, 0.3), np.full(5, 0.5)]
+    par = run_chains(cfgs, inits, post, workers=2)
+    seq = run_chains(cfgs, inits, post, workers=1)
+    for a, b in zip(par, seq):
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
+        assert a.acceptance_rate == b.acceptance_rate
+        assert a.samples_kept == b.samples_kept
 
 
 def test_run_chains_starts_no_more_workers_than_chains(monkeypatch):
