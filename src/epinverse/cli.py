@@ -320,7 +320,7 @@ def cmd_mcmc(cfg: dict[str, str], out: Path, seed: int, threads: int) -> dict:
     if threads < 1:
         raise ConfigKeyError(f"--threads must be >= 1, got {threads}", "bad_threads")
     p = _build_problem(cfg, seed)
-    post = Posterior(p.model, p.data, p.alpha, p.prior)
+    post = Posterior(p.model.evaluate, p.data, p.alpha, p.prior)
 
     n_chains = get(cfg, "mcmc_chains")
     steps = get(cfg, "mcmc_steps")

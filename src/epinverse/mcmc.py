@@ -11,13 +11,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
 from .errors import AdaptFailed, NonFiniteResult
 from .factors import LaplacePositivityFactor
-from .nonlinear import ForwardModel, LinearModel
 
 # adapt_proposal tunes the pilot acceptance into this band around 0.234.
 ACCEPTANCE_BAND = (0.18, 0.30)
@@ -74,14 +72,6 @@ _absolute = np.absolute
 _subtract = np.subtract
 _dot = np.dot
 
-# mh_chain draws its proposal noise in blocks of this many steps, and walks
-# each block in chunks: one gemm per chunk gives a linear model's residual
-# increments, and the residual is recomputed exactly at each chunk start.  A
-# chunk of increments takes m * 8 kB; a whole block's raised the linear
-# benchmark's peak RSS by about 4 %.
-_BLOCK = 8192
-_CHUNK = 1024
-
 
 def log_posterior(sigma: np.ndarray, forward_fn, data: np.ndarray, alpha: float,
                   prior: LaplacePositivityFactor) -> float:
@@ -107,20 +97,12 @@ def log_posterior(sigma: np.ndarray, forward_fn, data: np.ndarray, alpha: float,
 class Posterior:
     """Picklable log-posterior callable (chains may run in worker processes).
 
-    ``forward`` is a ``ForwardModel``, whose ``evaluate`` is the forward map,
-    or a plain callable F(sigma).  ``A`` is the matrix of a ``LinearModel``
-    and None otherwise.  ``mh_chain`` scores a Posterior's proposals inline,
-    from these parts, with ``log_posterior``'s operations; a call goes
-    through ``log_posterior``.
+    ``mh_chain`` scores a Posterior's proposals inline, from its parts, with
+    ``log_posterior``'s operations; a call goes through ``log_posterior``.
     """
 
-    def __init__(self, forward, data: np.ndarray, alpha: float, prior: LaplacePositivityFactor):
-        if isinstance(forward, ForwardModel):
-            self.forward_fn = forward.evaluate
-            self.A = forward.A if isinstance(forward, LinearModel) else None
-        else:
-            self.forward_fn = forward
-            self.A = None
+    def __init__(self, forward_fn, data: np.ndarray, alpha: float, prior: LaplacePositivityFactor):
+        self.forward_fn = forward_fn
         self.data = np.asarray(data, dtype=float)
         self.alpha = float(alpha)
         self.prior = prior
@@ -138,22 +120,16 @@ def mh_chain(cfg: ChainConfig, init: np.ndarray, log_post, store_samples: bool =
 
     The proposal noise is drawn in blocks of up to 8192 steps, and each block
     is scaled by the proposal std once, in place, when it is drawn.  Each
-    block's log uniforms become Python floats once.  The block is walked in
-    chunks of up to 1024 steps; the index of a chunk's first kept step is
-    computed once, and its kept states go through the Welford update at the
-    chunk's end, so a step that is not kept does no arithmetic on the step
-    count.
+    block's log uniforms become Python floats once, and the index of the
+    block's first kept step is computed once, so a step that is not kept
+    does no arithmetic on the step count.
 
     ``log_post`` is called at ``init``, and at each proposal unless it is a
     ``Posterior``.  A Posterior's proposals are scored in the loop with
     ``log_posterior``'s operations in its order, so a chain has the same bits
-    without a Python call per step: a proposal below the floor is rejected
-    before the forward map is called.  When the forward map is a
-    ``LinearModel``, a proposal's residual is the current one plus A dx,
-    with A dx for a whole chunk from one gemm, and the residual is
-    recomputed as F(x) - data at each chunk start.  The states are still
-    x + dx, so the chain's samples move only where a log uniform lies
-    within roundoff of its accept threshold.
+    without a Python call per step; a proposal below the floor gets -inf
+    without a call of the forward map.  A proposal is accepted when
+    log u < lp_new - lp, so a proposal of log posterior -inf never is.
 
     Raises
     ------
@@ -169,7 +145,6 @@ def mh_chain(cfg: ChainConfig, init: np.ndarray, log_post, store_samples: bool =
     std = np.broadcast_to(np.asarray(cfg.proposal_std, dtype=float), (n,))
     rng = np.random.default_rng(cfg.seed)
     inline = isinstance(log_post, Posterior)
-    A = log_post.A if inline else None
     if inline:
         fwd, data = log_post.forward_fn, log_post.data
         # -0.5 * alpha * rr is (-0.5 * alpha) * rr: the same bits
@@ -184,62 +159,43 @@ def mh_chain(cfg: ChainConfig, init: np.ndarray, log_post, store_samples: bool =
     samples = [] if store_samples else None
 
     burn_in, thin = cfg.burn_in, cfg.thin
+    block = 8192
     done = 0
     while done < cfg.steps:
-        nb = min(_BLOCK, cfg.steps - done)
+        nb = min(block, cfg.steps - done)
         noise = rng.standard_normal((nb, n))
         noise *= std
         logu = np.log(rng.random(nb)).tolist()
-        for c in range(0, nb, _CHUNK):
-            rows, lus = noise[c:c + _CHUNK], logu[c:c + _CHUNK]
-            start = done + c
-            # the chunk's first kept step: step >= burn_in, (step - burn_in) % thin == 0
-            keep = burn_in - start if start < burn_in else -(start - burn_in) % thin
-            # states kept in this chunk; no state is changed in place
-            held = []
-            incs = repeat(None) if A is None else _dot(rows, A.T)
+        # the block's first kept step: step >= burn_in, (step - burn_in) % thin == 0
+        keep = burn_in - done if done < burn_in else -(done - burn_in) % thin
+        for j, (dx, lu) in enumerate(zip(noise, logu)):
+            prop = x + dx
             if not inline:
-                for j, (dx, lu) in enumerate(zip(rows, lus)):
-                    prop = x + dx
-                    lp_new = log_post(prop)
-                    if lu <= lp_new - lp:
-                        x = prop
-                        lp = lp_new
-                        accepted += 1
-                    if j == keep:
-                        keep += thin
-                        held.append(x)
+                lp_new = log_post(prop)
+            elif _fmin_reduce(prop) < floor:
+                lp_new = -math.inf
             else:
-                if A is not None:
-                    r = fwd(x) - data
-                for j, (dx, adx, lu) in enumerate(zip(rows, incs, lus)):
-                    prop = x + dx
-                    # a proposal below the floor has log posterior -inf and is
-                    # rejected; the accept test would pass it only at u = 0
-                    # (log uniform -inf, probability 2**-53 per step)
-                    if not _fmin_reduce(prop) < floor:
-                        rp = fwd(prop) - data if adx is None else r + adx
-                        _absolute(_subtract(prop, bg, buf), buf)
-                        lp_new = half_alpha * float(_dot(rp, rp)) - lam * float(_add_reduce(buf))
-                        if lu <= lp_new - lp:
-                            x = prop
-                            r = rp
-                            lp = lp_new
-                            accepted += 1
-                    if j == keep:
-                        keep += thin
-                        held.append(x)
-            for xk in held:
+                r = fwd(prop) - data
+                _absolute(_subtract(prop, bg, buf), buf)
+                lp_new = half_alpha * float(_dot(r, r)) - lam * float(_add_reduce(buf))
+            # u < exp(lp_new - lp); strict, so that a uniform of exactly 0.0
+            # (log -inf) never moves the chain to a state of log posterior -inf
+            if lu < lp_new - lp:
+                x = prop
+                lp = lp_new
+                accepted += 1
+            if j == keep:
+                keep += thin
                 kept += 1
-                delta = xk - mean
+                delta = x - mean
                 mean += delta / kept
-                m2 += delta * (xk - mean)
-            if store_samples:
-                samples += held
+                m2 += delta * (x - mean)
+                if store_samples:
+                    samples.append(x.copy())
         done += nb
         # freed before the next block is drawn, so that two blocks are never
         # held at once: 8192 log uniforms as Python floats take about 260 kB
-        del noise, logu, rows, incs
+        del noise, logu
 
     var = m2 / (kept - 1) if kept > 1 else np.zeros(n)
     summary = ChainSummary(

@@ -300,34 +300,32 @@ def _loop_mh_chain(cfg, init, log_post):
 
 
 def _floored_linear_posterior(linear_model=False):
-    """One floored problem; with ``linear_model`` its forward map is a
-    LinearModel, whose proposals mh_chain scores by residual increments."""
+    """One floored problem; with ``linear_model`` its forward map is
+    ``LinearModel.evaluate``, as ``epinverse mcmc`` builds it."""
     rng = np.random.default_rng(31)
     A = rng.standard_normal((8, 5)) / math.sqrt(8)
     data = A @ np.full(5, 0.4) + 0.1 * rng.standard_normal(8)
     prior = LaplacePositivityPrior(lam=2.0, bg=0.0, floor=0.0)
-    return Posterior(LinearModel(A) if linear_model else (lambda x: A @ x), data, 100.0, prior)
+    return Posterior(LinearModel(A).evaluate if linear_model else (lambda x: A @ x), data, 100.0, prior)
 
 
 @pytest.mark.parametrize("proposal_std", [0.05, np.linspace(0.02, 0.08, 5)])
 @pytest.mark.parametrize("steps, burn_in, thin", [(3000, 300, 1), (20_000, 1_234, 7)])
 def test_mh_chain_equals_the_loop_reference_bit_for_bit(proposal_std, steps, burn_in, thin):
-    # 20 000 steps cross two noise-block boundaries and many chunk starts;
-    # the floor makes rejections
-    for linear_model in (False, True):
-        post = _floored_linear_posterior(linear_model)
-        cfg = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, proposal_std=proposal_std, seed=17)
-        init = np.full(5, 0.3)
-        want, want_samples = _loop_mh_chain(cfg, init, post)
-        got, got_samples = mh_chain(cfg, init, post, store_samples=True)
-        assert np.array_equal(got.mean, want.mean)
-        assert np.array_equal(got.std, want.std)
-        assert got.acceptance_rate == want.acceptance_rate
-        assert 0.0 < got.acceptance_rate < 1.0
-        assert got.samples_kept == want.samples_kept
-        assert np.array_equal(got_samples, want_samples)
-        plain = mh_chain(cfg, init, post)
-        assert np.array_equal(plain.mean, got.mean) and np.array_equal(plain.std, got.std)
+    # 20 000 steps cross two noise-block boundaries; the floor makes rejections
+    post = _floored_linear_posterior()
+    cfg = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, proposal_std=proposal_std, seed=17)
+    init = np.full(5, 0.3)
+    want, want_samples = _loop_mh_chain(cfg, init, post)
+    got, got_samples = mh_chain(cfg, init, post, store_samples=True)
+    assert np.array_equal(got.mean, want.mean)
+    assert np.array_equal(got.std, want.std)
+    assert got.acceptance_rate == want.acceptance_rate
+    assert 0.0 < got.acceptance_rate < 1.0
+    assert got.samples_kept == want.samples_kept
+    assert np.array_equal(got_samples, want_samples)
+    plain = mh_chain(cfg, init, post)
+    assert np.array_equal(plain.mean, got.mean) and np.array_equal(plain.std, got.std)
 
 
 def test_mh_chain_on_the_desk_eit_posterior_equals_the_loop_reference():
@@ -341,14 +339,13 @@ def test_mh_chain_on_the_desk_eit_posterior_equals_the_loop_reference():
     prior = LaplacePositivityPrior(lam=LAMBDA_DEFAULT, bg=SIGMA_BG, floor=SIGMA_FLOOR)
     cfg = ChainConfig(steps=100, burn_in=20, thin=5, proposal_std=5e-7, seed=3)
     init = np.full(model.n, SIGMA_BG)
-    for post in (Posterior(model, data, ALPHA_DEFAULT, prior),
-                 Posterior(model.evaluate, data, ALPHA_DEFAULT, prior)):
-        want, want_samples = _loop_mh_chain(cfg, init, post)
-        got, got_samples = mh_chain(cfg, init, post, store_samples=True)
-        assert np.array_equal(got_samples, want_samples)
-        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.std, want.std)
-        assert got.acceptance_rate == want.acceptance_rate
-        assert 0.0 < got.acceptance_rate < 1.0
+    post = Posterior(model.evaluate, data, ALPHA_DEFAULT, prior)
+    want, want_samples = _loop_mh_chain(cfg, init, post)
+    got, got_samples = mh_chain(cfg, init, post, store_samples=True)
+    assert np.array_equal(got_samples, want_samples)
+    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.std, want.std)
+    assert got.acceptance_rate == want.acceptance_rate
+    assert 0.0 < got.acceptance_rate < 1.0
 
 
 @pytest.mark.parametrize(
@@ -361,18 +358,50 @@ def test_mh_chain_on_the_desk_eit_posterior_equals_the_loop_reference():
     ],
 )
 def test_mh_chain_keep_index_matches_the_loop_reference(steps, burn_in, thin):
-    # the first kept step of each chunk is computed once per chunk; it must
+    # the first kept step of each block is computed once per block; it must
     # keep the steps that (step - burn_in) % thin == 0 keeps, bit for bit
-    for linear_model in (False, True):
-        post = _floored_linear_posterior(linear_model)
-        cfg = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, proposal_std=0.05, seed=23)
-        init = np.full(5, 0.3)
-        want, want_samples = _loop_mh_chain(cfg, init, post)
-        got, got_samples = mh_chain(cfg, init, post, store_samples=True)
-        assert got.samples_kept == want.samples_kept == len(range(burn_in, steps, thin))
-        assert np.array_equal(got_samples, want_samples)
-        assert np.array_equal(got.mean, want.mean) and np.array_equal(got.std, want.std)
-        assert got.acceptance_rate == want.acceptance_rate
+    post = _floored_linear_posterior()
+    cfg = ChainConfig(steps=steps, burn_in=burn_in, thin=thin, proposal_std=0.05, seed=23)
+    init = np.full(5, 0.3)
+    want, want_samples = _loop_mh_chain(cfg, init, post)
+    got, got_samples = mh_chain(cfg, init, post, store_samples=True)
+    assert got.samples_kept == want.samples_kept == len(range(burn_in, steps, thin))
+    assert np.array_equal(got_samples, want_samples)
+    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.std, want.std)
+    assert got.acceptance_rate == want.acceptance_rate
+
+
+class _ZeroUniformRng:
+    """Proposal noise of ``sign`` in every entry, and uniforms of exactly 0.0,
+    whose log is -inf: the draw that the accept test sees with probability
+    2**-53 per step."""
+
+    def __init__(self, sign):
+        self.sign = sign
+
+    def standard_normal(self, shape):
+        return np.full(shape, self.sign)
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_mh_chain_never_accepts_a_minus_inf_log_posterior(monkeypatch, sign):
+    # every proposal has log posterior -inf: up, the misfit overflows; down,
+    # it lies below the floor.  A log uniform of -inf must still reject it,
+    # on the inline Posterior path and through any other callable alike
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _ZeroUniformRng(sign))
+    prior = LaplacePositivityPrior(lam=1.0, bg=0.0, floor=0.0)
+    post = Posterior(lambda x: np.where(x > 1.0, 1e200, x), np.zeros(2), 1.0, prior)
+    cfg = ChainConfig(steps=50, burn_in=0, thin=1, proposal_std=1.0, seed=0)
+    # np.log(0.0) and the overflowing r.r warn
+    with np.errstate(divide="ignore", over="ignore"):
+        assert post(np.full(2, 0.5 + sign)) == -math.inf
+        for log_post in (post, lambda x: post(x)):
+            out, samples = mh_chain(cfg, np.full(2, 0.5), log_post, store_samples=True)
+            assert out.acceptance_rate == 0.0
+            assert np.array_equal(samples, np.full((50, 2), 0.5))
 
 
 def test_mh_chain_calls_a_posterior_once_and_any_other_callable_at_every_step(monkeypatch):
@@ -386,11 +415,9 @@ def test_mh_chain_calls_a_posterior_once_and_any_other_callable_at_every_step(mo
 
     monkeypatch.setattr(mcmc, "log_posterior", counted)
     cfg = ChainConfig(steps=600, burn_in=0, thin=1, proposal_std=0.05, seed=5)
-    for linear_model in (False, True):
-        calls.clear()
-        mh_chain(cfg, np.full(5, 0.3), _floored_linear_posterior(linear_model))
-        assert len(calls) == 1
     post = _floored_linear_posterior()
+    mh_chain(cfg, np.full(5, 0.3), post)
+    assert len(calls) == 1
     calls.clear()
     mh_chain(cfg, np.full(5, 0.3), lambda x: post(x))
     assert len(calls) == cfg.steps + 1  # the start, then one per step
@@ -585,7 +612,7 @@ def test_run_chains_parallel_workers():
 
 
 def test_run_chains_parallel_workers_on_a_linear_model_posterior():
-    # the Posterior with its matrix pickles, and a worker scores by increments too
+    # the Posterior epinverse mcmc builds pickles, and a worker scores it inline too
     post = _floored_linear_posterior(linear_model=True)
     cfgs = [ChainConfig(steps=3000, burn_in=300, thin=2, proposal_std=0.05, seed=s) for s in (3, 4)]
     inits = [np.full(5, 0.3), np.full(5, 0.5)]

@@ -48,6 +48,10 @@ LINEAR_KEYS = {
     "mcmc_init_spread": 0.3, "mcmc_pilot_steps": 4000,
 }
 EIT_PROPOSAL_STD = 5e-7
+# chains per posterior and package, and steps per chain
+REPEATS = 100
+STEPS = 8000
+EIT_STEPS = 200
 
 
 def load_package(src: Path, name: str):
@@ -115,32 +119,27 @@ def main(argv=None) -> int:
     root = Path(__file__).resolve().parents[1]
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, default=None, help="another checkout's src to time against")
-    p.add_argument("--repeats", type=int, default=15, help="chains per posterior and package")
-    p.add_argument("--steps", type=int, default=8000, help="steps per chain on the linear posteriors")
-    p.add_argument("--eit-steps", type=int, default=200, help="steps per chain on the EIT posterior")
     p.add_argument("--out", type=Path, default=None, help="the JSON file to write")
     args = p.parse_args(argv)
-    if args.repeats < 2:
-        p.error("--repeats must be >= 2")
 
     sides = {"this": load_package(root / "src", "epinverse_this")}
     if args.parent is not None:
         sides = {"parent": load_package(args.parent.resolve(), "epinverse_parent"), **sides}
     names = list(sides)
-    report = {"repeats": args.repeats, "posteriors": {}}
+    report = {"repeats": REPEATS, "posteriors": {}}
     for label, build in POSTERIORS.items():
         built = {side: build(pkg) for side, pkg in sides.items()}
         mcmc0 = sides[names[0]].mcmc
         post0, init0 = built[names[0]]
         if label == "eit":
-            steps, scale = args.eit_steps, EIT_PROPOSAL_STD
+            steps, scale = EIT_STEPS, EIT_PROPOSAL_STD
         else:
             # the scale the CLI's adaptation gives this start, on the first package
-            steps = args.steps
+            steps = STEPS
             scale = mcmc0.adapt_proposal(post0, init0, 0.1, pilot_steps=4000, seed=PROBLEM_SEED)
         times = {side: [] for side in names}
         results = {}
-        for rep in range(args.repeats):
+        for rep in range(REPEATS):
             for side in (names if rep % 2 == 0 else names[::-1]):
                 mcmc = sides[side].mcmc
                 post, init = built[side]
